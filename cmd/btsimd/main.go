@@ -32,6 +32,26 @@ import (
 	"repro/internal/simd"
 )
 
+// Server timeouts. A client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout,
+// so stalled or abandoned connections cannot pile up. There is
+// deliberately no WriteTimeout: it would cut the long-lived SSE event
+// streams of campaigns that run for minutes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the HTTP server for handler h on addr.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxJobs := flag.Int("max-jobs", 2, "campaigns running concurrently")
@@ -53,7 +73,7 @@ func main() {
 		Workers:             *workers,
 		SnapshotSlots:       *snapshot,
 	})
-	srv := &http.Server{Addr: *addr, Handler: engine.Handler()}
+	srv := newServer(*addr, engine.Handler())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

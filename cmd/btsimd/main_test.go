@@ -189,6 +189,28 @@ func TestBtsimdGracefulShutdown(t *testing.T) {
 	}
 }
 
+// TestNewServerTimeouts pins the server main builds: bounded header
+// reads and idle keep-alives, but no read or write deadline that would
+// cut a long POST body or a long-lived SSE stream. The server must
+// still serve the engine's handler.
+func TestNewServerTimeouts(t *testing.T) {
+	engine := simd.New(simd.Options{MaxJobs: 1})
+	defer engine.Close()
+	srv := newServer("127.0.0.1:0", engine.Handler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout=%v IdleTimeout=%v, want both set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Fatalf("WriteTimeout=%v ReadTimeout=%v, want none (SSE streams are long-lived)", srv.WriteTimeout, srv.ReadTimeout)
+	}
+
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = srv
+	ts.Start()
+	defer ts.Close()
+	getJSON[simd.Stats](t, ts.URL+"/v1/stats")
+}
+
 func getJSON[T any](t *testing.T, url string) T {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -46,15 +46,33 @@ func perm5Butterfly(z, ctl uint32) uint32 {
 // indexed ctl<<5 | z. Connection-state hop selection runs the kernel on
 // every single tune, so the 512 KiB table retires the 14-stage loop
 // from the simulator's per-slot path.
-var perm5Tab = func() []uint8 {
+var perm5Tab = buildPerm5Tab()
+
+// buildPerm5Tab fills the PERM5 table by composing the butterfly's two
+// halves. Stages 0-4 take control bits P13-P9 and stages 5-13 take
+// P8-P0, so the full permutation is the low half applied to the high
+// half's output: 17,408 butterfly calls instead of one per entry.
+func buildPerm5Tab() []uint8 {
+	var hi [32][32]uint8
+	var lo [512][32]uint8
+	for z := uint32(0); z < 32; z++ {
+		for h := range hi {
+			hi[h][z] = uint8(perm5Butterfly(z, uint32(h)<<9))
+		}
+		for l := range lo {
+			lo[l][z] = uint8(perm5Butterfly(z, uint32(l)))
+		}
+	}
 	t := make([]uint8, 1<<19)
 	for ctl := uint32(0); ctl < 1<<14; ctl++ {
-		for z := uint32(0); z < 32; z++ {
-			t[ctl<<5|z] = uint8(perm5Butterfly(z, ctl))
+		l, h := &lo[ctl&0x1FF], &hi[ctl>>9]
+		row := t[ctl<<5 : ctl<<5+32]
+		for z := range row {
+			row[z] = l[h[z]]
 		}
 	}
 	return t
-}()
+}
 
 // perm5 looks up the butterfly permutation for input z under the 14-bit
 // control word (pHigh 5 bits, pLow 9 bits).

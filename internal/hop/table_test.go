@@ -14,3 +14,24 @@ func TestPerm5TableMatchesButterfly(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuildPerm5Tab prices the package's init-time table build.
+func BenchmarkBuildPerm5Tab(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		buildPerm5Tab()
+	}
+}
+
+// BenchmarkSelectorBasic is the hop rung of the per-layer ladder: the
+// connection-state sequence over a sweep of master transmit slots, one
+// Basic call per op. It must not allocate.
+func BenchmarkSelectorBasic(b *testing.B) {
+	s := NewSelector(Addr28(0x9E8B33, 0x5A))
+	b.ReportAllocs()
+	clk := uint32(0)
+	for b.Loop() {
+		s.Basic(clk)
+		clk += 4
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -332,7 +333,14 @@ func (e *Engine) runJob(job *Job) {
 // SnapshotSlots. Its windows feed the SSE stream only — the campaign
 // replicas never have their windows touched mid-run.
 func (e *Engine) monitor(ctx context.Context, job *Job) {
-	defer func() { recover() }() // monitor crashes must not take the job down
+	// A monitor crash must not take the job down, but it is logged with
+	// what reproduces it: the monitor runs the first point at the first seed.
+	defer func() {
+		if r := recover(); r != nil {
+			fmt.Fprintf(os.Stderr, "simd: job %s: monitor replica (seed %d) panicked: %v\n",
+				job.ID, job.Req.Seeds.First, r)
+		}
+	}()
 	spec := job.Req.Points[0]
 	s := core.NewSimulation(core.Options{Seed: job.Req.Seeds.First})
 	w, err := netspec.Build(s, spec)
