@@ -8,7 +8,7 @@
 package access
 
 import (
-	"sync"
+	mbits "math/bits"
 
 	"repro/internal/bits"
 )
@@ -43,9 +43,9 @@ func SyncWord(lap uint32) uint64 {
 	return word
 }
 
-// bchParity divides info(D)·D^34 by the generator and returns the 34
-// parity bits.
-func bchParity(info uint64) uint64 {
+// bchDivide divides info(D)·D^34 by the generator and returns the 34
+// parity bits, one information bit per step.
+func bchDivide(info uint64) uint64 {
 	reg := info << 34
 	for i := 63; i >= 34; i-- {
 		if reg&(1<<i) != 0 {
@@ -55,37 +55,23 @@ func bchParity(info uint64) uint64 {
 	return reg & ((1 << 34) - 1)
 }
 
-// codeCache holds the fully derived access code of one LAP: the sync
-// word plus the expanded 72-bit air pattern (preamble, sync, trailer)
-// in the one-byte-per-bit layout of bits.Vec, ready to copy.
-type codeCache struct {
-	sync uint64
-	air  [72]uint8
-}
+// bchTab[k][b] is the parity of byte b at information bits 8k..8k+7.
+// The remainder is linear in the information, so the parity of a
+// 30-bit word is the XOR of its four bytes' entries.
+var bchTab = func() (tab [4][256]uint64) {
+	for k := range tab {
+		for b := range tab[k] {
+			tab[k][b] = bchDivide(uint64(b) << (8 * k))
+		}
+	}
+	return
+}()
 
-// syncCache memoises the access-code derivation per LAP: it is pure, a
-// simulation uses a handful of LAPs, and the result is needed on every
-// single transmit and correlate. Concurrent worlds (runner workers)
-// share the cache, hence sync.Map. Entries are immutable once stored —
-// callers only read the sync word and copy the air pattern out.
-var syncCache sync.Map // uint32 LAP → *codeCache
-
-func codeFor(lap uint32) *codeCache {
-	lap &= 0xFFFFFF
-	if c, ok := syncCache.Load(lap); ok {
-		return c.(*codeCache)
-	}
-	c := &codeCache{sync: SyncWord(lap)}
-	pre, tr := preambleFor(c.sync), trailerFor(c.sync)
-	for i := 0; i < 4; i++ {
-		c.air[i] = uint8(pre>>i) & 1
-		c.air[68+i] = uint8(tr>>i) & 1
-	}
-	for i := 0; i < 64; i++ {
-		c.air[4+i] = uint8(c.sync>>i) & 1
-	}
-	syncCache.Store(lap, c)
-	return c
+// bchParity returns the 34 BCH parity bits of the 30 information bits
+// of info, four table lookups.
+func bchParity(info uint64) uint64 {
+	return bchTab[0][uint8(info)] ^ bchTab[1][uint8(info>>8)] ^
+		bchTab[2][uint8(info>>16)] ^ bchTab[3][uint8(info>>24)&0x3F]
 }
 
 // preambleFor returns the 4-bit preamble: 0101 or 1010 chosen so it
@@ -119,14 +105,15 @@ func Code(lap uint32, withTrailer bool) *bits.Vec {
 }
 
 // AppendCode appends the access code bits directly to v, sparing the
-// assembly path a temporary vector: one copy out of the per-LAP cache.
+// assembly path a temporary vector: preamble, sync word and trailer go
+// in as three word-wide appends.
 func AppendCode(v *bits.Vec, lap uint32, withTrailer bool) {
-	c := codeFor(lap)
-	n := 68
+	sync := SyncWord(lap)
+	v.AppendUint(preambleFor(sync), 4)
+	v.AppendUint(sync, 64)
 	if withTrailer {
-		n = 72
+		v.AppendUint(trailerFor(sync), 4)
 	}
-	copy(v.Grow(n), c.air[:n])
 }
 
 // DefaultCorrelatorThreshold is the maximum number of sync-word bit
@@ -142,13 +129,6 @@ func Correlate(rx *bits.Vec, lap uint32, threshold int) (errors int, ok bool) {
 	if rx.Len() < 68 {
 		return 0, false
 	}
-	want := codeFor(lap).sync
-	got := rx.Uint(4, 64)
-	diff := want ^ got
-	n := 0
-	for diff != 0 {
-		diff &= diff - 1
-		n++
-	}
+	n := mbits.OnesCount64(SyncWord(lap) ^ rx.Uint(4, 64))
 	return n, n <= threshold
 }

@@ -55,6 +55,20 @@ func TestBCHParityLinear(t *testing.T) {
 	}
 }
 
+// The table-driven parity is the bitwise division, for every LAP bit
+// and random information words.
+func TestBCHParityMatchesDivision(t *testing.T) {
+	for i := 0; i < 30; i++ {
+		if got, want := bchParity(1<<i), bchDivide(1<<i); got != want {
+			t.Fatalf("bit %d: parity %#x, division %#x", i, got, want)
+		}
+	}
+	f := func(x uint32) bool { return bchParity(uint64(x)) == bchDivide(uint64(x)&(1<<30-1)) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCodeLengths(t *testing.T) {
 	if Code(GIAC, false).Len() != 68 {
 		t.Fatal("ID-form access code must be 68 bits")

@@ -6,8 +6,8 @@ import (
 	"repro/internal/bits"
 )
 
-// TestAppendCodeMatchesCode holds the cached, direct-fill code builder
-// to the original AppendUint construction, trailer and bare forms, for
+// TestAppendCodeMatchesCode holds the direct-fill code builder to a
+// field-by-field AppendUint construction, trailer and bare forms, for
 // LAPs exercising both Barker variants.
 func TestAppendCodeMatchesCode(t *testing.T) {
 	laps := []uint32{0x000000, 0x9E8B33, 0xFFFFFF, 0x123456, 0xABCDEF}
@@ -41,9 +41,9 @@ func TestAppendCodeMatchesCode(t *testing.T) {
 	}
 }
 
-// TestCodeReturnsFreshVectors guards the cache design: callers (tests,
-// the channel's noise model) mutate returned vectors, so Code must never
-// hand out shared storage.
+// TestCodeReturnsFreshVectors: callers (tests, the channel's noise
+// model) mutate returned vectors, so Code must never hand out shared
+// storage.
 func TestCodeReturnsFreshVectors(t *testing.T) {
 	a := Code(0x123456, false)
 	a.FlipBit(10)

@@ -1,11 +1,15 @@
 // Package bits provides the bit-level data types shared by the coding,
-// packet and channel layers: dense bit vectors in on-air (LSB-first)
-// order and the four-valued logic the paper's channel resolver uses
+// packet and channel layers: bit vectors in on-air (LSB-first) order,
+// packed 64 bits to a word so the codecs above can work a word at a
+// time, and the four-valued logic the paper's channel resolver uses
 // (0, 1, Z for a silent wire, X for a collision).
 package bits
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -52,12 +56,21 @@ func Resolve(a, b Logic) Logic {
 // Vec is a bit vector in transmission order: bit 0 is the first bit on
 // air. Bluetooth transmits each field LSB first, so AppendUint pushes the
 // low-order bit first.
+//
+// Bits are packed LSB-first into 64-bit words: bit i lives in word i/64
+// at position i%64. Every bit past Len() is zero, and the word that bit
+// Len() would go into always exists, so vectors compare, count and copy
+// a word at a time and a read of up to 64 bits at any offset touches at
+// most two words without a length branch. Multi-bit reads and writes
+// (Uint, XorUint, AppendUint) move up to 64 bits per call. Vectors are
+// made by NewVec or FromBools; the zero Vec is not ready for use.
 type Vec struct {
-	bits []uint8 // one byte per bit; 0 or 1
+	w []uint64 // len(w) == n/64 + 1; bits past n are zero
+	n int
 }
 
 // NewVec returns an empty vector with capacity for n bits.
-func NewVec(n int) *Vec { return &Vec{bits: make([]uint8, 0, n)} }
+func NewVec(n int) *Vec { return &Vec{w: make([]uint64, 1, n/64+1)} }
 
 // FromBools builds a vector from explicit bit values.
 func FromBools(vals ...bool) *Vec {
@@ -75,131 +88,171 @@ func boolToBit(b bool) uint8 {
 	return 0
 }
 
+// rangeError is the panic value of an out-of-range access. The message
+// is formatted only when printed, so the range checks in the hot
+// accessors cost a compare and stay within the inlining budget — an
+// out-of-line helper call alone would use most of it.
+type rangeError struct {
+	op                string
+	offset, n, length int
+}
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("bits: %s [%d:+%d] out of range for length %d", e.op, e.offset, e.n, e.length)
+}
+
 // Len returns the number of bits.
-func (v *Vec) Len() int { return len(v.bits) }
+func (v *Vec) Len() int { return v.n }
 
 // Bit returns bit i (0 or 1).
-func (v *Vec) Bit(i int) uint8 { return v.bits[i] }
-
-// SetBit overwrites bit i.
-func (v *Vec) SetBit(i int, b uint8) { v.bits[i] = b & 1 }
+func (v *Vec) Bit(i int) uint8 {
+	if uint(i) >= uint(v.n) {
+		panic(rangeError{"Bit", i, 1, v.n})
+	}
+	return uint8(v.w[uint(i)/64]>>(uint(i)%64)) & 1
+}
 
 // FlipBit inverts bit i (the channel's noise model).
-func (v *Vec) FlipBit(i int) { v.bits[i] ^= 1 }
+func (v *Vec) FlipBit(i int) {
+	if uint(i) >= uint(v.n) {
+		panic(rangeError{"FlipBit", i, 1, v.n})
+	}
+	v.w[uint(i)/64] ^= 1 << (uint(i) % 64)
+}
 
 // AppendBit appends one bit.
-func (v *Vec) AppendBit(b uint8) { v.bits = append(v.bits, b&1) }
+func (v *Vec) AppendBit(b uint8) {
+	v.w[len(v.w)-1] |= uint64(b&1) << (uint(v.n) % 64)
+	v.n++
+	if v.n%64 == 0 {
+		v.w = append(v.w, 0)
+	}
+}
 
 // AppendUint appends the low n bits of x, LSB first (Bluetooth field
-// order).
+// order). Widths beyond 64 append zeros for the missing high bits.
 func (v *Vec) AppendUint(x uint64, n int) {
-	for i := 0; i < n; i++ {
-		v.AppendBit(uint8(x >> i))
+	if uint(n) > 64 {
+		v.appendWide(x, n)
+		return
+	}
+	x &= 1<<n - 1
+	s := uint(v.n) % 64
+	v.w[len(v.w)-1] |= x << s
+	if s+uint(n) >= 64 {
+		v.w = append(v.w, x>>(64-s))
+	}
+	v.n += n
+}
+
+// appendWide is AppendUint for widths outside 0..64.
+func (v *Vec) appendWide(x uint64, n int) {
+	for ; n > 0; n -= 64 {
+		v.AppendUint(x, min(n, 64))
+		x = 0
 	}
 }
 
 // AppendVec appends all bits of o.
-func (v *Vec) AppendVec(o *Vec) { v.bits = append(v.bits, o.bits...) }
-
-// Grow appends n zero bits and returns the appended tail as a writable
-// slice (one byte per bit), letting encoders fill positions directly
-// instead of appending bit by bit.
-func (v *Vec) Grow(n int) []uint8 {
-	old := len(v.bits)
-	if cap(v.bits) < old+n {
-		nb := make([]uint8, old, old+n)
-		copy(nb, v.bits)
-		v.bits = nb
+func (v *Vec) AppendVec(o *Vec) {
+	if v.n%64 == 0 {
+		// Word-aligned: o's words, sentinel included, replace v's
+		// all-zero sentinel.
+		v.w = append(v.w[:len(v.w)-1], o.w...)
+		v.n += o.n
+		return
 	}
-	v.bits = v.bits[:old+n]
-	tail := v.bits[old:]
-	for i := range tail {
-		tail[i] = 0
+	v.appendRange(o, 0, o.n)
+}
+
+// appendRange appends bits [from, to) of o a word at a time.
+func (v *Vec) appendRange(o *Vec, from, to int) {
+	for ; from < to; from += 64 {
+		k := min(64, to-from)
+		v.AppendUint(o.Uint(from, k), k)
 	}
-	return tail
 }
 
-// XorUint8At XORs the 8 bits of b, LSB first, into positions [i, i+8).
-func (v *Vec) XorUint8At(i int, b uint8) {
-	t := v.bits[i : i+8 : i+8]
-	t[0] ^= b & 1
-	t[1] ^= b >> 1 & 1
-	t[2] ^= b >> 2 & 1
-	t[3] ^= b >> 3 & 1
-	t[4] ^= b >> 4 & 1
-	t[5] ^= b >> 5 & 1
-	t[6] ^= b >> 6 & 1
-	t[7] ^= b >> 7 & 1
-}
-
-// Uint8MSBAt packs bits [i, i+8) into a byte with bit i as the MSB —
-// the order a shift register consumes the air stream.
-func (v *Vec) Uint8MSBAt(i int) uint8 {
-	t := v.bits[i : i+8 : i+8]
-	return t[0]<<7 | t[1]<<6 | t[2]<<5 | t[3]<<4 | t[4]<<3 | t[5]<<2 | t[6]<<1 | t[7]
-}
-
-// AppendBytes appends bytes LSB-first, in slice order.
+// AppendBytes appends bytes LSB-first, in slice order: eight bytes are
+// one little-endian word, split over the last word and a new one.
 func (v *Vec) AppendBytes(bs []byte) {
-	tail := v.Grow(len(bs) * 8)
-	for k, b := range bs {
-		t := tail[k*8 : k*8+8 : k*8+8]
-		t[0] = b & 1
-		t[1] = b >> 1 & 1
-		t[2] = b >> 2 & 1
-		t[3] = b >> 3 & 1
-		t[4] = b >> 4 & 1
-		t[5] = b >> 5 & 1
-		t[6] = b >> 6 & 1
-		t[7] = b >> 7 & 1
+	v.w = slices.Grow(v.w, len(bs)/8+1)
+	s := uint(v.n) % 64
+	for ; len(bs) >= 8; bs = bs[8:] {
+		x := binary.LittleEndian.Uint64(bs)
+		v.w[len(v.w)-1] |= x << s
+		v.w = append(v.w, x>>(64-s))
+		v.n += 64
 	}
+	var x uint64
+	for i, b := range bs {
+		x |= uint64(b) << (8 * i)
+	}
+	v.AppendUint(x, 8*len(bs))
 }
 
-// Uint reads n bits starting at offset, LSB first, as an integer.
+// Uint reads n <= 64 bits starting at offset, LSB first, as an integer.
 // It panics if the range exceeds the vector.
 func (v *Vec) Uint(offset, n int) uint64 {
-	if n > 64 {
-		panic("bits: Uint reads at most 64 bits")
+	if uint(n) > 64 || offset < 0 || offset > v.n-n {
+		panic(rangeError{"Uint", offset, n, v.n})
 	}
-	b := v.bits[offset : offset+n]
-	var x uint64
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		t := b[i : i+8 : i+8]
-		x |= uint64(t[0]|t[1]<<1|t[2]<<2|t[3]<<3|t[4]<<4|t[5]<<5|t[6]<<6|t[7]<<7) << i
+	s := uint(offset) % 64
+	x := v.w[uint(offset)/64] >> s
+	if s+uint(n) > 64 {
+		x |= v.w[uint(offset)/64+1] << (64 - s)
 	}
-	for ; i < n; i++ {
-		x |= uint64(b[i]) << i
+	return x & (1<<n - 1)
+}
+
+// XorUint XORs the low n <= 64 bits of x, LSB first, into bits
+// [offset, offset+n): the whitening stream goes in a word per call.
+func (v *Vec) XorUint(offset int, x uint64, n int) {
+	if uint(n) > 64 || offset < 0 || offset > v.n-n {
+		panic(rangeError{"XorUint", offset, n, v.n})
 	}
-	return x
+	x &= 1<<n - 1
+	s := uint(offset) % 64
+	v.w[uint(offset)/64] ^= x << s
+	if s+uint(n) > 64 {
+		v.w[uint(offset)/64+1] ^= x >> (64 - s)
+	}
 }
 
 // Slice returns an independent copy of bits [from, to).
 func (v *Vec) Slice(from, to int) *Vec {
+	if from < 0 || from > to || to > v.n {
+		panic(rangeError{"Slice", from, to - from, v.n})
+	}
 	out := NewVec(to - from)
-	out.bits = append(out.bits, v.bits[from:to]...)
+	out.appendRange(v, from, to)
 	return out
 }
 
 // Clone returns a deep copy.
-func (v *Vec) Clone() *Vec { return v.Slice(0, v.Len()) }
+func (v *Vec) Clone() *Vec {
+	return &Vec{w: slices.Clone(v.w), n: v.n}
+}
 
 // Bytes packs the bits into bytes, LSB-first within each byte; the last
 // byte is zero-padded. This inverts AppendBytes.
-func (v *Vec) Bytes() []byte { return v.BytesRange(0, len(v.bits)) }
+func (v *Vec) Bytes() []byte { return v.BytesRange(0, v.n) }
 
 // BytesRange packs bits [from, to) into bytes like Bytes, without an
 // intermediate Slice copy.
 func (v *Vec) BytesRange(from, to int) []byte {
-	b := v.bits[from:to]
-	out := make([]byte, (len(b)+7)/8)
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		t := b[i : i+8 : i+8]
-		out[i/8] = t[0] | t[1]<<1 | t[2]<<2 | t[3]<<3 | t[4]<<4 | t[5]<<5 | t[6]<<6 | t[7]<<7
+	if from < 0 || from > to || to > v.n {
+		panic(rangeError{"BytesRange", from, to - from, v.n})
 	}
-	for ; i < len(b); i++ {
-		out[i/8] |= b[i] << (i % 8)
+	out := make([]byte, (to-from+7)/8)
+	k := 0
+	for ; to-from >= 64; from += 64 {
+		binary.LittleEndian.PutUint64(out[k:], v.Uint(from, 64))
+		k += 8
+	}
+	for ; from < to; from += 8 {
+		out[k] = byte(v.Uint(from, min(8, to-from)))
+		k++
 	}
 	return out
 }
@@ -207,40 +260,29 @@ func (v *Vec) BytesRange(from, to int) []byte {
 // HammingDistance counts differing bit positions against o over the first
 // min(len) bits plus the length difference.
 func (v *Vec) HammingDistance(o *Vec) int {
-	n := v.Len()
-	if o.Len() < n {
-		n = o.Len()
+	n := min(v.n, o.n)
+	d := v.n - n + o.n - n
+	full := n / 64
+	for k := 0; k < full; k++ {
+		d += bits.OnesCount64(v.w[k] ^ o.w[k])
 	}
-	d := v.Len() - n + o.Len() - n
-	for i := 0; i < n; i++ {
-		if v.bits[i] != o.bits[i] {
-			d++
-		}
-	}
-	return d
+	return d + bits.OnesCount64((v.w[full]^o.w[full])&(1<<(n%64)-1))
 }
 
 // Equal reports whether v and o hold identical bits.
 func (v *Vec) Equal(o *Vec) bool {
-	return v.Len() == o.Len() && v.HammingDistance(o) == 0
-}
-
-// XorInto XORs o into v starting at offset (used by whitening).
-func (v *Vec) XorInto(offset int, o *Vec) {
-	for i := 0; i < o.Len(); i++ {
-		v.bits[offset+i] ^= o.bits[i]
-	}
+	return v.n == o.n && slices.Equal(v.w, o.w)
 }
 
 // String renders the vector as a 0/1 string in air order, grouping
 // nibbles for readability.
 func (v *Vec) String() string {
 	var sb strings.Builder
-	for i, b := range v.bits {
+	for i := 0; i < v.n; i++ {
 		if i > 0 && i%4 == 0 {
 			sb.WriteByte(' ')
 		}
-		fmt.Fprintf(&sb, "%d", b)
+		sb.WriteByte('0' + v.Bit(i))
 	}
 	return sb.String()
 }
@@ -248,8 +290,8 @@ func (v *Vec) String() string {
 // Ones counts set bits.
 func (v *Vec) Ones() int {
 	n := 0
-	for _, b := range v.bits {
-		n += int(b)
+	for _, w := range v.w {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

@@ -1,6 +1,11 @@
 package bits
 
 import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -119,8 +124,7 @@ func TestFlipAndXor(t *testing.T) {
 	if v.Uint(0, 4) != 0b0100 {
 		t.Fatalf("flip wrong: %v", v)
 	}
-	mask := FromBools(true, true)
-	v.XorInto(1, mask)
+	v.XorUint(1, 0b11, 2)
 	if v.Bit(1) != 1 || v.Bit(2) != 0 {
 		t.Fatalf("xor wrong: %v", v)
 	}
@@ -166,5 +170,24 @@ func TestDoubleFlipIdentity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The per-bit and per-word accessors sit in the codec and channel inner
+// loops; each must stay within the compiler's inlining budget. Uint is
+// close to it, so a small edit can push it over.
+func TestHotAccessorsInline(t *testing.T) {
+	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if _, err := os.Stat(gobin); err != nil {
+		t.Skipf("no go toolchain at %s", gobin)
+	}
+	out, err := exec.Command(gobin, "build", "-gcflags=-m", "-o", os.DevNull, ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	for _, fn := range []string{"Bit", "FlipBit", "Uint", "XorUint"} {
+		if !regexp.MustCompile(`(?m)can inline \(\*Vec\)\.` + fn + `$`).Match(out) {
+			t.Errorf("(*Vec).%s is no longer inlinable", fn)
+		}
 	}
 }

@@ -230,22 +230,33 @@ func (p *Packet) AirBits() int {
 	}
 	n := 72 + 54 // access code with trailer + FEC-1/3 header
 	t := p.Header.Type
+	bits := p.payloadBitLen()
+	switch {
+	case t.IsSCO():
+		return n + 240 // all HV types fill 240 payload bits
+	case t.fec23():
+		return n + (bits+9)/10*15
+	}
+	return n + bits
+}
+
+// payloadBitLen is the length of the payload before whitening and FEC:
+// payload header, data and CRC.
+func (p *Packet) payloadBitLen() int {
+	t := p.Header.Type
 	switch {
 	case t == TypeFHS:
-		n += 240 // (144 info + 16 CRC) · 3/2
+		return 144 + 16
 	case t.IsSCO():
-		n += 240 // all HV types fill 240 payload bits
-	case t.MaxPayload() > 0:
-		bits := t.payloadHeaderBits() + 8*len(p.Payload)
-		if t.hasCRC() {
-			bits += 16
-		}
-		if t.fec23() {
-			bits = (bits + 9) / 10 * 15
-		}
-		n += bits
+		return 8 * len(p.Payload)
+	case t.MaxPayload() == 0:
+		return 0
 	}
-	return n
+	bits := t.payloadHeaderBits() + 8*len(p.Payload)
+	if t.hasCRC() {
+		bits += 16
+	}
+	return bits
 }
 
 // Errors reported by Parse, ordered by receive-chain stage.
@@ -276,81 +287,71 @@ func (p *Packet) Assemble(uap uint8, clk uint32) *bits.Vec {
 	access.AppendCode(out, p.AccessLAP, true)
 
 	w := coding.NewWhitener(clk)
-
-	hdr := bits.NewVec(18)
 	h := p.Header
-	hdr.AppendUint(uint64(h.AMAddr&0x7), 3)
-	hdr.AppendUint(uint64(h.Type&0xF), 4)
-	hdr.AppendBit(boolBit(h.Flow))
-	hdr.AppendBit(boolBit(h.ARQN))
-	hdr.AppendBit(boolBit(h.SEQN))
-	hec := coding.HEC(hdr, uap)
-	hdr.AppendUint(uint64(hec), 8)
-	w.Apply(hdr)
-	coding.AppendFEC13(out, hdr)
+	hdr := uint64(h.AMAddr&0x7) | uint64(h.Type&0xF)<<3 | uint64(boolBit(h.Flow))<<7 |
+		uint64(boolBit(h.ARQN))<<8 | uint64(boolBit(h.SEQN))<<9
+	hdr |= uint64(coding.HECUint(hdr, 10, uap)) << 10
+	hdr ^= w.Next(18)
+	out.AppendUint(coding.EncodeFEC13Uint(hdr, 18), 54)
 
-	pl := p.payloadBits(uap)
-	if pl == nil {
-		return out
-	}
-	w.Apply(pl)
+	t := h.Type
 	switch {
-	case p.Header.Type.fec13Payload():
-		coding.AppendFEC13(out, pl)
-	case p.Header.Type.fec23():
-		out.AppendVec(coding.EncodeFEC23(pl))
+	case t == TypeNull || t == TypePoll:
+	case t.fec13Payload() || t.fec23():
+		// FEC comes after whitening, so the payload is built apart.
+		pl := bits.NewVec(p.payloadBitLen())
+		p.appendPayload(pl, uap)
+		w.Apply(pl)
+		if t.fec13Payload() {
+			coding.AppendFEC13(out, pl)
+		} else {
+			coding.AppendFEC23(out, pl)
+		}
 	default:
-		out.AppendVec(pl)
+		start := out.Len()
+		p.appendPayload(out, uap)
+		w.ApplyRange(out, start, out.Len())
 	}
 	return out
 }
 
-// payloadBits builds the unwhitened, un-FEC'd payload bit string
-// (payload header + data + CRC), or nil for NULL/POLL.
-func (p *Packet) payloadBits(uap uint8) *bits.Vec {
+// appendPayload appends the unwhitened, un-FEC'd payload bit string
+// (payload header + data + CRC) to v.
+func (p *Packet) appendPayload(v *bits.Vec, uap uint8) {
 	t := p.Header.Type
-	switch t {
-	case TypeNull, TypePoll:
-		return nil
-	case TypeFHS:
-		return p.fhsBits(uap)
+	if t == TypeFHS {
+		p.appendFHS(v, uap)
+		return
 	}
 	if t.IsSCO() {
 		if len(p.Payload) != t.MaxPayload() {
 			panic(fmt.Sprintf("packet: %v voice frame must be exactly %d bytes, got %d",
 				t, t.MaxPayload(), len(p.Payload)))
 		}
-		body := bits.NewVec(8 * len(p.Payload))
-		body.AppendBytes(p.Payload)
-		return body
+		v.AppendBytes(p.Payload)
+		return
 	}
 	if len(p.Payload) > t.MaxPayload() {
 		panic(fmt.Sprintf("packet: %v payload %d exceeds max %d", t, len(p.Payload), t.MaxPayload()))
 	}
-	body := bits.NewVec(t.payloadHeaderBits() + 8*len(p.Payload) + 16)
+	start := v.Len()
+	ph := uint64(p.LLID&0x3) | uint64(boolBit(p.PFlow))<<2
 	if t.payloadHeaderBits() == 8 {
-		body.AppendUint(uint64(p.LLID&0x3), 2)
-		body.AppendBit(boolBit(p.PFlow))
-		body.AppendUint(uint64(len(p.Payload)), 5)
+		v.AppendUint(ph|uint64(len(p.Payload))<<3, 8)
 	} else {
-		body.AppendUint(uint64(p.LLID&0x3), 2)
-		body.AppendBit(boolBit(p.PFlow))
-		body.AppendUint(uint64(len(p.Payload)), 9)
-		body.AppendUint(0, 4) // undefined bits
+		v.AppendUint(ph|uint64(len(p.Payload))<<3, 16) // 4 undefined high bits
 	}
-	body.AppendBytes(p.Payload)
+	v.AppendBytes(p.Payload)
 	if t.hasCRC() {
-		crc := coding.CRC16(body, uap)
-		body.AppendUint(uint64(crc), 16)
+		v.AppendUint(uint64(coding.CRC16Range(v, start, v.Len(), uap)), 16)
 	}
-	return body
 }
 
-// fhsBits serialises the FHS information (144 bits) plus CRC.
-func (p *Packet) fhsBits(uap uint8) *bits.Vec {
+// appendFHS appends the FHS information (144 bits) plus CRC to v.
+func (p *Packet) appendFHS(v *bits.Vec, uap uint8) {
 	f := p.FHS
-	v := bits.NewVec(160)
-	v.AppendUint(uint64(access.SyncWord(f.LAP)>>30), 34) // parity bits field
+	start := v.Len()
+	v.AppendUint(access.SyncWord(f.LAP)>>30, 34) // parity bits field
 	v.AppendUint(uint64(f.LAP&0xFFFFFF), 24)
 	v.AppendUint(0, 2)                // undefined
 	v.AppendUint(uint64(f.SR&0x3), 2) // scan repetition
@@ -361,9 +362,7 @@ func (p *Packet) fhsBits(uap uint8) *bits.Vec {
 	v.AppendUint(uint64(f.AMAddr&0x7), 3)
 	v.AppendUint(uint64((f.CLK>>2)&0x3FFFFFF), 26) // CLK27-2
 	v.AppendUint(0, 3)                             // page scan mode
-	crc := coding.CRC16(v, uap)
-	v.AppendUint(uint64(crc), 16)
-	return v
+	v.AppendUint(uint64(coding.CRC16Range(v, start, v.Len(), uap)), 16)
 }
 
 func boolBit(b bool) uint8 {
@@ -397,23 +396,20 @@ func Parse(rx *bits.Vec, expectLAP uint32, uap uint8, clk uint32, threshold int)
 		return &a.p, info, nil
 	}
 
+	// The header is decoded, dewhitened and checked as an integer.
 	w := coding.NewWhitener(clk)
-	hdrBits, corrected, ok := coding.DecodeFEC13Range(rx, 72, 72+54)
-	if !ok {
-		return nil, info, ErrHeaderFEC
-	}
+	hdr, corrected := coding.DecodeFEC13Uint(rx.Uint(72, 54), 18)
 	info.HeaderCorrected = corrected
-	w.Apply(hdrBits)
-	hec := uint8(hdrBits.Uint(10, 8))
-	if coding.HECRange(hdrBits, 0, 10, uap) != hec {
+	hdr ^= w.Next(18)
+	if coding.HECUint(hdr, 10, uap) != uint8(hdr>>10) {
 		return nil, info, ErrHEC
 	}
 	a.h = Header{
-		AMAddr: uint8(hdrBits.Uint(0, 3)),
-		Type:   Type(hdrBits.Uint(3, 4)),
-		Flow:   hdrBits.Bit(7) == 1,
-		ARQN:   hdrBits.Bit(8) == 1,
-		SEQN:   hdrBits.Bit(9) == 1,
+		AMAddr: uint8(hdr & 0x7),
+		Type:   Type(hdr >> 3 & 0xF),
+		Flow:   hdr>>7&1 == 1,
+		ARQN:   hdr>>8&1 == 1,
+		SEQN:   hdr>>9&1 == 1,
 	}
 	h := &a.h
 	a.p = Packet{AccessLAP: expectLAP, Header: h}
@@ -423,37 +419,39 @@ func Parse(rx *bits.Vec, expectLAP uint32, uap uint8, clk uint32, threshold int)
 	case TypeNull, TypePoll:
 		return p, info, nil
 	}
-	body := rx.Slice(72+54, rx.Len())
 	if h.Type.IsSCO() {
-		return parseSCO(p, body, w, info)
+		return parseSCO(p, rx, w, info)
 	}
+	var body *bits.Vec
 	if h.Type.fec23() {
-		dec, fixed, ok := coding.DecodeFEC23(body)
+		dec, fixed, ok := coding.DecodeFEC23Range(rx, 72+54, rx.Len())
 		if !ok {
 			return nil, info, ErrPayloadFEC
 		}
 		info.PayloadFixed = fixed
 		body = dec
+	} else {
+		body = rx.Slice(72+54, rx.Len())
 	}
 	w.Apply(body)
 
 	if h.Type == TypeFHS {
-		return p, info, parseFHS(p, body, uap)
+		if err := parseFHS(p, body, uap); err != nil {
+			return nil, info, err
+		}
+		return p, info, nil
 	}
 
 	phb := h.Type.payloadHeaderBits()
 	if phb == 0 || body.Len() < phb {
 		return nil, info, ErrMalformed
 	}
-	var length int
-	if phb == 8 {
-		p.LLID = uint8(body.Uint(0, 2))
-		p.PFlow = body.Bit(2) == 1
-		length = int(body.Uint(3, 5))
-	} else {
-		p.LLID = uint8(body.Uint(0, 2))
-		p.PFlow = body.Bit(2) == 1
-		length = int(body.Uint(3, 9))
+	ph := body.Uint(0, phb)
+	p.LLID = uint8(ph & 0x3)
+	p.PFlow = ph>>2&1 == 1
+	length := int(ph >> 3 & 0x1F)
+	if phb == 16 {
+		length = int(ph >> 3 & 0x1FF)
 	}
 	if length > h.Type.MaxPayload() {
 		return nil, info, ErrMalformed
@@ -482,30 +480,32 @@ func Parse(rx *bits.Vec, expectLAP uint32, uap uint8, clk uint32, threshold int)
 // parseSCO decodes a voice payload: HV1 majority-votes its repetition
 // code, HV2's Hamming blocks may declare an erasure, HV3 delivers the
 // raw (possibly corrupted) bits — voice has no CRC and no ARQ.
-func parseSCO(p *Packet, body *bits.Vec, w *coding.Whitener, info *RxInfo) (*Packet, *RxInfo, error) {
+func parseSCO(p *Packet, rx *bits.Vec, w *coding.Whitener, info *RxInfo) (*Packet, *RxInfo, error) {
 	t := p.Header.Type
 	want := t.MaxPayload() * 8
+	var body *bits.Vec
 	switch {
 	case t.fec13Payload():
-		dec, fixed, ok := coding.DecodeFEC13(body)
+		dec, fixed, ok := coding.DecodeFEC13Range(rx, 72+54, rx.Len())
 		if !ok || dec.Len() < want {
 			return nil, info, ErrPayloadFEC
 		}
 		info.PayloadFixed = fixed
 		body = dec
 	case t.fec23():
-		dec, fixed, ok := coding.DecodeFEC23(body)
+		dec, fixed, ok := coding.DecodeFEC23Range(rx, 72+54, rx.Len())
 		if !ok || dec.Len() < want {
 			return nil, info, ErrPayloadFEC
 		}
 		info.PayloadFixed = fixed
 		body = dec
 	default:
-		if body.Len() < want {
+		if rx.Len()-(72+54) < want {
 			return nil, info, ErrMalformed
 		}
+		body = rx.Slice(72+54, 72+54+want)
 	}
-	w.Apply(body)
+	w.ApplyRange(body, 0, want)
 	p.Payload = body.BytesRange(0, want)
 	return p, info, nil
 }
@@ -516,10 +516,10 @@ func parseFHS(p *Packet, body *bits.Vec, uap uint8) error {
 		return ErrMalformed
 	}
 	crc := uint16(body.Uint(144, 16))
-	if !coding.CheckCRC16(body.Slice(0, 144), uap, crc) {
+	if coding.CRC16Range(body, 0, 144, uap) != crc {
 		return ErrCRC
 	}
-	f := &FHSPayload{
+	p.FHS = &FHSPayload{
 		LAP:    uint32(body.Uint(34, 24)),
 		SR:     uint8(body.Uint(60, 2)),
 		UAP:    uint8(body.Uint(64, 8)),
@@ -528,6 +528,5 @@ func parseFHS(p *Packet, body *bits.Vec, uap uint8) error {
 		AMAddr: uint8(body.Uint(112, 3)),
 		CLK:    uint32(body.Uint(115, 26)) << 2,
 	}
-	p.FHS = f
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/access"
+	"repro/internal/coding"
 	"repro/internal/sim"
 )
 
@@ -153,6 +154,30 @@ func TestFHSRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A failing FHS CRC returns no packet, like every other failing stage:
+// a half-filled FHS packet must not reach a caller that checks p first.
+func TestFHSCRCFailureReturnsNilPacket(t *testing.T) {
+	p := &Packet{AccessLAP: testLAP, Header: &Header{Type: TypeFHS},
+		FHS: &FHSPayload{LAP: 0x123456, UAP: 0x9A, CLK: 0x1000}}
+	v := p.Assemble(testUAP, testCLK)
+	// Flip one information bit under valid FEC-2/3 codewords, so the
+	// payload decodes cleanly and only the CRC can object.
+	body, _, ok := coding.DecodeFEC23Range(v, 72+54, v.Len())
+	if !ok {
+		t.Fatal("clean FHS payload failed FEC decode")
+	}
+	body.FlipBit(40)
+	rx := v.Slice(0, 72+54)
+	coding.AppendFEC23(rx, body)
+	got, _, err := Parse(rx, testLAP, testUAP, testCLK, 7)
+	if !errors.Is(err, ErrCRC) {
+		t.Fatalf("err = %v, want ErrCRC", err)
+	}
+	if got != nil {
+		t.Fatal("Parse returned a half-filled FHS packet with ErrCRC")
 	}
 }
 

@@ -44,11 +44,21 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBytes caps a POST /v1/jobs body. A spec is a few KB, so
+// the cap is generous for any real request and stops one from making
+// the decoder buffer without bound.
+const maxRequestBytes = 1 << 20
+
 func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -192,6 +192,27 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// A body past maxRequestBytes is refused with 413 before it is decoded
+// in full; the same request padded to just under the cap still decodes
+// and fails validation as usual.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	e := New(Options{MaxJobs: 1, Workers: runner.Serial})
+	defer e.Close()
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+
+	padded := func(n int) string {
+		const head, tail = `{"slots": 100`, `}`
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+	if code, _ := postJob(t, ts, padded(maxRequestBytes)); code != http.StatusUnprocessableEntity {
+		t.Fatalf("body at the cap: HTTP %d, want %d", code, http.StatusUnprocessableEntity)
+	}
+	if code, _ := postJob(t, ts, padded(maxRequestBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body over the cap: HTTP %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+}
+
 func TestServerCancel(t *testing.T) {
 	e := New(Options{MaxJobs: 1, Workers: runner.Serial})
 	defer e.Close()
