@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/packet"
 	"repro/internal/runner"
@@ -204,26 +203,6 @@ func BenchmarkRunnerReplicasPerSec(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			runner.SetDefaultWorkers(workers)
 			defer runner.SetDefaultWorkers(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				experiments.InquirySweep(bers, seeds)
-			}
-			replicas := float64(len(bers) * seeds * b.N)
-			b.ReportMetric(replicas/b.Elapsed().Seconds(), "replicas/s")
-		})
-	}
-	// shards=*: the intra-replica counterpart — the same sweep, serial
-	// across replicas, with each replica's kernel sharded 1 vs 4 ways.
-	// Output is byte-identical (TestFiguresShardEquivalence); the ratio
-	// shows what conservative windowing costs or buys per world. On a
-	// single core shards=4 only measures barrier overhead — see
-	// bench/README.md on reading these numbers.
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			runner.SetDefaultWorkers(runner.Serial)
-			core.SetDefaultShards(shards)
-			defer runner.SetDefaultWorkers(0)
-			defer core.SetDefaultShards(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				experiments.InquirySweep(bers, seeds)

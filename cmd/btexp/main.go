@@ -22,7 +22,6 @@ import (
 	"os"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/packet"
 	"repro/internal/runner"
@@ -44,13 +43,11 @@ func main() {
 	seed := flag.Uint64("seed", 1, "base random seed")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, -1 = serial)")
 	jobs := flag.Int("jobs", 1, "replicas batched per scheduled job")
-	shards := flag.Int("shards", 1, "kernel event-queue shards per replica world (output is identical for any value)")
 	progress := flag.Bool("progress", true, "stream sweep progress to stderr")
 	flag.Parse()
 
 	runner.SetDefaultWorkers(*workers)
 	runner.SetDefaultJobs(*jobs)
-	core.SetDefaultShards(*shards)
 	// Stream progress only on a terminal unless -progress was given
 	// explicitly, so piped stderr stays free of carriage returns.
 	explicitProgress := false

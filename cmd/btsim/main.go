@@ -64,15 +64,12 @@ func main() {
 	fork := flag.Bool("fork", false, "settle once, snapshot, and fork the replicas from the checkpoint instead of rebuilding each world (-spec only)")
 	trials := flag.Int("trials", 1, "replicate the scenario this many times through the parallel runner")
 	workers := flag.Int("workers", 0, "worker pool size for -trials (0 = GOMAXPROCS, -1 = serial)")
-	shards := flag.Int("shards", 1, "kernel event-queue shards per world (output is identical for any value)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage of %s:\n", os.Args[0])
 		flag.PrintDefaults()
 		fmt.Fprintf(flag.CommandLine.Output(), "\n%s", scenarioUsage())
 	}
 	flag.Parse()
-
-	core.SetDefaultShards(*shards)
 
 	if *specPath != "" {
 		runSpecFile(*specPath, *seed, *slots, *settle, *trials, *workers, *fork, trialProgress())

@@ -77,7 +77,7 @@ var scenarioRegistry = []scenarioInfo{
 	{"scatternet", "-bridges bridges chain -bridges+1 piconets, L2CAP forwarded end to end"},
 	{"mixed", "-piconets piconets share the medium: SCO voice on the first, bulk ACL on the rest"},
 	{"mesh", "3-piconet scatternet with crossing end-to-end flows in both directions"},
-	{"dense", "-piconets piconets on a spatial office grid: path-loss range model, cell-sharded medium"},
+	{"dense", "-piconets piconets on a spatial office grid: path-loss range model, cell-indexed medium"},
 }
 
 // validScenario reports whether name is registered.
@@ -449,7 +449,7 @@ func runChain(w *netspec.World, p trialParams, logf func(string, ...any), out *t
 
 // runDense drives the spatial office-floor scenario: piconets on a
 // grid, delivery and interference governed by the path-loss range
-// model, the medium sharded into cells. Unlike coex, piconets far
+// model, the medium indexed by cells. Unlike coex, piconets far
 // enough apart here reuse the band instead of colliding.
 func runDense(w *netspec.World, p trialParams, logf func(string, ...any), out *trialOutcome) *netspec.Metrics {
 	logf("built %d piconets on a spatial office grid: %gm pitch, %gm delivery range, %gm interference reach\n",

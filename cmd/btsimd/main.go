@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/simd"
 )
 
@@ -59,12 +58,10 @@ func main() {
 	cacheSize := flag.Int("cache", 64, "result-cache capacity in campaigns (negative disables)")
 	ckCache := flag.Int("ck-cache", 16, "checkpoint-cache capacity in settled worlds for forked campaigns (negative disables)")
 	workers := flag.Int("workers", 0, "worker pool size per campaign (0 = GOMAXPROCS, -1 = serial)")
-	shards := flag.Int("shards", 1, "kernel event-queue shards per replica world (output is identical for any value)")
 	snapshot := flag.Uint64("snapshot-slots", 2000, "live-metrics snapshot period in slots for SSE streams (0 disables)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget: SIGTERM stops intake and lets running campaigns finish for up to this long before they are canceled")
 	flag.Parse()
 
-	core.SetDefaultShards(*shards)
 	engine := simd.New(simd.Options{
 		MaxJobs:             *maxJobs,
 		QueueDepth:          *queue,

@@ -19,13 +19,12 @@
 // piconets at once, timesharing one radio over per-piconet baseband
 // memberships (the LMP slot-offset/sniff handshake pins the presence
 // windows) while relaying L2CAP frames store-and-forward.
-// internal/coex and internal/scatternet remain as thin deprecated
-// adapters over netspec. internal/runner is the declarative trial engine:
-// experiment sweeps declare their axes and a per-seed trial function,
-// and the engine fans the replicas out across a worker pool while
-// keeping every table byte-identical to a serial run. See README.md for
-// a package tour, ARCHITECTURE.md for the layer map and slot-level data
-// flow, and EXPERIMENTS.md for the figure-by-figure reproduction guide.
+// internal/runner is the declarative trial engine: experiment sweeps
+// declare their axes and a per-seed trial function, and the engine fans
+// the replicas out across a worker pool while keeping every table
+// byte-identical to a serial run. See README.md for a package tour,
+// ARCHITECTURE.md for the layer map and slot-level data flow, and
+// EXPERIMENTS.md for the figure-by-figure reproduction guide.
 // The benchmarks in bench_test.go regenerate each figure; run them with
 //
 //	go test -bench=. -benchmem

@@ -12,8 +12,8 @@ import (
 // Checkpoint/restore for the link controller. A device is captured at a
 // quiescent slot edge only — no packet mid-air, no transmission leaving
 // the antenna, state STANDBY or CONNECTION, no half-finished connection
-// handshake — so the whole capture is plain state plus the (at, seq,
-// shard) positions of the armed connection timers. Page/inquiry state
+// handshake — so the whole capture is plain state plus the (at, seq)
+// positions of the armed connection timers. Page/inquiry state
 // machines never appear in a checkpoint: their states are excluded by
 // the contract, and setState stops every timer on the way into STANDBY
 // or CONNECTION. Closure-scheduled events (Device.after/at) pending at
@@ -54,7 +54,6 @@ type TimerArm struct {
 	Timer TimerID
 	At    sim.Time
 	Seq   uint64
-	Shard int
 	Fn    timerFn
 }
 
@@ -347,7 +346,7 @@ func (d *Device) Checkpoint(extraLinks []*Link) (*DeviceCheckpoint, error) {
 	}
 
 	for id := TimerID(0); id < numCaptureTimers; id++ {
-		if at, seq, shard, ok := d.captureTimer(id).Pending(); ok {
+		if at, seq, ok := d.captureTimer(id).Pending(); ok {
 			tag := fnTagDefault
 			switch id {
 			case TimSlaveSlot:
@@ -355,7 +354,7 @@ func (d *Device) Checkpoint(extraLinks []*Link) (*DeviceCheckpoint, error) {
 			case TimSlaveResp:
 				tag = d.slaveRespFn
 			}
-			ck.Timers = append(ck.Timers, TimerArm{Timer: id, At: at, Seq: seq, Shard: shard, Fn: tag})
+			ck.Timers = append(ck.Timers, TimerArm{Timer: id, At: at, Seq: seq, Fn: tag})
 		}
 	}
 	// Any timer outside the connection set armed here would mean the
@@ -512,7 +511,7 @@ func (d *Device) RestoreCheckpoint(ck *DeviceCheckpoint, forkSeed uint64, set *s
 		arm := arm
 		t := d.captureTimer(arm.Timer)
 		fn := d.timerCallback(arm.Timer, arm.Fn)
-		set.Add(arm.At, arm.Seq, func() { t.AtOnFn(arm.Shard, arm.At, fn) })
+		set.Add(arm.At, arm.Seq, func() { t.AtFn(arm.At, fn) })
 	}
 	return links, nil
 }

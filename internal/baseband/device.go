@@ -587,13 +587,6 @@ func (d *Device) After(slots uint64, fn func()) sim.EventID {
 	return d.k.Schedule(sim.Slots(slots), fn)
 }
 
-// AfterID is After with the pending event re-armed at an absolute time
-// on an explicit shard — the restore-side counterpart used by upper
-// layers re-arming captured timers through a sim.RearmSet.
-func (d *Device) AfterID(shard int, at sim.Time, fn func()) sim.EventID {
-	return d.k.AtOn(shard, at, fn)
-}
-
 // String identifies the device in logs.
 func (d *Device) String() string {
 	return fmt.Sprintf("%s[%s %s]", d.name, d.cfg.Addr, d.state)

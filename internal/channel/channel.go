@@ -12,8 +12,8 @@
 // hears every transmission. EnableSpatial (see spatial.go) optionally
 // adds geometry on top: radios get floor positions, a two-threshold
 // path-loss model decides per-receiver reachability (delivery disc,
-// interference-only annulus, silence beyond), and the medium shards
-// into square cells so a transmission only scans its cell
+// interference-only annulus, silence beyond), and the medium indexes
+// receivers in square cells so a transmission only scans its cell
 // neighbourhood instead of the global receivers slice.
 package channel
 
@@ -119,8 +119,7 @@ type Channel struct {
 	jammers     []Jammer
 	stats       Stats
 	onCollision func(existing, incoming *Transmission)
-	spatial     *spatialState         // nil = the global shared ether (see spatial.go)
-	shardOf     func(from string) int // delivery-event shard router; nil = inherit affinity
+	spatial     *spatialState // nil = the global shared ether (see spatial.go)
 
 	// Quiet-horizon bookkeeping (see quiet.go).
 	promises       []*TxPromise
@@ -315,66 +314,14 @@ func (c *Channel) Transmit(from string, freq int, v *bits.Vec, meta any) *Transm
 			}
 		}
 	}
-	// Deterministic order regardless of registration, cell geometry or
-	// shard count (the spatial determinism contract).
+	// Deterministic order regardless of registration or cell geometry
+	// (the spatial determinism contract).
 	sortListeners(tx.eligible)
 
 	c.inFlight++ // pin the quiet horizon until the delivery event runs
-	// On a sharded kernel the two delivery events are the coupling
-	// points between shards: route them to the transmitter's owning
-	// shard so a piconet's traffic (and its per-receiver noise draws,
-	// made inside deliverEnd in fan-out order) stays on one shard. An
-	// out-of-range route inherits the firing event's shard, which is
-	// always ordering-correct.
-	shard := -1
-	if c.shardOf != nil {
-		if s := c.shardOf(from); s >= 0 && s < c.k.Shards() {
-			shard = s
-		}
-	}
-	if shard >= 0 {
-		c.k.ScheduleOn(shard, c.cfg.Delay, tx.startFn)
-		c.k.ScheduleOn(shard, sim.Duration(tx.End-now)+c.cfg.Delay, tx.endFn)
-	} else {
-		c.k.Schedule(c.cfg.Delay, tx.startFn)
-		c.k.Schedule(sim.Duration(tx.End-now)+c.cfg.Delay, tx.endFn)
-	}
+	c.k.Schedule(c.cfg.Delay, tx.startFn)
+	c.k.Schedule(sim.Duration(tx.End-now)+c.cfg.Delay, tx.endFn)
 	return tx
-}
-
-// SetShardRouter installs the delivery-event shard router used on
-// sharded kernels: fn maps a transmitter name to the shard that should
-// run the transmission's start/end fan-out (typically the transmitter's
-// spatial cell — see CellShard). A return outside [0, Shards) means "no
-// opinion": the events inherit the current affinity. The router changes
-// where delivery events are stored, never when they fire; nil disables
-// routing.
-func (c *Channel) SetShardRouter(fn func(from string) int) { c.shardOf = fn }
-
-// CellShard maps a placed radio to a deterministic shard index in
-// [0, shards) derived from its spatial cell, so radios in the same cell
-// — the unit of medium locality — land on the same kernel shard. It
-// reports -1 when the spatial medium is off, the radio was never
-// placed, or shards < 2 (nothing to partition).
-func (c *Channel) CellShard(name string, shards int) int {
-	if c.spatial == nil || shards < 2 {
-		return -1
-	}
-	p, ok := c.spatial.pos[name]
-	if !ok {
-		return -1
-	}
-	k := c.spatial.cellOf(p)
-	// FNV-1a over the cell coordinates: cheap, stable across runs, and
-	// spreads neighbouring cells instead of striping them.
-	h := uint64(14695981039346656037)
-	for _, w := range [2]uint32{uint32(k.x), uint32(k.y)} {
-		for i := 0; i < 4; i++ {
-			h ^= uint64(byte(w >> (8 * i)))
-			h *= 1099511628211
-		}
-	}
-	return int(h % uint64(shards))
 }
 
 // allocTx takes a transmission node off the free list or creates one,
@@ -463,7 +410,7 @@ func (c *Channel) pruneActive(now sim.Time) {
 // sequence) for reproducibility. The seq tiebreak pins the order even
 // for duplicate names and — the spatial determinism contract — makes
 // the result independent of the collection order, so the global scan
-// and any cell-shard geometry fan deliveries out identically.
+// and any cell geometry fan deliveries out identically.
 func sortListeners(ls []*tuneState) {
 	for i := 1; i < len(ls); i++ {
 		for j := i; j > 0 && less(ls[j], ls[j-1]); j-- {

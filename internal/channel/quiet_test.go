@@ -107,3 +107,34 @@ func TestWatcherMayUnsubscribeInCallback(t *testing.T) {
 		t.Fatalf("post-unsubscribe notifications: a=%d b=%d", a.shrunk, b.shrunk)
 	}
 }
+
+// TestQuietWatcherSeesInFlightPin: a revocation notification that runs
+// while a packet is mid-air must let the watcher read QuietUntil() ==
+// now — the new horizon is the present, not the revoked promise's old
+// one — and must not disturb the in-flight delivery.
+func TestQuietWatcherSeesInFlightPin(t *testing.T) {
+	k := sim.NewKernel()
+	c := New(k, sim.NewRand(77), Config{BER: 0, Delay: 2})
+	rx := &fakeRx{name: "rx"}
+	c.Tune(rx, 10)
+	p := c.NewTxPromise(sim.TimeMax)
+	pinned := false
+	w := &fakeWatcher{name: "w"}
+	w.onEvent = func(*fakeWatcher) {
+		if q := c.QuietUntil(); q == k.Now() {
+			pinned = true
+		} else {
+			t.Errorf("watcher saw horizon %v with a packet in flight (now %v)", q, k.Now())
+		}
+	}
+	c.WatchQuiet(w)
+	k.Schedule(100, func() { c.Transmit("m", 10, vec(400), nil) })
+	k.Schedule(300, func() { p.Promise(k.Now() + 50) })
+	k.Run()
+	if w.shrunk == 0 || !pinned {
+		t.Fatalf("revocation not observed under in-flight pin (shrunk=%d pinned=%v)", w.shrunk, pinned)
+	}
+	if len(rx.got) != 1 {
+		t.Fatalf("delivery broken by the revocation: %d packets", len(rx.got))
+	}
+}

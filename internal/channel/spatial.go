@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the spatial medium: positions, the path-loss range
-// model and the cell-sharded receiver index. The model is strictly
+// model and the cell-bucketed receiver index. The model is strictly
 // opt-in — a Channel without EnableSpatial behaves exactly as the
 // paper's single shared ether (every tuned radio hears every
 // transmission), and the spatial path with a range wider than the
@@ -32,7 +32,7 @@ import (
 // spatially reused without damage, which is exactly the effect that
 // caps the old global medium at a handful of piconets.
 //
-// Sharding: tuned receivers are bucketed into square cells of side
+// Cells: tuned receivers are bucketed into square cells of side
 // CellM (default RangeM + InterferenceM, so a 3x3 neighbourhood always
 // covers the delivery disc). Transmit scans only the cells the
 // delivery disc can touch, so per-packet receiver work is bounded by
@@ -41,7 +41,7 @@ import (
 // Determinism contract: the delivery fan-out order never depends on
 // cell geometry. Candidate receivers are collected cell by cell and
 // then sorted by (name, registration sequence) — see sortListeners —
-// so any shard size, and the unsharded global scan, produce the same
+// so any cell size, and the cell-free global scan, produce the same
 // eligible order. Jammers remain geography-free: a static interferer
 // occupies its band everywhere on the floor.
 
@@ -66,14 +66,14 @@ type SpatialConfig struct {
 	// but still collides. Defaults to RangeM (no annulus); must be >=
 	// RangeM.
 	InterferenceM float64
-	// CellM is the shard cell side. Defaults to RangeM + InterferenceM
+	// CellM is the index cell side. Defaults to RangeM + InterferenceM
 	// so one ring of neighbouring cells always covers the delivery
 	// disc; smaller cells trade wider neighbourhood scans for tighter
 	// occupancy. Must be > 0 when set.
 	CellM float64
 }
 
-// cellKey addresses one shard cell.
+// cellKey addresses one index cell.
 type cellKey struct {
 	x, y int32
 }
@@ -148,7 +148,7 @@ func cellReach(rangeM, cellM float64) int32 {
 
 // cellCoord quantises one coordinate, clamped so pathological float
 // inputs cannot overflow the int32 key space (correctness is preserved
-// either way — the distance check filters — only sharding degrades).
+// either way — the distance check filters — only cell bucketing degrades).
 func cellCoord(v, cellM float64) int32 {
 	f := math.Floor(v / cellM)
 	if f > math.MaxInt32 {
@@ -167,7 +167,7 @@ func (sp *spatialState) cellOf(p Position) cellKey {
 // Place declares (or updates) the position of the named radio. Every
 // transmitter and listener of a spatial channel must be placed before
 // its first Transmit or Tune. Re-placing a registered listener moves it
-// between shard cells immediately — a packet already mid-air keeps the
+// between index cells immediately — a packet already mid-air keeps the
 // receiver snapshot taken at its start, matching the global medium's
 // delivery contract.
 func (c *Channel) Place(name string, p Position) {

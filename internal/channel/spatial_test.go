@@ -93,7 +93,7 @@ func TestSpatialReuseAndAnnulusCollision(t *testing.T) {
 }
 
 func TestPlaceRebucketsListener(t *testing.T) {
-	// Mobility: re-placing a tuned listener moves it between shard cells
+	// Mobility: re-placing a tuned listener moves it between index cells
 	// immediately — deliveries follow the new position.
 	k, c := spatialSetup(SpatialConfig{RangeM: 10, CellM: 5})
 	c.Place("master", Position{0, 0})
@@ -146,7 +146,7 @@ func eligibleNames(tx *Transmission) []string {
 
 func TestSpatialIndexMatchesBruteForce(t *testing.T) {
 	// Property test: on randomized placements, ranges and cell sizes the
-	// sharded receiver snapshot must equal a naive O(n) distance scan,
+	// cell-indexed receiver snapshot must equal a naive O(n) distance scan,
 	// in the same order (the determinism contract).
 	rng := sim.NewRand(0xC0FFEE)
 	for trial := 0; trial < 60; trial++ {
@@ -181,7 +181,7 @@ func TestSpatialIndexMatchesBruteForce(t *testing.T) {
 			want := bruteEligible(c, "tx", freq, k.Now())
 			tx := c.Transmit("tx", freq, vec(20), nil)
 			if got := eligibleNames(tx); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d shot %d (range %.1f cell %.1f): sharded set %v != brute force %v",
+				t.Fatalf("trial %d shot %d (range %.1f cell %.1f): cell-indexed set %v != brute force %v",
 					trial, shot, rangeM, cellM, got, want)
 			}
 			k.Run() // drain the delivery events before the next shot

@@ -47,7 +47,6 @@ type DeviceEntry struct {
 type Checkpoint struct {
 	At      sim.Time
 	Seed    uint64
-	Shards  int
 	RootRNG uint64
 	ChanRNG uint64
 	Devices []DeviceEntry
@@ -137,7 +136,6 @@ func (s *Simulation) SnapshotCfg(cfg SnapshotConfig) (*Checkpoint, error) {
 	ck := &Checkpoint{
 		At:      s.K.Now(),
 		Seed:    s.seed,
-		Shards:  s.K.Shards(),
 		RootRNG: s.rng.State(),
 		ChanRNG: s.Ch.RNGState(),
 	}
@@ -167,9 +165,6 @@ func (s *Simulation) Restore(ck *Checkpoint, opt RestoreOptions) (map[string][]*
 	if s.trace != nil {
 		return nil, fmt.Errorf("core: cannot restore into a VCD-traced world")
 	}
-	if got := s.K.Shards(); got != ck.Shards {
-		return nil, fmt.Errorf("core: checkpoint was taken with %d shards, world has %d", ck.Shards, got)
-	}
 	if opt.Tracer != nil {
 		s.K.AddTracer(opt.Tracer)
 	}
@@ -193,9 +188,7 @@ func (s *Simulation) Restore(ck *Checkpoint, opt RestoreOptions) (map[string][]*
 	}
 	s.rng.SetState(sim.ForkState(ck.RootRNG, opt.ForkSeed))
 	s.Ch.SetRNGState(sim.ForkState(ck.ChanRNG, opt.ForkSeed))
-	// Re-subscribe quiet watchers in the captured order — the horizon
-	// watcher of a sharded world was re-added by NewSimulation and
-	// always precedes every device subscription.
+	// Re-subscribe quiet watchers in the captured order.
 	for _, name := range ck.QuietWatch {
 		d := s.devices[name]
 		if d == nil {

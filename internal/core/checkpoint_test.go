@@ -32,8 +32,8 @@ func fingerprint(s *Simulation) string {
 // buildWorld assembles a noisy two-slave piconet with a deep backlog of
 // unprotected DH1 traffic, so bit errors (and the retransmissions they
 // cause) keep consuming the channel RNG across the snapshot point.
-func buildWorld(shards int) *Simulation {
-	s := NewSimulation(Options{Seed: 7, BER: 1.0 / 600, Shards: shards})
+func buildWorld() *Simulation {
+	s := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
 	m := s.AddDevice("m", baseband.Config{Addr: baseband.BDAddr{LAP: 0x10, UAP: 1}})
 	s1 := s.AddDevice("s1", baseband.Config{Addr: baseband.BDAddr{LAP: 0x21, UAP: 2}})
 	s2 := s.AddDevice("s2", baseband.Config{Addr: baseband.BDAddr{LAP: 0x22, UAP: 3}})
@@ -45,15 +45,17 @@ func buildWorld(shards int) *Simulation {
 }
 
 func TestCheckpointForkEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			const settle, rest = 200, 300
+	// Fork on an even (master) slot and on the odd slot after it,
+	// where the slave's response to that master packet is due.
+	for _, settle := range []uint64{200, 201} {
+		t.Run(fmt.Sprintf("settle=%d", settle), func(t *testing.T) {
+			const rest = 300
 
-			straight := buildWorld(shards)
+			straight := buildWorld()
 			straight.RunSlots(settle)
 			ckAt := straight.K.Now()
 
-			forked := buildWorld(shards)
+			forked := buildWorld()
 			forked.RunSlots(settle)
 			ck, err := forked.Snapshot()
 			if err != nil {
@@ -64,7 +66,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 				straight.K.RunUntil(ck.At)
 			}
 
-			restored := NewSimulation(Options{Seed: 7, BER: 1.0 / 600, Shards: shards})
+			restored := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
 			if _, err := restored.Restore(ck, RestoreOptions{}); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
@@ -84,7 +86,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 			}
 
 			// A second fork from the same bytes stays byte-equal...
-			again := NewSimulation(Options{Seed: 7, BER: 1.0 / 600, Shards: shards})
+			again := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
 			if _, err := again.Restore(ck, RestoreOptions{}); err != nil {
 				t.Fatalf("Restore twice: %v", err)
 			}
@@ -95,7 +97,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 			}
 
 			// ...while a different fork seed diverges under nonzero BER.
-			other := NewSimulation(Options{Seed: 7, BER: 1.0 / 600, Shards: shards})
+			other := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
 			if _, err := other.Restore(ck, RestoreOptions{ForkSeed: 99}); err != nil {
 				t.Fatalf("Restore forked: %v", err)
 			}

@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"repro/internal/baseband"
 	"repro/internal/channel"
@@ -29,34 +28,6 @@ type Options struct {
 	// TraceTo, when non-nil, receives a VCD dump of every device's
 	// enable_tx_RF / enable_rx_RF / state signals (paper Figs 5 and 9).
 	TraceTo io.Writer
-	// Shards partitions the kernel's event queue for conservative
-	// sharded execution (see sim.NewKernelShards). 0 takes the process
-	// default (SetDefaultShards, itself defaulting to 1 = serial).
-	// Output is byte-identical for every value — the shard-equivalence
-	// suite pins this — so the knob is purely about multicore queue
-	// maintenance.
-	Shards int
-}
-
-// defaultShards is the process-wide Options.Shards fallback, settable
-// from flags exactly like runner.SetDefaultWorkers.
-var defaultShards atomic.Int64
-
-// SetDefaultShards sets the kernel shard count used when Options.Shards
-// is zero. Values below 1 reset to 1 (serial).
-func SetDefaultShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultShards.Store(int64(n))
-}
-
-// DefaultShards reports the current process-wide default shard count.
-func DefaultShards() int {
-	if v := defaultShards.Load(); v > 1 {
-		return int(v)
-	}
-	return 1
 }
 
 // Simulation owns one simulated radio world.
@@ -68,19 +39,11 @@ type Simulation struct {
 	trace   *vcd.Writer
 	devices map[string]*baseband.Device
 	order   []string
-	shardOf map[string]int // round-robin device→shard (sharded kernels only)
 }
 
 // NewSimulation builds an empty world.
 func NewSimulation(opt Options) *Simulation {
-	shards := opt.Shards
-	if shards == 0 {
-		shards = DefaultShards()
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	k := sim.NewKernelShards(shards)
+	k := sim.NewKernel()
 	s := &Simulation{
 		K:       k,
 		seed:    opt.Seed,
@@ -95,46 +58,7 @@ func NewSimulation(opt Options) *Simulation {
 		BER:   opt.BER,
 		Delay: sim.Microseconds(uint64(opt.DelayUS)),
 	})
-	if shards > 1 {
-		s.shardOf = make(map[string]int)
-		// The medium is the only cross-shard coupling: its quiet horizon
-		// bounds shard windows, delivery events run on the transmitter's
-		// shard, and a revoked quiet promise retracts the open window.
-		k.SetCouplingHorizon(s.Ch.QuietUntil)
-		s.Ch.SetShardRouter(s.ShardOf)
-		s.Ch.WatchQuiet(horizonWatcher{s})
-	}
 	return s
-}
-
-// ShardOf maps a device name to its kernel shard: the spatial cell's
-// shard when the medium is spatial (radios in one cell share medium
-// locality and therefore a shard), else the round-robin shard assigned
-// at AddDevice. -1 (inherit current affinity) for unknown names or a
-// serial kernel.
-func (s *Simulation) ShardOf(name string) int {
-	if s.shardOf == nil {
-		return -1
-	}
-	if cell := s.Ch.CellShard(name, s.K.Shards()); cell >= 0 {
-		return cell
-	}
-	if sh, ok := s.shardOf[name]; ok {
-		return sh
-	}
-	return -1
-}
-
-// horizonWatcher retracts the kernel's open shard window when a quiet
-// promise shrinks: the medium may couple shards earlier than the window
-// assumed, so the next window re-reads the horizon at the coupling
-// point. Ordering is safe either way (the kernel always fires the
-// merged global minimum); retraction keeps window accounting aligned
-// with real coupling.
-type horizonWatcher struct{ s *Simulation }
-
-func (w horizonWatcher) QuietHorizonShrunk() {
-	w.s.K.RetractWindow(w.s.Ch.QuietUntil())
 }
 
 // AddDevice creates a device with a derived random clock phase and seed.
@@ -159,15 +83,6 @@ func (s *Simulation) addDevice(name string, cfg baseband.Config) *baseband.Devic
 	}
 	if s.trace != nil && s.K.Now() > 0 {
 		panic("core: with tracing enabled, add all devices before running")
-	}
-	if s.shardOf != nil {
-		// Deterministic round-robin home shard (overridden by the
-		// spatial cell in ShardOf once the device is placed). Setting
-		// the affinity here puts the device's construction-time event
-		// chain on its shard; nothing about firing order changes.
-		sh := len(s.order) % s.K.Shards()
-		s.shardOf[name] = sh
-		s.K.SetAffinity(sh)
 	}
 	d := baseband.New(s.K, s.Ch, name, cfg)
 	s.devices[name] = d

@@ -274,11 +274,11 @@ func (w *World) Snapshot() (*WorldCheckpoint, error) {
 
 	for _, pu := range w.pumps {
 		arm := pu.arm
-		at, seq, shard, ok := w.Sim.K.EventInfo(pu.id)
+		at, seq, ok := w.Sim.K.EventInfo(pu.id)
 		if !ok {
 			return nil, fmt.Errorf("netspec: pump kind %d has no pending event at the capture instant", arm.Kind)
 		}
-		arm.At, arm.Seq, arm.Shard = at, seq, shard
+		arm.At, arm.Seq = at, seq
 		if pu.rng != nil {
 			arm.RNG = pu.rng.State()
 		}

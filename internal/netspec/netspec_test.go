@@ -137,6 +137,18 @@ func TestValidationNamesOffendingStanza(t *testing.T) {
 			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
 			Bridges:  []Bridge{NewBridge(0, 1, WithPresence(1.4))},
 		}, "bridge", 0, "duty"},
+		{"odd presence period", Spec{
+			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
+			Bridges:  []Bridge{NewBridge(0, 1, WithPresencePeriod(130))},
+		}, "bridge", 0, "multiple of 4"},
+		{"tiny presence period", Spec{
+			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
+			Bridges:  []Bridge{NewBridge(0, 1, WithPresencePeriod(32))},
+		}, "bridge", 0, ">= 64"},
+		{"presence window eaten by guard", Spec{
+			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
+			Bridges:  []Bridge{NewBridge(0, 1, WithPresence(0.03))},
+		}, "bridge", 0, "no presence window"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,7 +3,6 @@ package netspec
 import (
 	"math"
 
-	"repro/internal/baseband"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -12,8 +11,8 @@ import (
 // classifier, the bridge presence scheduler and drain — is one
 // self-rescheduling closure. Each is registered as a pump: the closure
 // records its pending event's ID every time it re-arms itself, so a
-// checkpoint can capture the event's exact (at, seq, shard) position
-// via Kernel.EventInfo, and a restored world can rebuild the closure
+// checkpoint can capture the event's exact (at, seq) position via
+// Kernel.EventInfo, and a restored world can rebuild the closure
 // from a small serialized descriptor and re-arm it through the shared
 // sim.RearmSet alongside the baseband timers.
 
@@ -50,21 +49,19 @@ type PumpArm struct {
 	RNG uint64
 	// NextK is the presence scheduler's next half-period index.
 	NextK uint64
-	// At, Seq and Shard pin the pending event's captured position.
-	At    sim.Time
-	Seq   uint64
-	Shard int
+	// At and Seq pin the pending event's captured position.
+	At  sim.Time
+	Seq uint64
 }
 
 // pump is one live self-rescheduling loop.
 type pump struct {
 	arm   PumpArm
-	dev   *baseband.Device // scheduling device; nil = kernel-scheduled
-	rng   *sim.Rand        // poisson source, nil otherwise
-	event func()           // what the pending event runs when it fires
-	start func()           // initial arming, invoked by World.Start
-	id    sim.EventID      // the pending event, refreshed on every re-arm
-	nextK uint64           // presence scheduler position
+	rng   *sim.Rand   // poisson source, nil otherwise
+	event func()      // what the pending event runs when it fires
+	start func()      // initial arming, invoked by World.Start
+	id    sim.EventID // the pending event, refreshed on every re-arm
+	nextK uint64      // presence scheduler position
 }
 
 func (w *World) addPump(pu *pump) *pump {
@@ -75,14 +72,8 @@ func (w *World) addPump(pu *pump) *pump {
 // rearm schedules the pump's pending event back at its captured
 // position through the shared re-arm set.
 func (pu *pump) rearm(w *World, set *sim.RearmSet) {
-	at, shard := pu.arm.At, pu.arm.Shard
-	set.Add(at, pu.arm.Seq, func() {
-		if pu.dev != nil {
-			pu.id = pu.dev.AfterID(shard, at, pu.event)
-		} else {
-			pu.id = w.Sim.K.AtOn(shard, at, pu.event)
-		}
-	})
+	at := pu.arm.At
+	set.Add(at, pu.arm.Seq, func() { pu.id = w.Sim.K.At(at, pu.event) })
 }
 
 // bulkPump keeps a saturating master-to-slave pump running on the
@@ -94,7 +85,6 @@ func (w *World) bulkPump(p *PiconetState, slave, depth, chunkBytes int) *pump {
 	chunk := make([]byte, chunkBytes)
 	pu := &pump{
 		arm: PumpArm{Kind: pumpBulk, Piconet: p.Index, Slave: slave, Depth: depth, Bytes: chunkBytes},
-		dev: master,
 	}
 	var fire func()
 	fire = func() {
@@ -115,7 +105,6 @@ func (w *World) poissonPump(p *PiconetState, slave int, mean float64, burst int,
 	master := p.Master
 	pu := &pump{
 		arm: PumpArm{Kind: pumpPoisson, Piconet: p.Index, Slave: slave, Bytes: burst, MeanGap: mean},
-		dev: master,
 		rng: rng,
 	}
 	var arm func()
@@ -148,7 +137,6 @@ func (w *World) flowPump(idx, sduBytes, pumpDepth int) *pump {
 	payload := make([]byte, sduBytes)
 	pu := &pump{
 		arm: PumpArm{Kind: pumpFlow, Flow: idx, Depth: pumpDepth, Bytes: sduBytes},
-		dev: src.dev,
 	}
 	var tick func()
 	tick = func() {
@@ -169,7 +157,6 @@ func (w *World) classifierPump(p *PiconetState) *pump {
 	win := uint64(p.spec.AssessWindowSlots)
 	pu := &pump{
 		arm: PumpArm{Kind: pumpClassifier, Piconet: p.Index},
-		dev: p.Master,
 	}
 	var tick func()
 	tick = func() {
@@ -215,7 +202,7 @@ func (w *World) schedPump(b *BridgeState) *pump {
 // drainPump moves frames from the bridge's active store-and-forward
 // queue into its link every two slots.
 func (w *World) drainPump(b *BridgeState) *pump {
-	pu := &pump{arm: PumpArm{Kind: pumpDrain, Bridge: b.Index}, dev: b.Dev}
+	pu := &pump{arm: PumpArm{Kind: pumpDrain, Bridge: b.Index}}
 	var tick func()
 	tick = func() {
 		b.drain()

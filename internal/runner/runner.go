@@ -11,11 +11,17 @@
 // execution schedule. The engine stores each result at its (point,
 // replica) index, which makes serial, single-worker and N-worker runs
 // produce byte-identical tables.
+//
+// A panicking trial never takes down a pool goroutine: Run recovers it,
+// stops claiming further trials and re-panics on the caller's goroutine
+// with a *TrialPanic naming the replica and its seed.
 package runner
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -111,9 +117,28 @@ type Sweep[P, R any] struct {
 	Trial func(seed uint64, p P) R
 }
 
+// TrialPanic is the value Run re-panics with when a trial panics. It
+// names the replica and the seed that reproduce the failure, and
+// carries the recovered value and the panicking goroutine's stack.
+type TrialPanic struct {
+	Point, Replica int
+	Seed           uint64
+	Value          any
+	Stack          []byte
+}
+
+func (p *TrialPanic) Error() string {
+	return fmt.Sprintf("runner: trial at point %d, replica %d (seed %d) panicked: %v",
+		p.Point, p.Replica, p.Seed, p.Value)
+}
+
 // Run executes the sweep under cfg and returns the results indexed as
 // [point][replica]. The indexing — not completion order — defines the
 // layout, so any worker count yields identical output.
+//
+// If a trial panics, no further trial starts, Run waits for the
+// in-flight ones and then panics on the calling goroutine with a
+// *TrialPanic for the first recorded failure.
 func (s Sweep[P, R]) Run(cfg Config) [][]R {
 	if s.Trial == nil {
 		panic("runner: Sweep.Trial is nil")
@@ -183,24 +208,43 @@ func (s Sweep[P, R]) Run(cfg Config) [][]R {
 	// want to stop mid-replica additionally watch the same context from
 	// inside their Trial closure (the service layer runs its simulation
 	// horizon in slot chunks for exactly this).
-	canceled := func() bool {
-		return cfg.Context != nil && cfg.Context.Err() != nil
+	// A panicking trial stops the loop the same way: the first one is
+	// recorded and every later claim sees it.
+	var failed atomic.Pointer[TrialPanic]
+	stopped := func() bool {
+		return failed.Load() != nil || (cfg.Context != nil && cfg.Context.Err() != nil)
+	}
+	trial := func(point, replica int) {
+		seed := seedOf(point, replica)
+		defer func() {
+			if v := recover(); v != nil {
+				failed.CompareAndSwap(nil, &TrialPanic{
+					Point: point, Replica: replica, Seed: seed, Value: v, Stack: debug.Stack(),
+				})
+			}
+		}()
+		results[point][replica] = s.Trial(seed, s.Points[point])
 	}
 	runRange := func(start, end int) {
 		for j := start; j < end; j++ {
-			if canceled() {
+			if stopped() {
 				return
 			}
-			point, replica := j/replicas, j%replicas
-			results[point][replica] = s.Trial(seedOf(point, replica), s.Points[point])
+			trial(j/replicas, j%replicas)
 		}
 		report(end - start)
 	}
+	rethrow := func() {
+		if p := failed.Load(); p != nil {
+			panic(p)
+		}
+	}
 
 	if workers == Serial {
-		for start := 0; start < total && !canceled(); start += batch {
+		for start := 0; start < total && !stopped(); start += batch {
 			runRange(start, min(start+batch, total))
 		}
+		rethrow()
 		return results
 	}
 	if max := (total + batch - 1) / batch; workers > max {
@@ -214,7 +258,7 @@ func (s Sweep[P, R]) Run(cfg Config) [][]R {
 			defer wg.Done()
 			for {
 				start := int(cursor.Add(int64(batch))) - batch
-				if start >= total || canceled() {
+				if start >= total || stopped() {
 					return
 				}
 				runRange(start, min(start+batch, total))
@@ -222,6 +266,7 @@ func (s Sweep[P, R]) Run(cfg Config) [][]R {
 		}()
 	}
 	wg.Wait()
+	rethrow()
 	return results
 }
 

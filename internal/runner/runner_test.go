@@ -2,10 +2,13 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // collatzLen is a tiny deterministic "simulation": the trial result
@@ -136,6 +139,57 @@ func TestRunContextCancel(t *testing.T) {
 	sw.Run(Config{Workers: Serial, Context: ctx})
 	if ran.Load() != 0 {
 		t.Fatalf("pre-canceled context ran %d trials", ran.Load())
+	}
+}
+
+// TestRunRecoversTrialPanic: a panicking replica inside the worker pool
+// must not crash the process. Run stops claiming trials and re-panics
+// on the caller's goroutine with a *TrialPanic that names the replica
+// and carries its seed, so one bad replica fails one job.
+func TestRunRecoversTrialPanic(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{Serial, 2, 4} {
+		const points, replicas = 8, 8
+		const badPoint, badReplica = 0, 1
+		var ran atomic.Int64
+		sw := testSweep(points, replicas)
+		badSeed := sw.Seed(badPoint, badReplica)
+		sw.Trial = func(seed uint64, p int) int {
+			ran.Add(1)
+			if seed == badSeed {
+				panic(boom)
+			}
+			// Slow enough that the panic is recorded long before the
+			// pool could drain the cursor.
+			time.Sleep(time.Millisecond)
+			return collatzLen(seed, p)
+		}
+		func() {
+			defer func() {
+				tp, ok := recover().(*TrialPanic)
+				if !ok {
+					t.Fatalf("workers %d: Run did not re-panic with a *TrialPanic", workers)
+				}
+				if tp.Point != badPoint || tp.Replica != badReplica || tp.Seed != badSeed {
+					t.Fatalf("workers %d: TrialPanic names point %d replica %d seed %d, want %d/%d/%d",
+						workers, tp.Point, tp.Replica, tp.Seed, badPoint, badReplica, badSeed)
+				}
+				if tp.Value != boom || len(tp.Stack) == 0 {
+					t.Fatalf("workers %d: TrialPanic lost the value or stack: %v", workers, tp)
+				}
+				if !strings.Contains(tp.Error(), fmt.Sprint(badSeed)) {
+					t.Fatalf("workers %d: message %q omits the seed", workers, tp.Error())
+				}
+			}()
+			sw.Run(Config{Workers: workers, Jobs: 1})
+			t.Fatalf("workers %d: Run returned normally", workers)
+		}()
+		if got := ran.Load(); got >= points*replicas {
+			t.Fatalf("workers %d: the panic did not stop the sweep (%d trials ran)", workers, got)
+		}
+		if workers == Serial && ran.Load() != 2 {
+			t.Fatalf("serial run ran %d trials, want exactly 2", ran.Load())
+		}
 	}
 }
 

@@ -3,9 +3,9 @@ package sim
 import "sort"
 
 // Checkpoint support: the kernel itself is never serialized. A snapshot
-// instead captures, per layer, every pending event's (at, seq, shard)
-// triple via EventInfo/Timer.Pending, and a restore re-schedules the
-// same callbacks on a fresh kernel. Correctness rests on the re-arm
+// instead captures, per layer, every pending event's (at, seq) pair via
+// EventInfo/Timer.Pending, and a restore re-schedules the same
+// callbacks on a fresh kernel. Correctness rests on the re-arm
 // ordering theorem: every event pending at snapshot time S carries a
 // sequence number smaller than any event scheduled after S (seq is a
 // single monotonic kernel-global counter), so re-arming the captured
@@ -21,7 +21,7 @@ import "sort"
 
 // Rearm is one captured pending event: its original (At, Seq) position
 // in the global order and an Arm closure that re-schedules it (via
-// Timer.AtOnFn or Kernel.AtOn, on the event's original shard).
+// Timer.AtFn or Kernel.At).
 type Rearm struct {
 	At  Time
 	Seq uint64

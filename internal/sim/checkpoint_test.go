@@ -40,43 +40,50 @@ func TestForkState(t *testing.T) {
 }
 
 func TestEventInfo(t *testing.T) {
-	k := NewKernelShards(2)
-	id := k.ScheduleOn(1, Slots(3), func() {})
-	at, seq, shard, ok := k.EventInfo(id)
-	if !ok || at != Time(Slots(3)) || shard != 1 || seq == 0 {
-		t.Fatalf("EventInfo = (%v, %d, %d, %v)", at, seq, shard, ok)
+	k := NewKernel()
+	k.Schedule(Slots(1), func() {})
+	id := k.Schedule(Slots(3), func() {})
+	at, seq, ok := k.EventInfo(id)
+	if !ok || at != Time(Slots(3)) || seq != 2 {
+		t.Fatalf("EventInfo = (%v, %d, %v), want (%v, 2, true)", at, seq, ok, Time(Slots(3)))
 	}
 	k.Cancel(id)
-	if _, _, _, ok := k.EventInfo(id); ok {
+	if _, _, ok := k.EventInfo(id); ok {
 		t.Fatal("EventInfo must reject a cancelled ID")
 	}
 	id2 := k.Schedule(0, func() {})
 	k.RunUntil(Time(Slots(1)))
-	if _, _, _, ok := k.EventInfo(id2); ok {
+	if _, _, ok := k.EventInfo(id2); ok {
 		t.Fatal("EventInfo must reject a fired ID")
 	}
-	if _, _, _, ok := k.EventInfo(0); ok {
+	if _, _, ok := k.EventInfo(0); ok {
 		t.Fatal("EventInfo must reject the zero ID")
+	}
+	// A far-future event sits in the overflow heap; EventInfo must see
+	// it there as well as in the calendar.
+	far := k.Schedule(Slots(defaultBuckets*100), func() {})
+	if at, _, ok := k.EventInfo(far); !ok || at != k.Now()+Time(Slots(defaultBuckets*100)) {
+		t.Fatalf("EventInfo(heap event) = (%v, %v)", at, ok)
 	}
 }
 
-func TestTimerPendingAndAtOnFn(t *testing.T) {
-	k := NewKernelShards(4)
+func TestTimerPendingAndAtFn(t *testing.T) {
+	k := NewKernel()
 	tm := k.NewTimer(nil)
-	if _, _, _, ok := tm.Pending(); ok {
+	if _, _, ok := tm.Pending(); ok {
 		t.Fatal("idle timer must not report pending")
 	}
 	fired := false
-	tm.AtOnFn(3, Time(Slots(5)), func() { fired = true })
-	at, _, shard, ok := tm.Pending()
-	if !ok || at != Time(Slots(5)) || shard != 3 {
-		t.Fatalf("Pending = (%v, shard %d, %v)", at, shard, ok)
+	tm.AtFn(Time(Slots(5)), func() { fired = true })
+	at, seq, ok := tm.Pending()
+	if !ok || at != Time(Slots(5)) || seq == 0 {
+		t.Fatalf("Pending = (%v, %d, %v)", at, seq, ok)
 	}
 	k.RunUntil(Time(Slots(6)))
 	if !fired {
-		t.Fatal("AtOnFn arm did not fire")
+		t.Fatal("AtFn arm did not fire")
 	}
-	if _, _, _, ok := tm.Pending(); ok {
+	if _, _, ok := tm.Pending(); ok {
 		t.Fatal("fired timer must not report pending")
 	}
 }
@@ -87,23 +94,30 @@ func TestTimerPendingAndAtOnFn(t *testing.T) {
 // original global order, interleaved correctly with events scheduled
 // after the restore.
 func TestRearmSetPreservesOrder(t *testing.T) {
-	k1 := NewKernelShards(2)
+	k1 := NewKernel()
 	type cap struct {
 		at    Time
 		seq   uint64
-		shard int
 		label int
 	}
 	var caps []cap
-	// Schedule 8 events, several sharing timestamps, across both shards.
+	// Schedule 8 events, several sharing timestamps, some as timers.
 	delays := []Duration{Slots(2), Slots(1), Slots(2), Slots(1), Slots(3), Slots(2), Slots(1), Slots(3)}
 	for i, d := range delays {
-		id := k1.ScheduleOn(i%2, d, func() {})
-		at, seq, shard, ok := k1.EventInfo(id)
+		var at Time
+		var seq uint64
+		var ok bool
+		if i%2 == 0 {
+			at, seq, ok = k1.EventInfo(k1.Schedule(d, func() {}))
+		} else {
+			tm := k1.NewTimer(func() {})
+			tm.Schedule(d)
+			at, seq, ok = tm.Pending()
+		}
 		if !ok {
 			t.Fatalf("event %d not pending", i)
 		}
-		caps = append(caps, cap{at, seq, shard, i})
+		caps = append(caps, cap{at, seq, i})
 	}
 
 	// The reference order: ascending (at, seq) = ascending (at, schedule
@@ -117,16 +131,21 @@ func TestRearmSetPreservesOrder(t *testing.T) {
 		}
 	}
 
-	k2 := NewKernelShards(2)
+	k2 := NewKernel()
 	var got []int
 	var set RearmSet
-	// Add in a scrambled order; Execute must sort it out.
+	// Add in a scrambled order; Execute must sort it out. Odd labels
+	// re-arm through a timer, even ones through Kernel.At.
 	for _, idx := range []int{5, 0, 7, 2, 4, 1, 6, 3} {
 		c := caps[idx]
-		label := c.label
-		shard, at := c.shard, c.at
+		label, at := c.label, c.at
+		fn := func() { got = append(got, label) }
 		set.Add(c.at, c.seq, func() {
-			k2.AtOn(shard, at, func() { got = append(got, label) })
+			if label%2 == 0 {
+				k2.At(at, fn)
+			} else {
+				k2.NewTimer(nil).AtFn(at, fn)
+			}
 		})
 	}
 	set.Execute()
@@ -136,7 +155,7 @@ func TestRearmSetPreservesOrder(t *testing.T) {
 	// A post-restore event at an already-captured instant must fire
 	// after every re-armed event at that instant (it was scheduled
 	// later in both runs).
-	k2.AtOn(0, Time(Slots(2)), func() { got = append(got, 99) })
+	k2.At(Time(Slots(2)), func() { got = append(got, 99) })
 	// want = [Slots(1) x3, Slots(2) x3, Slots(3) x2]; 99 lands after
 	// the re-armed Slots(2) trio.
 	wantFull := append(append([]int{}, want[:6]...), 99)

@@ -15,13 +15,6 @@
 // and recycled slots carry a generation tag so stale EventIDs can never
 // touch a reused slot. The scheduler is allocation-free in steady state.
 // See ARCHITECTURE.md, "Performance model".
-//
-// A kernel optionally runs in sharded conservative mode (NewKernelShards):
-// the event queue partitions into independent per-shard calendar queues
-// advanced inside coupling-horizon-bounded time windows, while callbacks
-// still execute in the single global (at, seq) order — shard count is
-// unobservable in output. See shard.go and ARCHITECTURE.md, "Conservative
-// parallelism".
 package sim
 
 import (
@@ -77,30 +70,20 @@ func (t Time) String() string {
 type Event func()
 
 // EventID identifies a scheduled event so it can be cancelled. An ID
-// packs the owning shard and pool slot of the event with the slot's
-// generation at scheduling time, so an ID held past its event's firing
-// (or cancellation) is recognised as stale even after the slot is
-// recycled.
+// packs the pool slot of the event with the slot's generation at
+// scheduling time, so an ID held past its event's firing (or
+// cancellation) is recognised as stale even after the slot is recycled.
 type EventID uint64
 
 // The zero EventID is never issued (slots are encoded +1), so callers
 // can use 0 as "no event pending".
 
-// EventID layout: bits 0..23 pool slot + 1, bits 24..31 owning shard,
-// bits 32..63 generation tag.
-const (
-	idSlotBits = 24
-	idSlotMask = 1<<idSlotBits - 1
-
-	// MaxShards bounds NewKernelShards: the shard index must fit the
-	// EventID's shard field.
-	MaxShards = 256
-
-	// maxPoolSlots caps one shard's event pool so slot+1 fits the ID's
-	// slot field. ~16.7M simultaneously pending events per shard is far
-	// beyond any world this model builds; exceeding it panics loudly.
-	maxPoolSlots = idSlotMask - 1
-)
+// EventID layout: bits 0..31 pool slot + 1, bits 32..63 generation tag.
+//
+// maxPoolSlots caps the event pool so a slot index fits the int32 chain
+// links. ~2.1G simultaneously pending events is far beyond any world
+// this model builds; exceeding it panics loudly.
+const maxPoolSlots = 1<<31 - 1
 
 const (
 	evFree      = iota // slot is on the free list
@@ -125,13 +108,13 @@ type scheduledEvent struct {
 	loc   uint8
 }
 
-func makeID(shard int, slot int32, gen uint32) EventID {
-	return EventID(uint64(gen)<<32 | uint64(shard)<<idSlotBits | uint64(uint32(slot+1)))
+func makeID(slot int32, gen uint32) EventID {
+	return EventID(uint64(gen)<<32 | uint64(uint32(slot+1)))
 }
 
-// decodeID splits an EventID into owning shard, pool slot and generation.
-func decodeID(id EventID) (shard int, slot int32, gen uint32) {
-	return int(uint32(id) >> idSlotBits), int32(uint32(id)&idSlotMask) - 1, uint32(id >> 32)
+// decodeID splits an EventID into pool slot and generation.
+func decodeID(id EventID) (slot int32, gen uint32) {
+	return int32(uint32(id) - 1), uint32(id >> 32)
 }
 
 // defaultBuckets is the initial calendar width in slots. 256 slots
@@ -140,20 +123,15 @@ func decodeID(id EventID) (shard int, slot int32, gen uint32) {
 // doubles on its own when occupancy outgrows it.
 const defaultBuckets = 256
 
-// Cached-head sentinels (shardQueue.head).
+// Cached-head sentinels (queue.head).
 const (
-	headNone    = int32(-1) // known empty: no pending event in this shard
+	headNone    = int32(-1) // known empty: no pending event
 	headUnknown = int32(-2) // cache invalid; recompute via peek
 )
 
-// shardQueue is one shard's event queue: a calendar over the slot grid
-// plus an overflow heap and a pooled node store, exactly the structure
-// the whole kernel used to be. A single-shard kernel is one shardQueue;
-// a sharded kernel merges N of them under the global (at, seq) order.
-// All shardQueue methods touch only the shard's own state, which is
-// what makes the window-edge fork-join in shard.go race-free.
-type shardQueue struct {
-	id    int
+// queue is the kernel's event queue: a calendar over the slot grid plus
+// an overflow heap and a pooled node store.
+type queue struct {
 	nodes []scheduledEvent // event pool; calendar chains and heap index into it
 	free  []int32          // recycled pool slots
 
@@ -173,90 +151,61 @@ type shardQueue struct {
 	heap          []int32
 	heapCancelled int
 
-	live int   // pending (not cancelled) events in this shard
+	live int   // pending (not cancelled) events
 	head int32 // cached earliest live pool slot (headNone / headUnknown)
 }
 
 // Kernel is the simulation scheduler. The zero value is not usable; create
-// one with NewKernel (serial) or NewKernelShards (sharded conservative
-// mode — see shard.go).
+// one with NewKernel.
 type Kernel struct {
 	now     Time
-	shards  []*shardQueue
-	cur     int // shard affinity: where Schedule puts new events
 	nextSeq uint64
 	running bool
 	stopped bool
 	tracers []Tracer
-
-	// Conservative windowing (sharded mode only; see shard.go).
-	horizon    func() Time // medium-coupling horizon probe, nil = none
-	windowEnd  Time        // exclusive end of the current window
-	windows    uint64      // barriers crossed (window openings)
-	parRefresh uint64      // window openings that forked per-shard refresh
-	scratch    []*shardQueue
+	q       queue
 }
 
-// NewKernel returns an empty single-shard kernel at time zero.
-func NewKernel() *Kernel { return NewKernelShards(1) }
-
-// NewKernelShards returns an empty kernel at time zero whose event queue
-// is partitioned into n independent shards (1 <= n <= MaxShards). Event
-// execution order is identical for every n — sharding changes how the
-// queue is stored and advanced, never what fires when; the shard
-// equivalence suite pins this.
-func NewKernelShards(n int) *Kernel {
-	if n < 1 || n > MaxShards {
-		panic(fmt.Sprintf("sim: shard count %d out of 1..%d", n, MaxShards))
-	}
-	k := &Kernel{shards: make([]*shardQueue, n)}
-	for i := range k.shards {
-		sq := &shardQueue{id: i, head: headNone}
-		sq.initBuckets(defaultBuckets)
-		k.shards[i] = sq
-	}
+// NewKernel returns an empty kernel at time zero.
+func NewKernel() *Kernel {
+	k := &Kernel{q: queue{head: headNone}}
+	k.q.initBuckets(defaultBuckets)
 	return k
 }
 
 // initBuckets (re)allocates the calendar arrays for n buckets (a power of
 // two, multiple of 64) and recomputes the window limit. Chains are not
 // preserved; callers re-insert.
-func (sq *shardQueue) initBuckets(n int) {
-	sq.bucketHead = make([]int32, n)
-	sq.bucketTail = make([]int32, n)
-	for i := range sq.bucketHead {
-		sq.bucketHead[i] = -1
-		sq.bucketTail[i] = -1
+func (q *queue) initBuckets(n int) {
+	q.bucketHead = make([]int32, n)
+	q.bucketTail = make([]int32, n)
+	for i := range q.bucketHead {
+		q.bucketHead[i] = -1
+		q.bucketTail[i] = -1
 	}
-	sq.occ = make([]uint64, n/64)
-	sq.bmask = uint64(n) - 1
-	sq.recalcLim()
+	q.occ = make([]uint64, n/64)
+	q.bmask = uint64(n) - 1
+	q.recalcLim()
 }
 
 // recalcLim recomputes the calendar window's exclusive upper bound. Near
 // the end of the time axis the window would overflow; calLim = 0 then
 // routes every new event to the overflow heap, which is ordering-correct
 // at any horizon.
-func (sq *shardQueue) recalcLim() {
-	end := sq.curSlot + uint64(len(sq.bucketHead))
-	if end < sq.curSlot || end > ^uint64(0)/SlotTicks {
-		sq.calLim = 0
+func (q *queue) recalcLim() {
+	end := q.curSlot + uint64(len(q.bucketHead))
+	if end < q.curSlot || end > ^uint64(0)/SlotTicks {
+		q.calLim = 0
 		return
 	}
-	sq.calLim = Time(end * SlotTicks)
+	q.calLim = Time(end * SlotTicks)
 }
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports how many events are scheduled and not yet fired.
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, sq := range k.shards {
-		n += sq.live
-	}
-	return n
-}
+func (k *Kernel) Pending() int { return k.q.live }
 
 // Traced reports whether any tracer is attached. Behavioural layers use
 // this to disable event-eliding fast paths that would hide signal
@@ -264,75 +213,60 @@ func (k *Kernel) Pending() int {
 func (k *Kernel) Traced() bool { return len(k.tracers) > 0 }
 
 // alloc takes a pool slot off the free list (or grows the pool).
-func (sq *shardQueue) alloc() int32 {
-	if n := len(sq.free); n > 0 {
-		slot := sq.free[n-1]
-		sq.free = sq.free[:n-1]
+func (q *queue) alloc() int32 {
+	if n := len(q.free); n > 0 {
+		slot := q.free[n-1]
+		q.free = q.free[:n-1]
 		return slot
 	}
-	if len(sq.nodes) >= maxPoolSlots {
-		panic(fmt.Sprintf("sim: shard %d event pool exceeds %d pending events", sq.id, maxPoolSlots))
+	if len(q.nodes) >= maxPoolSlots {
+		panic(fmt.Sprintf("sim: event pool exceeds %d pending events", maxPoolSlots))
 	}
-	sq.nodes = append(sq.nodes, scheduledEvent{})
-	return int32(len(sq.nodes) - 1)
+	q.nodes = append(q.nodes, scheduledEvent{})
+	return int32(len(q.nodes) - 1)
 }
 
 // release recycles a pool slot, bumping its generation so any EventID
 // still referring to it is recognised as stale.
-func (sq *shardQueue) release(slot int32) {
-	n := &sq.nodes[slot]
+func (q *queue) release(slot int32) {
+	n := &q.nodes[slot]
 	n.fn = nil // drop the closure reference eagerly
 	n.gen++
 	n.state = evFree
 	n.loc = locNone
 	n.next = -1
-	sq.free = append(sq.free, slot)
+	q.free = append(q.free, slot)
 }
 
-// Schedule runs fn after delay ticks on the current affinity shard (the
-// shard of the event being fired, so a device's self-rescheduling slot
-// loops stay on the device's shard). A delay of zero fires fn later in
+// Schedule runs fn after delay ticks. A delay of zero fires fn later in
 // the current tick, after all previously scheduled same-time events.
 func (k *Kernel) Schedule(delay Duration, fn Event) EventID {
-	return k.ScheduleOn(k.cur, delay, fn)
-}
-
-// ScheduleOn runs fn after delay ticks on an explicit shard — the
-// cross-shard hand-off primitive (e.g. a delivery event routed to the
-// receiver cell's owning shard). On a single-shard kernel, shard 0 is
-// the only legal value. The target shard changes nothing about when fn
-// fires relative to other events; the global (at, seq) order is shared
-// by all shards.
-func (k *Kernel) ScheduleOn(shard int, delay Duration, fn Event) EventID {
 	if fn == nil {
 		panic("sim: Schedule called with nil event")
-	}
-	if shard < 0 || shard >= len(k.shards) {
-		panic(fmt.Sprintf("sim: ScheduleOn(%d) with %d shards", shard, len(k.shards)))
 	}
 	at := k.now + Time(delay)
 	if at < k.now {
 		panic(fmt.Sprintf("sim: Schedule(%d) overflows the time axis (now %v)", uint64(delay), k.now))
 	}
-	sq := k.shards[shard]
-	slot := sq.alloc()
+	q := &k.q
+	slot := q.alloc()
 	k.nextSeq++
-	n := &sq.nodes[slot]
+	n := &q.nodes[slot]
 	n.at, n.seq, n.fn, n.state = at, k.nextSeq, fn, evPending
-	if sq.calLim != 0 && at < sq.calLim {
-		sq.calInsert(slot)
+	if q.calLim != 0 && at < q.calLim {
+		q.calInsert(slot)
 	} else {
 		n.loc = locHeap
-		sq.heapPush(slot)
+		q.heapPush(slot)
 	}
-	sq.live++
+	q.live++
 	// Keep the cached head exact: a valid cache stays valid unless the
 	// newcomer is the new minimum (a new event can never un-schedule the
 	// old minimum).
-	if sq.head == headNone || (sq.head >= 0 && sq.lessNode(slot, sq.head)) {
-		sq.head = slot
+	if q.head == headNone || (q.head >= 0 && q.lessNode(slot, q.head)) {
+		q.head = slot
 	}
-	return makeID(shard, slot, n.gen)
+	return makeID(slot, n.gen)
 }
 
 // At runs fn at absolute time t, which must not be in the past.
@@ -343,41 +277,34 @@ func (k *Kernel) At(t Time, fn Event) EventID {
 	return k.Schedule(Duration(t-k.now), fn)
 }
 
-// AtOn runs fn at absolute time t on an explicit shard (see ScheduleOn).
-// Checkpoint restore uses it to re-arm captured events on their
-// original shard so the restored world's shard placement — and with it
-// the exact window/refresh schedule — matches the straight-through run.
-func (k *Kernel) AtOn(shard int, t Time, fn Event) EventID {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: AtOn(%v) is in the past (now %v)", t, k.now))
+// EventInfo reports a pending event's timestamp and global sequence
+// number. ok is false for fired, cancelled or stale IDs — exactly the
+// IDs Cancel would reject. Snapshot code uses it to capture where every
+// pending timer sits in the global (at, seq) order.
+func (k *Kernel) EventInfo(id EventID) (at Time, seq uint64, ok bool) {
+	slot, ok := k.q.lookup(id)
+	if !ok {
+		return 0, 0, false
 	}
-	return k.ScheduleOn(shard, Duration(t-k.now), fn)
+	n := &k.q.nodes[slot]
+	return n.at, n.seq, true
 }
 
-// EventInfo reports a pending event's timestamp, global sequence number
-// and owning shard. ok is false for fired, cancelled or stale IDs —
-// exactly the IDs Cancel would reject. Snapshot code uses it to capture
-// where every pending timer sits in the global (at, seq) order.
-func (k *Kernel) EventInfo(id EventID) (at Time, seq uint64, shard int, ok bool) {
-	sh, slot, gen := decodeID(id)
-	if sh >= len(k.shards) {
-		return 0, 0, 0, false
+// lookup returns the pool slot a live EventID refers to; ok is false
+// for fired, cancelled or stale IDs.
+func (q *queue) lookup(id EventID) (slot int32, ok bool) {
+	slot, gen := decodeID(id)
+	if slot < 0 || int(slot) >= len(q.nodes) {
+		return 0, false
 	}
-	sq := k.shards[sh]
-	if slot < 0 || int(slot) >= len(sq.nodes) {
-		return 0, 0, 0, false
-	}
-	n := &sq.nodes[slot]
-	if n.state != evPending || n.gen != gen {
-		return 0, 0, 0, false
-	}
-	return n.at, n.seq, sh, true
+	n := &q.nodes[slot]
+	return slot, n.state == evPending && n.gen == gen
 }
 
 // lessEvent orders events by (at, seq): earlier time first, then
 // schedule order — the same-tick total order that stands in for SystemC
 // delta cycles. seq is issued by one kernel-global counter, so the order
-// is total across every shard and structure.
+// is total across the calendar and the heap.
 func lessEvent(a, b *scheduledEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -385,62 +312,62 @@ func lessEvent(a, b *scheduledEvent) bool {
 	return a.seq < b.seq
 }
 
-// lessNode is lessEvent over two pool slots of the same shard.
-func (sq *shardQueue) lessNode(a, b int32) bool {
-	return lessEvent(&sq.nodes[a], &sq.nodes[b])
+// lessNode is lessEvent over two pool slots.
+func (q *queue) lessNode(a, b int32) bool {
+	return lessEvent(&q.nodes[a], &q.nodes[b])
 }
 
 // --- calendar ---
 
 // bucketOf maps an event time to its bucket index. Only valid for times
 // inside the current window.
-func (sq *shardQueue) bucketOf(at Time) uint64 {
-	return (uint64(at) / SlotTicks) & sq.bmask
+func (q *queue) bucketOf(at Time) uint64 {
+	return (uint64(at) / SlotTicks) & q.bmask
 }
 
 // calInsertRaw chains slot s into its bucket, keeping the chain sorted by
 // (at, seq). Appends at the tail are O(1), which covers the dominant
 // pattern: per-slot callbacks re-armed in monotonically increasing
 // (at, seq) order.
-func (sq *shardQueue) calInsertRaw(s int32) {
-	n := &sq.nodes[s]
+func (q *queue) calInsertRaw(s int32) {
+	n := &q.nodes[s]
 	n.loc = locCal
-	b := sq.bucketOf(n.at)
-	h := sq.bucketHead[b]
+	b := q.bucketOf(n.at)
+	h := q.bucketHead[b]
 	switch {
 	case h < 0:
-		sq.bucketHead[b], sq.bucketTail[b] = s, s
+		q.bucketHead[b], q.bucketTail[b] = s, s
 		n.next = -1
-		sq.occ[b>>6] |= 1 << (b & 63)
-	case sq.lessNode(sq.bucketTail[b], s):
-		sq.nodes[sq.bucketTail[b]].next = s
+		q.occ[b>>6] |= 1 << (b & 63)
+	case q.lessNode(q.bucketTail[b], s):
+		q.nodes[q.bucketTail[b]].next = s
 		n.next = -1
-		sq.bucketTail[b] = s
-	case sq.lessNode(s, h):
+		q.bucketTail[b] = s
+	case q.lessNode(s, h):
 		n.next = h
-		sq.bucketHead[b] = s
+		q.bucketHead[b] = s
 	default:
 		p := h
 		for {
-			nx := sq.nodes[p].next
-			if nx < 0 || sq.lessNode(s, nx) {
+			nx := q.nodes[p].next
+			if nx < 0 || q.lessNode(s, nx) {
 				break
 			}
 			p = nx
 		}
-		n.next = sq.nodes[p].next
-		sq.nodes[p].next = s
+		n.next = q.nodes[p].next
+		q.nodes[p].next = s
 	}
 }
 
 // calInsert is calInsertRaw plus census and skew handling: when live
 // calendar events outnumber buckets 2:1 the calendar doubles, widening
 // the window (which may strand fewer events in the overflow heap).
-func (sq *shardQueue) calInsert(s int32) {
-	sq.calInsertRaw(s)
-	sq.calCount++
-	if sq.calCount > 2*len(sq.bucketHead) {
-		sq.growCalendar()
+func (q *queue) calInsert(s int32) {
+	q.calInsertRaw(s)
+	q.calCount++
+	if q.calCount > 2*len(q.bucketHead) {
+		q.growCalendar()
 	}
 }
 
@@ -448,49 +375,49 @@ func (sq *shardQueue) calInsert(s int32) {
 // Relative order is untouched: chains are rebuilt from the same (at, seq)
 // keys. Deferred migration of newly in-window heap events happens on the
 // next cursor advance.
-func (sq *shardQueue) growCalendar() {
-	moved := make([]int32, 0, sq.calCount)
-	for b := range sq.bucketHead {
-		for s := sq.bucketHead[b]; s >= 0; {
-			nx := sq.nodes[s].next
+func (q *queue) growCalendar() {
+	moved := make([]int32, 0, q.calCount)
+	for b := range q.bucketHead {
+		for s := q.bucketHead[b]; s >= 0; {
+			nx := q.nodes[s].next
 			moved = append(moved, s)
 			s = nx
 		}
 	}
-	sq.initBuckets(2 * len(sq.bucketHead))
+	q.initBuckets(2 * len(q.bucketHead))
 	for _, s := range moved {
-		sq.calInsertRaw(s)
+		q.calInsertRaw(s)
 	}
 }
 
 // calUnlink removes slot s from its bucket chain (eager cancellation —
 // the calendar never carries tombstones).
-func (sq *shardQueue) calUnlink(s int32) {
-	n := &sq.nodes[s]
-	b := sq.bucketOf(n.at)
-	if sq.bucketHead[b] == s {
-		sq.bucketHead[b] = n.next
+func (q *queue) calUnlink(s int32) {
+	n := &q.nodes[s]
+	b := q.bucketOf(n.at)
+	if q.bucketHead[b] == s {
+		q.bucketHead[b] = n.next
 		if n.next < 0 {
-			sq.bucketTail[b] = -1
-			sq.occ[b>>6] &^= 1 << (b & 63)
+			q.bucketTail[b] = -1
+			q.occ[b>>6] &^= 1 << (b & 63)
 		}
 	} else {
-		p := sq.bucketHead[b]
-		for sq.nodes[p].next != s {
-			p = sq.nodes[p].next
+		p := q.bucketHead[b]
+		for q.nodes[p].next != s {
+			p = q.nodes[p].next
 		}
-		sq.nodes[p].next = n.next
-		if sq.bucketTail[b] == s {
-			sq.bucketTail[b] = p
+		q.nodes[p].next = n.next
+		if q.bucketTail[b] == s {
+			q.bucketTail[b] = p
 		}
 	}
-	sq.calCount--
+	q.calCount--
 }
 
 // occScan returns the first non-empty bucket index in [from, to), if any.
-func (sq *shardQueue) occScan(from, to uint64) (uint64, bool) {
+func (q *queue) occScan(from, to uint64) (uint64, bool) {
 	for wi := from >> 6; wi < (to+63)>>6; wi++ {
-		w := sq.occ[wi]
+		w := q.occ[wi]
 		if wi == from>>6 {
 			w &= ^uint64(0) << (from & 63)
 		}
@@ -509,66 +436,66 @@ func (sq *shardQueue) occScan(from, to uint64) (uint64, bool) {
 // The scan starts at the cursor's bucket and wraps: within the window
 // [curSlot, curSlot+nb), circular bucket order equals slot order, and
 // each sorted chain keeps its minimum at the head.
-func (sq *shardQueue) calMin() int32 {
-	if sq.calCount == 0 {
+func (q *queue) calMin() int32 {
+	if q.calCount == 0 {
 		return -1
 	}
-	start := sq.curSlot & sq.bmask
-	if b, ok := sq.occScan(start, uint64(len(sq.bucketHead))); ok {
-		return sq.bucketHead[b]
+	start := q.curSlot & q.bmask
+	if b, ok := q.occScan(start, uint64(len(q.bucketHead))); ok {
+		return q.bucketHead[b]
 	}
-	if b, ok := sq.occScan(0, start); ok {
-		return sq.bucketHead[b]
+	if b, ok := q.occScan(0, start); ok {
+		return q.bucketHead[b]
 	}
 	return -1
 }
 
 // --- overflow heap ---
 
-func (sq *shardQueue) heapPush(slot int32) {
-	sq.heap = append(sq.heap, slot)
-	q := sq.heap
-	i := len(q) - 1
+func (q *queue) heapPush(slot int32) {
+	q.heap = append(q.heap, slot)
+	hq := q.heap
+	i := len(hq) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !sq.lessNode(q[i], q[parent]) {
+		if !q.lessNode(hq[i], hq[parent]) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		hq[i], hq[parent] = hq[parent], hq[i]
 		i = parent
 	}
 }
 
-func (sq *shardQueue) siftDown(i int) {
-	q := sq.heap
-	n := len(q)
+func (q *queue) siftDown(i int) {
+	hq := q.heap
+	n := len(hq)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			return
 		}
 		smallest := left
-		if right := left + 1; right < n && sq.lessNode(q[right], q[left]) {
+		if right := left + 1; right < n && q.lessNode(hq[right], hq[left]) {
 			smallest = right
 		}
-		if !sq.lessNode(q[smallest], q[i]) {
+		if !q.lessNode(hq[smallest], hq[i]) {
 			return
 		}
-		q[i], q[smallest] = q[smallest], q[i]
+		hq[i], hq[smallest] = hq[smallest], hq[i]
 		i = smallest
 	}
 }
 
 // heapPop removes and returns the head of the heap (which must not be
 // empty).
-func (sq *shardQueue) heapPop() int32 {
-	q := sq.heap
-	head := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	sq.heap = q[:last]
+func (q *queue) heapPop() int32 {
+	hq := q.heap
+	head := hq[0]
+	last := len(hq) - 1
+	hq[0] = hq[last]
+	q.heap = hq[:last]
 	if last > 0 {
-		sq.siftDown(0)
+		q.siftDown(0)
 	}
 	return head
 }
@@ -576,15 +503,15 @@ func (sq *shardQueue) heapPop() int32 {
 // heapPeekLive drops (and recycles) cancelled entries at the head of the
 // heap and returns the pool slot of its next live event without removing
 // it (-1 when empty).
-func (sq *shardQueue) heapPeekLive() int32 {
-	for len(sq.heap) > 0 {
-		head := sq.heap[0]
-		if sq.nodes[head].state == evPending {
+func (q *queue) heapPeekLive() int32 {
+	for len(q.heap) > 0 {
+		head := q.heap[0]
+		if q.nodes[head].state == evPending {
 			return head
 		}
-		sq.heapPop()
-		sq.heapCancelled--
-		sq.release(head)
+		q.heapPop()
+		q.heapCancelled--
+		q.release(head)
 	}
 	return -1
 }
@@ -596,20 +523,20 @@ const minCompactLen = 64
 // compact rebuilds the overflow heap without the cancelled entries.
 // Ordering is untouched: the heap invariant is re-established over the
 // same (at, seq) keys, so compaction can never change the event schedule.
-func (sq *shardQueue) compact() {
-	liveQ := sq.heap[:0]
-	for _, slot := range sq.heap {
-		if sq.nodes[slot].state == evPending {
+func (q *queue) compact() {
+	liveQ := q.heap[:0]
+	for _, slot := range q.heap {
+		if q.nodes[slot].state == evPending {
 			liveQ = append(liveQ, slot)
 		} else {
-			sq.release(slot)
+			q.release(slot)
 		}
 	}
-	sq.heap = liveQ
-	for i := len(sq.heap)/2 - 1; i >= 0; i-- {
-		sq.siftDown(i)
+	q.heap = liveQ
+	for i := len(q.heap)/2 - 1; i >= 0; i-- {
+		q.siftDown(i)
 	}
-	sq.heapCancelled = 0
+	q.heapCancelled = 0
 }
 
 // --- scheduling core ---
@@ -623,125 +550,122 @@ func (sq *shardQueue) compact() {
 // the heap is compacted so cancel-heavy workloads (supervision timeouts
 // re-armed on every packet) keep it proportional to the live count.
 func (k *Kernel) Cancel(id EventID) bool {
-	shard, slot, gen := decodeID(id)
-	if shard >= len(k.shards) {
+	q := &k.q
+	slot, ok := q.lookup(id)
+	if !ok {
 		return false
 	}
-	sq := k.shards[shard]
-	if slot < 0 || int(slot) >= len(sq.nodes) {
-		return false
-	}
-	n := &sq.nodes[slot]
-	if n.state != evPending || n.gen != gen {
-		return false
-	}
-	sq.live--
-	if sq.head == slot {
-		sq.head = headUnknown
+	n := &q.nodes[slot]
+	q.live--
+	if q.head == slot {
+		q.head = headUnknown
 	}
 	if n.loc == locCal {
-		sq.calUnlink(slot)
-		sq.release(slot)
+		q.calUnlink(slot)
+		q.release(slot)
 	} else {
 		n.state = evCancelled
 		n.fn = nil
-		sq.heapCancelled++
-		if sq.heapCancelled > len(sq.heap)/2 && len(sq.heap) >= minCompactLen {
-			sq.compact()
+		q.heapCancelled++
+		if q.heapCancelled > len(q.heap)/2 && len(q.heap) >= minCompactLen {
+			q.compact()
 		}
 	}
 	return true
 }
 
-// nextLive returns the pool slot of the shard's earliest pending event
+// nextLive returns the pool slot of the earliest pending event
 // without removing it (-1 when none). Correctness does not depend on the
 // window invariant: the calendar minimum and the heap minimum are
 // compared under the global (at, seq) order, so even a degraded split
 // (calLim = 0) keeps the schedule exact.
-func (sq *shardQueue) nextLive() int32 {
-	c := sq.calMin()
-	h := sq.heapPeekLive()
+func (q *queue) nextLive() int32 {
+	c := q.calMin()
+	h := q.heapPeekLive()
 	if c < 0 {
 		return h
 	}
-	if h >= 0 && sq.lessNode(h, c) {
+	if h >= 0 && q.lessNode(h, c) {
 		return h
 	}
 	return c
 }
 
-// peek returns the shard's earliest pending pool slot through the head
-// cache (headNone when the shard is empty). The cache is invalidated
-// when its minimum is consumed or cancelled, and updated in place when a
-// newly scheduled event undercuts it, so steady-state firing pays one
-// scan per pop exactly as the unsharded kernel did.
-func (sq *shardQueue) peek() int32 {
-	if sq.head == headUnknown {
-		sq.head = sq.nextLive()
+// peek returns the earliest pending pool slot through the head cache
+// (headNone when the queue is empty). The cache is invalidated when its
+// minimum is consumed or cancelled, and updated in place when a newly
+// scheduled event undercuts it, so steady-state firing pays one scan
+// per pop.
+func (q *queue) peek() int32 {
+	if q.head == headUnknown {
+		q.head = q.nextLive()
 	}
-	return sq.head
+	return q.head
 }
 
 // take removes slot s — which must be the value peek just returned —
 // from its structure and advances the calendar cursor to its slot,
 // migrating newly in-window heap events into the calendar.
-func (sq *shardQueue) take(s int32) {
-	n := &sq.nodes[s]
+func (q *queue) take(s int32) {
+	n := &q.nodes[s]
 	if n.loc == locCal {
-		b := sq.bucketOf(n.at)
-		sq.bucketHead[b] = n.next
+		b := q.bucketOf(n.at)
+		q.bucketHead[b] = n.next
 		if n.next < 0 {
-			sq.bucketTail[b] = -1
-			sq.occ[b>>6] &^= 1 << (b & 63)
+			q.bucketTail[b] = -1
+			q.occ[b>>6] &^= 1 << (b & 63)
 		}
-		sq.calCount--
+		q.calCount--
 	} else {
-		sq.heapPop()
+		q.heapPop()
 	}
-	sq.head = headUnknown
-	if ns := uint64(n.at) / SlotTicks; ns > sq.curSlot {
-		sq.curSlot = ns
-		sq.recalcLim()
-		sq.migrate()
+	q.head = headUnknown
+	if ns := uint64(n.at) / SlotTicks; ns > q.curSlot {
+		q.curSlot = ns
+		q.recalcLim()
+		q.migrate()
 	}
 }
 
 // migrate moves heap events that now fall inside the calendar window into
 // their buckets. Every migrated event's slot is at or beyond the cursor,
 // so the move can never reorder anything already due.
-func (sq *shardQueue) migrate() {
+func (q *queue) migrate() {
 	for {
-		h := sq.heapPeekLive()
-		if h < 0 || sq.calLim == 0 || sq.nodes[h].at >= sq.calLim {
+		h := q.heapPeekLive()
+		if h < 0 || q.calLim == 0 || q.nodes[h].at >= q.calLim {
 			return
 		}
-		sq.heapPop()
-		sq.calInsert(h)
+		q.heapPop()
+		q.calInsert(h)
 	}
 }
 
-// fire advances the clock to the event in the shard's slot and runs its
-// callback. The slot is released before the callback runs, so cancelling
-// the firing event's own ID from within it is a no-op.
-func (k *Kernel) fire(sq *shardQueue, slot int32) {
-	n := &sq.nodes[slot]
+// fire removes the event in slot s — which must be the value peek just
+// returned — advances the clock to it and runs its callback. The slot is
+// released before the callback runs, so cancelling the firing event's
+// own ID from within it is a no-op.
+func (k *Kernel) fire(s int32) {
+	q := &k.q
+	q.take(s)
+	n := &q.nodes[s]
 	k.now = n.at
 	fn := n.fn
-	sq.live--
-	sq.release(slot)
+	q.live--
+	q.release(s)
 	fn()
 }
 
-// NextDue reports the timestamp of the earliest pending event across all
-// shards, if any — the kernel's quiescence probe. A caller holding a
-// guarantee that no new work arrives before that time (see
-// channel.QuietUntil) may elide intermediate bookkeeping events entirely.
+// NextDue reports the timestamp of the earliest pending event, if any —
+// the kernel's quiescence probe. A caller holding a guarantee that no
+// new work arrives before that time (see channel.QuietUntil) may elide
+// intermediate bookkeeping events entirely.
 func (k *Kernel) NextDue() (Time, bool) {
-	sq, s := k.earliest()
+	s := k.q.peek()
 	if s < 0 {
 		return 0, false
 	}
-	return sq.nodes[s].at, true
+	return k.q.nodes[s].at, true
 }
 
 // Stop halts Run/RunUntil after the currently executing event returns.
@@ -761,19 +685,12 @@ func (k *Kernel) RunUntil(limit Time) Time {
 	k.running = true
 	k.stopped = false
 	defer func() { k.running = false }()
-	if len(k.shards) == 1 {
-		// Serial fast path: no merge, no windows — the unsharded kernel.
-		sq := k.shards[0]
-		for !k.stopped {
-			s := sq.peek()
-			if s < 0 || sq.nodes[s].at > limit {
-				break
-			}
-			sq.take(s)
-			k.fire(sq, s)
+	for !k.stopped {
+		s := k.q.peek()
+		if s < 0 || k.q.nodes[s].at > limit {
+			break
 		}
-	} else {
-		k.runSharded(limit)
+		k.fire(s)
 	}
 	if k.now < limit && limit != TimeMax {
 		k.now = limit
@@ -785,16 +702,14 @@ func (k *Kernel) RunUntil(limit Time) Time {
 // whether an event ran. Running() is true for the duration of the
 // callback, exactly as under RunUntil.
 func (k *Kernel) Step() bool {
-	sq, slot := k.earliest()
-	if slot < 0 {
+	s := k.q.peek()
+	if s < 0 {
 		return false
 	}
 	prev := k.running
 	k.running = true
 	defer func() { k.running = prev }()
-	k.cur = sq.id
-	sq.take(slot)
-	k.fire(sq, slot)
+	k.fire(s)
 	return true
 }
 

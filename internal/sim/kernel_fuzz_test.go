@@ -4,32 +4,27 @@ import (
 	"testing"
 )
 
-// FuzzShardedKernel throws arbitrary byte-driven scripts of schedule /
-// cancel / cross-shard hand-off / run / step / retract operations at a
-// sharded kernel and checks the two invariants the conservative
-// windowing must never bend:
+// FuzzKernel throws arbitrary byte-driven scripts of schedule / cancel /
+// run / step operations at the kernel and checks the invariants the
+// calendar queue must never bend:
 //
 //   - monotone delivery: events fire in exactly the (at, seq) order of
 //     the naive sorted-list reference — never early, never reordered;
 //   - exact census: no event is lost or duplicated, Pending always
-//     equals the reference list's length, and the clocks agree.
+//     equals the reference list's length, and the clocks agree;
+//   - EventInfo reports every freshly scheduled event's (at, seq).
 //
-// The script bytes choose shard counts, delays (same-tick, off-grid,
-// window-edge, far-future heap), cancel targets and window retractions,
-// so the corpus explores the calendar/heap boundary and barrier edges.
-// CI runs this as a fuzz smoke alongside FuzzPlacementValidation.
-func FuzzShardedKernel(f *testing.F) {
+// The script bytes choose delays (same-tick, off-grid, window-edge,
+// far-future heap) and cancel targets, so the corpus explores the
+// calendar/heap boundary, cursor migration and window doubling. CI runs
+// this as a fuzz smoke alongside FuzzPlacementValidation.
+func FuzzKernel(f *testing.F) {
 	f.Add([]byte{3, 0, 10, 1, 40, 2, 200, 6, 7, 4})
 	f.Add([]byte{1, 5, 5, 5, 5, 5})
 	f.Add([]byte{8, 2, 0, 2, 64, 3, 128, 6, 3, 255, 7, 7, 7})
 	f.Add([]byte{2, 9, 1, 9, 2, 8, 9, 3, 6, 6})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		if len(script) == 0 {
-			return
-		}
-		shards := 1 + int(script[0])%8
-		k := NewKernelShards(shards)
-		k.SetCouplingHorizon(func() Time { return k.Now() + Time(Slots(2)) })
+		k := NewKernel()
 		model := &refModel{}
 		var fired, expect []int
 		var live []EventID
@@ -75,32 +70,23 @@ func FuzzShardedKernel(f *testing.F) {
 			}
 		}
 
-		for i := 1; i < len(script); {
+		for i := 0; i < len(script); {
 			op := next(&i)
-			switch op % 7 {
-			case 0, 1: // schedule on the affinity shard
+			switch op % 5 {
+			case 0, 1: // schedule
 				d := delayFor(next(&i))
 				my := sid
 				sid++
 				seq++
 				id := k.Schedule(d, func() { fired = append(fired, my) })
-				model.insert(refEntry{at: k.Now() + Time(d), seq: seq, sid: my})
-				live = append(live, id)
-				liveSid[id] = my
-			case 2: // cross-shard hand-off
-				target := int(next(&i)) % shards
-				d := delayFor(next(&i))
-				my := sid
-				sid++
-				seq++
-				id := k.ScheduleOn(target, d, func() { fired = append(fired, my) })
-				if sh, _, _ := decodeID(id); sh != target {
-					t.Fatalf("ScheduleOn(%d) issued shard-%d ID", target, sh)
+				e := refEntry{at: k.Now() + Time(d), seq: seq, sid: my}
+				if at, s, ok := k.EventInfo(id); !ok || at != e.at || s != e.seq {
+					t.Fatalf("EventInfo = (%v, %d, %v), want (%v, %d, true)", at, s, ok, e.at, e.seq)
 				}
-				model.insert(refEntry{at: k.Now() + Time(d), seq: seq, sid: my})
+				model.insert(e)
 				live = append(live, id)
 				liveSid[id] = my
-			case 3: // cancel a script-chosen live event
+			case 2: // cancel a script-chosen live event
 				if len(live) == 0 {
 					continue
 				}
@@ -115,20 +101,18 @@ func FuzzShardedKernel(f *testing.F) {
 				// Cancel returning false means the event already fired
 				// through an earlier run/step; the reference popped it too.
 				check("after cancel")
-			case 4: // bounded run
+			case 3: // bounded run
 				limit := k.Now() + Time(Slots(uint64(next(&i))))
 				k.RunUntil(limit)
 				expect = model.runUntil(limit, expect)
 				check("after RunUntil")
-			case 5: // single step
+			case 4: // single step
 				var want bool
 				expect, want = model.step(expect)
 				if got := k.Step(); got != want {
 					t.Fatalf("Step = %v, reference %v", got, want)
 				}
 				check("after Step")
-			case 6: // horizon revocation at the window edge
-				k.RetractWindow(k.Now() + Time(uint64(next(&i))))
 			}
 		}
 		k.Run()

@@ -209,7 +209,7 @@ func TestCancelCompactsQueue(t *testing.T) {
 	// the overflow heap; compaction must have dropped the cancelled
 	// entries instead of retaining them until their (distant) due times
 	// are popped.
-	q := k.shards[0]
+	q := &k.q
 	if len(q.heap) > minCompactLen {
 		t.Fatalf("heap holds %d entries for 1 live event", len(q.heap))
 	}
@@ -258,8 +258,8 @@ func TestCancelHeavyChurnStaysBounded(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		k.Cancel(id)
 		id = k.Schedule(Slots(100000+uint64(i)), nop)
-		if len(k.shards[0].heap) > maxLen {
-			maxLen = len(k.shards[0].heap)
+		if len(k.q.heap) > maxLen {
+			maxLen = len(k.q.heap)
 		}
 	}
 	if maxLen > 4*minCompactLen {
@@ -278,12 +278,12 @@ func TestCancelChurnInCalendarWindowUnlinksEagerly(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		k.Cancel(id)
 		id = k.Schedule(Slots(uint64(10+i%50)), nop)
-		if k.shards[0].calCount != 1 {
-			t.Fatalf("calendar census = %d after re-arm %d, want 1", k.shards[0].calCount, i)
+		if k.q.calCount != 1 {
+			t.Fatalf("calendar census = %d after re-arm %d, want 1", k.q.calCount, i)
 		}
 	}
-	if len(k.shards[0].nodes) > 4 {
-		t.Fatalf("re-arm churn grew the pool to %d nodes", len(k.shards[0].nodes))
+	if len(k.q.nodes) > 4 {
+		t.Fatalf("re-arm churn grew the pool to %d nodes", len(k.q.nodes))
 	}
 }
 
@@ -337,8 +337,8 @@ func TestCalendarWindowMigration(t *testing.T) {
 			t.Fatalf("migration broke order: %v", fired)
 		}
 	}
-	if len(k.shards[0].heap) != 0 || k.shards[0].calCount != 0 {
-		t.Fatalf("leftover entries: heap=%d cal=%d", len(k.shards[0].heap), k.shards[0].calCount)
+	if len(k.q.heap) != 0 || k.q.calCount != 0 {
+		t.Fatalf("leftover entries: heap=%d cal=%d", len(k.q.heap), k.q.calCount)
 	}
 }
 
@@ -354,8 +354,8 @@ func TestCalendarGrowsOnSkew(t *testing.T) {
 		// Many same-tick ties on a handful of nearby slots.
 		k.At(Time(Slots(uint64(i%7))), func() { fired = append(fired, i) })
 	}
-	if len(k.shards[0].bucketHead) <= defaultBuckets {
-		t.Fatalf("calendar did not grow: %d buckets for %d events", len(k.shards[0].bucketHead), n)
+	if len(k.q.bucketHead) <= defaultBuckets {
+		t.Fatalf("calendar did not grow: %d buckets for %d events", len(k.q.bucketHead), n)
 	}
 	k.Run()
 	if len(fired) != n {

@@ -8,10 +8,10 @@ import (
 // whole-world idle fast-forward trusts (see baseband's quiescence
 // path). Until now it was only exercised incidentally; these cases pin
 // it across the calendar-window/overflow-heap boundary, immediately
-// after cursor-advance migration and window-doubling rehash, through
-// heap tombstones, and across shards.
+// after cursor-advance migration and window-doubling rehash, and
+// through heap tombstones.
 func TestNextDueEdgeCases(t *testing.T) {
-	calLim0 := func() Time { return NewKernel().shards[0].calLim } // initial window edge
+	calLim0 := func() Time { return NewKernel().q.calLim } // initial window edge
 	cases := []struct {
 		name string
 		make func() *Kernel // build a kernel in the state under test
@@ -37,7 +37,7 @@ func TestNextDueEdgeCases(t *testing.T) {
 			make: func() *Kernel {
 				k := NewKernel()
 				k.Schedule(Slots(defaultBuckets*10), func() {})
-				if k.shards[0].calCount != 0 || len(k.shards[0].heap) != 1 {
+				if k.q.calCount != 0 || len(k.q.heap) != 1 {
 					t.Fatal("premise broken: event not in the overflow heap")
 				}
 				return k
@@ -49,7 +49,7 @@ func TestNextDueEdgeCases(t *testing.T) {
 			make: func() *Kernel {
 				k := NewKernel()
 				k.At(calLim0()-1, func() {})
-				if k.shards[0].calCount != 1 {
+				if k.q.calCount != 1 {
 					t.Fatal("premise broken: calLim-1 not in the calendar")
 				}
 				return k
@@ -61,7 +61,7 @@ func TestNextDueEdgeCases(t *testing.T) {
 			make: func() *Kernel {
 				k := NewKernel()
 				k.At(calLim0(), func() {})
-				if len(k.shards[0].heap) != 1 {
+				if len(k.q.heap) != 1 {
 					t.Fatal("premise broken: calLim event not in the heap")
 				}
 				return k
@@ -86,7 +86,7 @@ func TestNextDueEdgeCases(t *testing.T) {
 				k.At(far, func() {})                           // heap at schedule time
 				k.At(Time(Slots(defaultBuckets-2)), func() {}) // near the old edge
 				k.RunUntil(Time(Slots(defaultBuckets - 1)))    // cursor advance migrates
-				q := k.shards[0]
+				q := &k.q
 				if q.calCount != 1 || len(q.heap) != 0 {
 					t.Fatalf("premise broken: not migrated (cal=%d heap=%d)", q.calCount, len(q.heap))
 				}
@@ -107,7 +107,7 @@ func TestNextDueEdgeCases(t *testing.T) {
 				for i := 0; i < defaultBuckets; i++ {
 					k.Schedule(Slots(uint64(5+i%7)), func() {})
 				}
-				if len(k.shards[0].bucketHead) <= defaultBuckets {
+				if len(k.q.bucketHead) <= defaultBuckets {
 					t.Fatal("premise broken: calendar did not double")
 				}
 				return k
@@ -124,7 +124,7 @@ func TestNextDueEdgeCases(t *testing.T) {
 					k.Schedule(Slots(uint64(i%11)), func() {})
 				}
 				k.RunUntil(Time(Slots(defaultBuckets))) // drain near work; cursor advance migrates
-				q := k.shards[0]
+				q := &k.q
 				if len(q.heap) != 0 || q.calCount != 1 {
 					t.Fatalf("premise broken: beyond-event not migrated (cal=%d heap=%d)", q.calCount, len(q.heap))
 				}
@@ -164,27 +164,6 @@ func TestNextDueEdgeCases(t *testing.T) {
 				return k
 			},
 			want: TimeMax - 9, ok: true,
-		},
-		{
-			name: "sharded: global minimum across shards",
-			make: func() *Kernel {
-				k := NewKernelShards(4)
-				k.ScheduleOn(3, Slots(9), func() {})
-				k.ScheduleOn(1, Slots(4), func() {})
-				k.ScheduleOn(2, Slots(defaultBuckets*100), func() {})
-				return k
-			},
-			want: Time(Slots(4)), ok: true,
-		},
-		{
-			name: "sharded: minimum in an overflow heap on a non-zero shard",
-			make: func() *Kernel {
-				k := NewKernelShards(2)
-				k.ScheduleOn(0, Slots(defaultBuckets*200), func() {})
-				k.ScheduleOn(1, Slots(defaultBuckets*100), func() {})
-				return k
-			},
-			want: Time(Slots(defaultBuckets * 100)), ok: true,
 		},
 	}
 	for _, tc := range cases {

@@ -40,7 +40,7 @@ func TestCancelOfFiredIDWithRecycledSlot(t *testing.T) {
 	k.Run()
 	// id1's slot is free; this Schedule recycles it.
 	id2 := k.Schedule(1, func() { fired++ })
-	if _, slot1, _ := decodeID(id1); func() bool { _, s2, _ := decodeID(id2); return s2 != slot1 }() {
+	if slot1, _ := decodeID(id1); func() bool { s2, _ := decodeID(id2); return s2 != slot1 }() {
 		t.Fatalf("test premise broken: slot not recycled (id1=%x id2=%x)", id1, id2)
 	}
 	if k.Cancel(id1) {
@@ -193,7 +193,7 @@ func TestStepAndRunUntilShareCancelledBookkeeping(t *testing.T) {
 	if fired != len(ids)/2 {
 		t.Fatalf("fired = %d, want %d", fired, len(ids)/2)
 	}
-	q := k.shards[0]
+	q := &k.q
 	if q.heapCancelled != 0 || len(q.heap) != 0 || q.calCount != 0 {
 		t.Fatalf("bookkeeping drifted: cancelled=%d heap=%d cal=%d",
 			q.heapCancelled, len(q.heap), q.calCount)
@@ -218,7 +218,7 @@ func TestSteadyStateSchedulingDoesNotGrowPool(t *testing.T) {
 	if n != 10000 {
 		t.Fatalf("ticks = %d", n)
 	}
-	if len(k.shards[0].nodes) > 4 {
-		t.Fatalf("steady-state loop grew the pool to %d nodes", len(k.shards[0].nodes))
+	if len(k.q.nodes) > 4 {
+		t.Fatalf("steady-state loop grew the pool to %d nodes", len(k.q.nodes))
 	}
 }

@@ -74,22 +74,12 @@ func (t *Timer) AtFn(at Time, fn Event) {
 	t.At(at)
 }
 
-// Pending reports the pending arm's timestamp, global sequence number
-// and owning shard (see Kernel.EventInfo). ok is false when the timer
-// is idle — snapshot code captures exactly the armed timers.
-func (t *Timer) Pending() (at Time, seq uint64, shard int, ok bool) {
+// Pending reports the pending arm's timestamp and global sequence
+// number (see Kernel.EventInfo). ok is false when the timer is idle —
+// snapshot code captures exactly the armed timers.
+func (t *Timer) Pending() (at Time, seq uint64, ok bool) {
 	if t.id == 0 {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	return t.k.EventInfo(t.id)
-}
-
-// AtOnFn arms the timer at absolute time at on an explicit shard with
-// fn installed as the callback (persisting across later arms, like
-// AtFn). Restore uses it to re-arm a captured timer on the shard it
-// occupied at snapshot time.
-func (t *Timer) AtOnFn(shard int, at Time, fn Event) {
-	t.fn = fn
-	t.Stop()
-	t.id = t.k.AtOn(shard, at, t.fire)
 }

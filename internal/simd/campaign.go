@@ -320,7 +320,7 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 // ckStore is the checkpoint LRU the engine keeps next to the result
 // cache, plus its lock and hit accounting. The result cache keys whole
 // campaigns; this one keys settled worlds — (canonical spec, build
-// seed, settle horizon, shard count) — so a forked what-if sweep that
+// seed, settle horizon) — so a forked what-if sweep that
 // varies only the measured horizon or the replica count still reuses
 // the expensive settle. A nil store settles every time.
 type ckStore struct {
@@ -376,19 +376,16 @@ func (c *ckStore) stats(capacity int) CacheStats {
 }
 
 // ckKey is the checkpoint cache key: SHA-256 over the canonical spec
-// plus the build seed, the settle horizon and the process-wide shard
-// count (a checkpoint only restores into a world with the same shard
-// layout).
+// plus the build seed and the settle horizon.
 func ckKey(spec netspec.Spec, seed, settleSlots uint64) (string, error) {
 	c, err := spec.Canonical()
 	if err != nil {
 		return "", err
 	}
 	h := sha256.New()
-	var hdr [24]byte
+	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:], seed)
 	binary.LittleEndian.PutUint64(hdr[8:], settleSlots)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(core.DefaultShards()))
 	h.Write(hdr[:])
 	h.Write(c)
 	return hex.EncodeToString(h.Sum(nil)), nil

@@ -15,11 +15,10 @@
 #     fully seed-determined, so ANY drift beyond float formatting
 #     means the simulation's behaviour changed and is flagged.
 #
-# Shard-scaling rows (BenchmarkShardedKernel*, .../shards=N) and the
-# checkpoint-fork rows (BenchmarkCheckpointFork/*) are timing-class
-# for every unit — their custom metrics (including replicas/s) are
-# throughputs that scale with the iteration count, so the
-# result-metric gate would false-positive.
+# The checkpoint-fork rows (BenchmarkCheckpointFork/*) are
+# timing-class for every unit — their custom metrics (including
+# replicas/s) are throughputs that scale with the iteration count, so
+# the result-metric gate would false-positive.
 # A benchmark absent from the baseline prints as "(new)" instead of
 # warning: first appearance is not a regression.
 #
@@ -123,16 +122,15 @@ END {
             d = (w - o) / o * 100
             flag = ""
             timing = (u == "ns/op" || u == "replicas/s" || u == "jobs/s")
-            # Shard-scaling and checkpoint-fork rows: timing-class
-            # thresholds for any unit.
-            if (name ~ /^BenchmarkShardedKernel/ || name ~ /\/shards=/ || name ~ /^BenchmarkCheckpointFork/) timing = 1
+            # Checkpoint-fork rows: timing-class thresholds for any unit.
+            if (name ~ /^BenchmarkCheckpointFork/) timing = 1
             if (timing) {
                 # Smoke runs are single-iteration: only yell past 25%.
                 if (u == "replicas/s" || u == "jobs/s") {
                     if (d < -25) { flag = "  <-- fewer " u; warned = 1 }
                 } else if (d > 25 || d < -25) {
                     if (u == "ns/op") { if (d > 25) { flag = "  <-- slower"; warned = 1 } }
-                    else { flag = "  <-- shard timing moved"; warned = 1 }
+                    else { flag = "  <-- timing moved"; warned = 1 }
                 }
             } else {
                 # Custom figure metrics are seed-determined results, not
