@@ -42,12 +42,9 @@ func main() {
 	out := flag.String("out", "", "output file for waveform figures (5, 9); default fig<N>.vcd")
 	seed := flag.Uint64("seed", 1, "base random seed")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS, -1 = serial)")
-	jobs := flag.Int("jobs", 1, "replicas batched per scheduled job")
 	progress := flag.Bool("progress", true, "stream sweep progress to stderr")
 	flag.Parse()
 
-	runner.SetDefaultWorkers(*workers)
-	runner.SetDefaultJobs(*jobs)
 	// Stream progress only on a terminal unless -progress was given
 	// explicitly, so piped stderr stays free of carriage returns.
 	explicitProgress := false
@@ -56,11 +53,7 @@ func main() {
 			explicitProgress = true
 		}
 	})
-	// The hook rides in a per-run Config rather than runner.SetProgress:
-	// the global hook remains as a fallback for code that has no Config
-	// plumbing, but a process that knows its runs (like this one, or the
-	// service layer with many overlapping jobs) passes it explicitly.
-	var runCfg runner.Config
+	runCfg := runner.Config{Workers: *workers}
 	if *progress && (explicitProgress || stderrIsTerminal()) {
 		var mu sync.Mutex
 		last := make(map[string]int)

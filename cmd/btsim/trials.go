@@ -50,10 +50,7 @@ func runScenarioTrial(scenario string, seed uint64, p trialParams) (out trialOut
 }
 
 // runTrials replicates the scenario through the parallel runner and
-// prints the merged outcome and slave RF-activity statistics. The
-// progress hook travels in the run's own Config — never the global
-// runner.SetProgress fallback — so btsim stays well-behaved even if it
-// is ever embedded next to other concurrent sweeps.
+// prints the merged outcome and slave RF-activity statistics.
 func runTrials(scenario string, trials, workers int, p trialParams, progress func(name string, done, total int)) {
 	if !validScenario(scenario) {
 		fmt.Fprintf(os.Stderr, "btsim: unknown scenario %q\n", scenario)

@@ -100,7 +100,8 @@ func (m Mode) String() string {
 
 // Config sets a device's identity and the protocol/RF parameters the
 // experiments sweep. Zero values are replaced by defaults (see
-// Normalize), which are calibrated in DESIGN.md.
+// Normalize), whose calibration the design ablations in EXPERIMENTS.md
+// "Beyond the paper's figures" measure.
 type Config struct {
 	Addr       BDAddr
 	ClockPhase uint32 // CLKN at simulation time zero (power-on phase)
@@ -110,7 +111,8 @@ type Config struct {
 	CorrelatorThreshold int
 	// NInquiry is the number of train repetitions before the inquiry
 	// train swaps A<->B. The spec mandates 256; the paper's 1.28 s
-	// timeout only works with a smaller value (see DESIGN.md ablation).
+	// timeout only works with a smaller value (see the NInquiry ablation
+	// in EXPERIMENTS.md "Beyond the paper's figures").
 	NInquiry int
 	// NPage is the train repetition count in page state before swapping.
 	// The default 128 makes train A span a whole R1 scan interval (128 ×

@@ -58,19 +58,15 @@ func TestAdaptiveAFHRecoversOracleGoodput(t *testing.T) {
 // the coexistence sweeps: serial and N-worker schedules must render
 // byte-identical tables.
 func TestCoexSweepsDeterministicAcrossWorkers(t *testing.T) {
-	defer runner.SetDefaultWorkers(0)
-
-	render := func() string {
-		cs := CoexSweep([]int{1, 2, 3}, 2000, 2, 29)
-		af := AdaptiveAFH([]int{11, 23}, 0.9, 1000, 2000, 31)
+	render := func(cfg runner.Config) string {
+		cs := CoexSweep([]int{1, 2, 3}, 2000, 2, 29, cfg)
+		af := AdaptiveAFH([]int{11, 23}, 0.9, 1000, 2000, 31, cfg)
 		return CoexTable(cs).String() + AdaptiveAFHTable(0.9, af).CSV()
 	}
 
-	runner.SetDefaultWorkers(runner.Serial)
-	want := render()
+	want := render(runner.Config{Workers: runner.Serial})
 	for _, workers := range []int{1, 4} {
-		runner.SetDefaultWorkers(workers)
-		if got := render(); got != want {
+		if got := render(runner.Config{Workers: workers}); got != want {
 			t.Fatalf("coex tables diverged at %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
 				workers, want, workers, got)
 		}

@@ -1,5 +1,6 @@
 // Package experiments regenerates every figure of the paper's evaluation
-// (Figs 5-12) plus the ablations DESIGN.md calls out. Each Fig* function
+// (Figs 5-12) plus the sweeps of EXPERIMENTS.md "Beyond the paper's
+// figures", the design ablations among them. Each Fig* function
 // declares its sweep — parameter points, replica seeds, a trial kernel —
 // and hands it to internal/runner, which fans the independent replicas
 // out across a worker pool and folds the results back in deterministic

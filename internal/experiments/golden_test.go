@@ -17,11 +17,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/figures.golden f
 
 // renderAllFigures regenerates every figure in the evaluation section —
 // the eleven tables plus the two VCD waveform figures (hashed) — at
-// deliberately tiny parameters so the whole sweep fits in a test run.
-// The output is one deterministic string: any change to simulator
-// behaviour, sweep scheduling, table formatting or VCD emission shows
-// up as a diff against testdata/figures.golden.
-func renderAllFigures() string {
+// deliberately tiny parameters so the whole sweep fits in a test run,
+// with every sweep under cfg. The output is one deterministic string:
+// any change to simulator behaviour, sweep scheduling, table formatting
+// or VCD emission shows up as a diff against testdata/figures.golden.
+func renderAllFigures(cfg runner.Config) string {
 	var out bytes.Buffer
 
 	vcd := func(name string, emit func(w *bytes.Buffer) error) {
@@ -41,34 +41,34 @@ func renderAllFigures() string {
 	})
 
 	bers := []BERPoint{{Label: "0", Value: 0}, {Label: "1/100", Value: 0.01}}
-	inq := InquirySweep(bers, 4)
-	page := PageSweep(bers, 4)
+	inq := InquirySweep(bers, 4, cfg)
+	page := PageSweep(bers, 4, cfg)
 	out.WriteString(Fig6Table(inq).String())
 	out.WriteString(Fig7Table(page).String())
 	out.WriteString(Fig8Table(inq, page).String())
 
-	out.WriteString(Fig10Table(Fig10MasterActivity([]float64{0, 0.01}, 2000, 1)).String())
-	out.WriteString(Fig11Table(Fig11SniffActivity([]int{20, 100}, 100, 3000, 1)).String())
-	out.WriteString(Fig12Table(Fig12HoldActivity([]int{50, 400}, 4000, 1)).String())
+	out.WriteString(Fig10Table(Fig10MasterActivity([]float64{0, 0.01}, 2000, 1, cfg)).String())
+	out.WriteString(Fig11Table(Fig11SniffActivity([]int{20, 100}, 100, 3000, 1, cfg)).String())
+	out.WriteString(Fig12Table(Fig12HoldActivity([]int{50, 400}, 4000, 1, cfg)).String())
 
 	out.WriteString(AblationTable("Ablation: inquiry-response backoff span (BER 1/100)", "backoff_max",
-		AblationBackoff([]int{127, 1023}, 0.01, 2)).String())
+		AblationBackoff([]int{127, 1023}, 0.01, 2, cfg)).String())
 	out.WriteString(AblationTable("Ablation: train repetitions NInquiry (BER 1/100, 1.28 s timeout)", "NInquiry",
-		AblationNInquiry([]int{16, 256}, 0.01, 2)).String())
+		AblationNInquiry([]int{16, 256}, 0.01, 2, cfg)).String())
 	out.WriteString(AblationTable("Ablation: correlator sync-error threshold (BER 1/30)", "threshold",
-		AblationCorrelator([]int{1, 14}, 1.0/30, 2)).String())
+		AblationCorrelator([]int{1, 14}, 1.0/30, 2, cfg)).String())
 
 	out.WriteString(VoiceTable(VoiceQuality(
-		[]packet.Type{packet.TypeHV1, packet.TypeHV3}, bers, 2000, 1)).String())
+		[]packet.Type{packet.TypeHV1, packet.TypeHV3}, bers, 2000, 1, cfg)).String())
 	out.WriteString(ThroughputTable(PacketTypeThroughput(
-		[]packet.Type{packet.TypeDM1, packet.TypeDH5}, bers, 2000, 1)).String())
+		[]packet.Type{packet.TypeDM1, packet.TypeDH5}, bers, 2000, 1, cfg)).String())
 
-	out.WriteString(CoexistenceTable(Coexistence([]float64{0, 1.0}, 2000, 1)).String())
-	out.WriteString(MultiPiconetTable(MultiPiconet([]int{1, 3}, 2000, 1)).String())
-	out.WriteString(CoexTable(CoexSweep([]int{1, 4}, 2000, 2, 1)).String())
-	out.WriteString(AdaptiveAFHTable(0.9, AdaptiveAFH([]int{7, 39}, 0.9, 500, 2000, 1)).String())
-	out.WriteString(ScatternetTable(ScatternetSweep([]float64{0.2, 1.0}, 2000, 2, 1)).String())
-	out.WriteString(DensityTable(DensitySweep([]int{1, 8}, 2000, 2, 1)).String())
+	out.WriteString(CoexistenceTable(Coexistence([]float64{0, 1.0}, 2000, 1, cfg)).String())
+	out.WriteString(MultiPiconetTable(MultiPiconet([]int{1, 3}, 2000, 1, cfg)).String())
+	out.WriteString(CoexTable(CoexSweep([]int{1, 4}, 2000, 2, 1, cfg)).String())
+	out.WriteString(AdaptiveAFHTable(0.9, AdaptiveAFH([]int{7, 39}, 0.9, 500, 2000, 1, cfg)).String())
+	out.WriteString(ScatternetTable(ScatternetSweep([]float64{0.2, 1.0}, 2000, 2, 1, cfg)).String())
+	out.WriteString(DensityTable(DensitySweep([]int{1, 8}, 2000, 2, 1, cfg)).String())
 
 	return out.String()
 }
@@ -82,10 +82,7 @@ func renderAllFigures() string {
 //
 // and review the diff like any other code change.
 func TestAllFiguresGolden(t *testing.T) {
-	defer runner.SetDefaultWorkers(0)
-
-	runner.SetDefaultWorkers(runner.Serial)
-	serial := renderAllFigures()
+	serial := renderAllFigures(runner.Config{Workers: runner.Serial})
 
 	golden := filepath.Join("testdata", "figures.golden")
 	if *updateGolden {
@@ -105,8 +102,7 @@ func TestAllFiguresGolden(t *testing.T) {
 			golden, want, serial)
 	}
 
-	runner.SetDefaultWorkers(4)
-	if parallel := renderAllFigures(); parallel != serial {
+	if parallel := renderAllFigures(runner.Config{Workers: 4}); parallel != serial {
 		t.Errorf("figures depend on the worker schedule:\n--- serial ---\n%s\n--- 4 workers ---\n%s",
 			serial, parallel)
 	}

@@ -35,16 +35,12 @@ func TestScatternetSweepMonotoneInDuty(t *testing.T) {
 // TestScatternetSweepDeterministicAcrossWorkers pins the acceptance
 // criterion that the sweep is byte-identical across worker counts.
 func TestScatternetSweepDeterministicAcrossWorkers(t *testing.T) {
-	defer runner.SetDefaultWorkers(0)
-
-	render := func() string {
-		return ScatternetTable(ScatternetSweep([]float64{0.4, 0.8}, 4000, 2, 31)).String()
+	render := func(cfg runner.Config) string {
+		return ScatternetTable(ScatternetSweep([]float64{0.4, 0.8}, 4000, 2, 31, cfg)).String()
 	}
-	runner.SetDefaultWorkers(runner.Serial)
-	want := render()
+	want := render(runner.Config{Workers: runner.Serial})
 	for _, workers := range []int{1, 4} {
-		runner.SetDefaultWorkers(workers)
-		if got := render(); got != want {
+		if got := render(runner.Config{Workers: workers}); got != want {
 			t.Fatalf("tables diverged at %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
 				workers, want, workers, got)
 		}

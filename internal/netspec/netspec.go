@@ -6,8 +6,7 @@
 // L2CAP and channel machinery the lower layers provide. Every world
 // the repo knows how to stand up (a lone piconet of the paper's Fig 5,
 // the multi-piconet coexistence experiments, bridged scatternet
-// chains, mixed voice/data rooms) is a Spec; the coex and scatternet
-// packages remain as thin deprecated adapters over this one.
+// chains, mixed voice/data rooms) is a Spec.
 //
 // The layer exists so scenario diversity stops costing boilerplate:
 // adding a workload means writing a Spec literal, not threading a new

@@ -30,23 +30,14 @@ import (
 // calling goroutine, with no pool at all.
 const Serial = -1
 
-// Config controls how a sweep is executed. The zero value uses the
-// package defaults (see SetDefaultWorkers / SetDefaultJobs).
+// Config controls how a sweep is executed. The zero value runs a
+// GOMAXPROCS-wide pool with no progress reporting.
 type Config struct {
-	// Workers is the pool size: 0 uses the package default (which in
-	// turn defaults to GOMAXPROCS), Serial (-1) runs inline on the
-	// calling goroutine, n >= 1 spawns exactly n workers.
+	// Workers is the pool size: 0 uses GOMAXPROCS, Serial (-1) runs
+	// inline on the calling goroutine, n >= 1 spawns exactly n workers.
 	Workers int
-	// Jobs is the batch size — how many consecutive replicas one
-	// scheduled job covers. Larger batches amortise scheduling overhead
-	// for very short trials; 0 uses the package default (1).
-	Jobs int
-	// Progress, when non-nil, overrides the package-level progress hook
-	// for this run. It is called with the completed and total trial
-	// counts after every batch, from whichever worker finished it.
-	// Prefer this over SetProgress wherever runs can overlap — the
-	// service layer streams one channel per job, and a global hook
-	// would interleave them.
+	// Progress, when non-nil, is called with the completed and total
+	// trial counts after every batch, from whichever worker finished it.
 	Progress func(name string, done, total int)
 	// Context, when non-nil, cancels the replica loop: once it is done,
 	// no further trial starts (in-flight trials finish their current
@@ -55,47 +46,6 @@ type Config struct {
 	// check Context.Err() — a canceled run's results are partial by
 	// construction and must not be reported as a campaign.
 	Context context.Context
-}
-
-var (
-	defaultWorkers atomic.Int64 // 0 => GOMAXPROCS
-	defaultJobs    atomic.Int64 // 0 => 1
-
-	progressMu   sync.Mutex
-	progressHook func(name string, done, total int)
-)
-
-// SetDefaultWorkers sets the pool size used by sweeps whose Config
-// leaves Workers at 0. n = 0 restores the GOMAXPROCS default; Serial
-// (-1) makes every such sweep run inline. cmd binaries wire their
-// -workers flag here so the experiments API needs no plumbing.
-func SetDefaultWorkers(n int) { defaultWorkers.Store(int64(n)) }
-
-// DefaultWorkers reports the effective default pool size.
-func DefaultWorkers() int {
-	if n := int(defaultWorkers.Load()); n != 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetDefaultJobs sets the batch size used by sweeps whose Config leaves
-// Jobs at 0 (values < 1 restore the default of one replica per job).
-func SetDefaultJobs(n int) { defaultJobs.Store(int64(n)) }
-
-// SetProgress installs a package-level progress hook streamed by every
-// sweep that does not carry its own (nil disables). cmd/btexp uses this
-// to render live per-sweep progress on stderr.
-func SetProgress(fn func(name string, done, total int)) {
-	progressMu.Lock()
-	progressHook = fn
-	progressMu.Unlock()
-}
-
-func defaultProgress() func(name string, done, total int) {
-	progressMu.Lock()
-	defer progressMu.Unlock()
-	return progressHook
 }
 
 // Sweep describes one embarrassingly parallel experiment: Replicas
@@ -162,45 +112,33 @@ func (s Sweep[P, R]) Run(cfg Config) [][]R {
 		return results
 	}
 
-	progress := cfg.Progress
-	if progress == nil {
-		progress = defaultProgress()
-	}
 	var done atomic.Int64
 	report := func(n int) {
-		if progress == nil {
+		if cfg.Progress == nil {
 			return
 		}
-		progress(s.Name, int(done.Add(int64(n))), total)
+		cfg.Progress(s.Name, int(done.Add(int64(n))), total)
 	}
 
 	workers := cfg.Workers
 	if workers == 0 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers <= Serial {
 		workers = Serial
 	}
 
 	// One flat trial index per (point, replica); a job is a batch of
-	// consecutive indices claimed with an atomic cursor. When neither
-	// the config nor the package default pins a batch size, size jobs so
-	// each worker claims the cursor a handful of times: per-replica jobs
-	// make very short trials pay an atomic round-trip and a shared
-	// cache-line write into the results rows for every replica, which is
-	// measurable contention at micro-trial rates. Batching by consecutive
-	// indices also keeps each results row written by one worker. The
-	// (point, replica) indexing is untouched, so the output is identical.
-	batch := cfg.Jobs
-	if batch < 1 {
-		if batch = int(defaultJobs.Load()); batch < 1 {
-			if workers > 0 && total > workers {
-				batch = total / (workers * 8)
-			}
-			if batch < 1 {
-				batch = 1
-			}
-		}
+	// consecutive indices claimed with an atomic cursor, sized so each
+	// worker claims the cursor a handful of times: per-replica jobs make
+	// very short trials pay an atomic round-trip and a shared cache-line
+	// write into the results rows for every replica, which is measurable
+	// contention at micro-trial rates. Batching by consecutive indices
+	// also keeps each results row written by one worker. The (point,
+	// replica) indexing is untouched, so the output is identical.
+	batch := 1
+	if workers > 0 && total > workers*8 {
+		batch = total / (workers * 8)
 	}
 	// Cancellation gates the replica loop itself: every batch claim —
 	// serial or pooled — re-checks the context, so a canceled campaign

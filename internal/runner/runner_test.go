@@ -67,8 +67,6 @@ func TestRunDeterministicAcrossSchedules(t *testing.T) {
 		{Workers: 1},
 		{Workers: 4},
 		{Workers: 16},
-		{Workers: 4, Jobs: 7},
-		{Workers: 3, Jobs: 1000}, // batch larger than the sweep
 	} {
 		got := sw.Run(cfg)
 		if !reflect.DeepEqual(got, want) {
@@ -181,7 +179,7 @@ func TestRunRecoversTrialPanic(t *testing.T) {
 					t.Fatalf("workers %d: message %q omits the seed", workers, tp.Error())
 				}
 			}()
-			sw.Run(Config{Workers: workers, Jobs: 1})
+			sw.Run(Config{Workers: workers})
 			t.Fatalf("workers %d: Run returned normally", workers)
 		}()
 		if got := ran.Load(); got >= points*replicas {
@@ -232,24 +230,6 @@ func TestFlattenAndCross(t *testing.T) {
 	pairs := Cross([]string{"a", "b"}, []int{1, 2, 3})
 	if len(pairs) != 6 || pairs[0] != (Pair[string, int]{"a", 1}) || pairs[5] != (Pair[string, int]{"b", 3}) {
 		t.Fatalf("Cross = %v", pairs)
-	}
-}
-
-func TestDefaultWorkersOverride(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(3)
-	if DefaultWorkers() != 3 {
-		t.Fatalf("DefaultWorkers = %d", DefaultWorkers())
-	}
-	SetDefaultWorkers(0)
-	if DefaultWorkers() < 1 {
-		t.Fatalf("DefaultWorkers fallback = %d", DefaultWorkers())
-	}
-	// Serial default still runs correctly.
-	SetDefaultWorkers(Serial)
-	sw := testSweep(3, 4)
-	if !reflect.DeepEqual(sw.Run(Config{}), sw.Run(Config{Workers: 2})) {
-		t.Fatal("serial default diverged from pool run")
 	}
 }
 

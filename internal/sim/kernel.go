@@ -656,18 +656,6 @@ func (k *Kernel) fire(s int32) {
 	fn()
 }
 
-// NextDue reports the timestamp of the earliest pending event, if any —
-// the kernel's quiescence probe. A caller holding a guarantee that no
-// new work arrives before that time (see channel.QuietUntil) may elide
-// intermediate bookkeeping events entirely.
-func (k *Kernel) NextDue() (Time, bool) {
-	s := k.q.peek()
-	if s < 0 {
-		return 0, false
-	}
-	return k.q.nodes[s].at, true
-}
-
 // Stop halts Run/RunUntil after the currently executing event returns.
 func (k *Kernel) Stop() { k.stopped = true }
 

@@ -287,35 +287,6 @@ func TestCancelChurnInCalendarWindowUnlinksEagerly(t *testing.T) {
 	}
 }
 
-// TestNextDue pins the quiescence probe: it must report the earliest
-// pending timestamp across both the calendar and the overflow heap,
-// see through cancelled heap tombstones, and go quiet when drained.
-func TestNextDue(t *testing.T) {
-	k := NewKernel()
-	if _, ok := k.NextDue(); ok {
-		t.Fatal("empty kernel reports work due")
-	}
-	far := k.Schedule(Slots(500000), func() {}) // overflow heap
-	if due, ok := k.NextDue(); !ok || due != Time(Slots(500000)) {
-		t.Fatalf("NextDue = %v,%v want far event", due, ok)
-	}
-	k.Schedule(Slots(3), func() {}) // calendar
-	if due, ok := k.NextDue(); !ok || due != Time(Slots(3)) {
-		t.Fatalf("NextDue = %v,%v want calendar event", due, ok)
-	}
-	k.RunUntil(Time(Slots(4)))
-	if due, ok := k.NextDue(); !ok || due != Time(Slots(500000)) {
-		t.Fatalf("NextDue after run = %v,%v want far event", due, ok)
-	}
-	k.Cancel(far)
-	if _, ok := k.NextDue(); ok {
-		t.Fatal("NextDue sees a cancelled heap event")
-	}
-	if k.Run() != Time(Slots(4)) || k.Pending() != 0 {
-		t.Fatal("drained kernel in a bad state")
-	}
-}
-
 // TestCalendarWindowMigration: events scheduled beyond the calendar
 // window start in the overflow heap and must migrate into the calendar
 // as the cursor advances, firing in exact (at, seq) order throughout.

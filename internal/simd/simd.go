@@ -46,8 +46,8 @@ type Options struct {
 	// Checkpoints are bigger than results — a serialized world, not a
 	// metrics table — so the default is deliberately smaller.
 	CheckpointCacheSize int
-	// Workers is each campaign's runner pool size (0 = the runner
-	// package default, runner.Serial = in-line).
+	// Workers is each campaign's runner pool size (0 = GOMAXPROCS,
+	// runner.Serial = in-line).
 	Workers int
 	// SnapshotSlots is the monitor replica's window length: every
 	// SnapshotSlots simulated slots, a live Metrics window is published
