@@ -138,11 +138,7 @@ type DeviceCheckpoint struct {
 	TunedFreq int // receiver frequency, -1 = chain off
 	SigFreq   int64
 
-	QuietUntil     sim.Time
-	MasterParked   bool
-	ListenSkipping bool
-	SkipStart      sim.Time
-	SkipK          int
+	MasterParked bool
 
 	MasterRespAt sim.Time
 	SCORespIdx   int // index into SCOs owing the next return frame, -1 = none
@@ -256,13 +252,7 @@ func (d *Device) Checkpoint(extraLinks []*Link) (*DeviceCheckpoint, error) {
 		RxMeter:      d.RxMeter.CheckpointState(),
 		TunedFreq:    d.ch.Tuned(d),
 		SigFreq:      d.SigFreq.Get(),
-		QuietUntil:   d.quiet.Until(),
 		MasterParked: d.masterParked,
-
-		ListenSkipping: d.listenSkipping,
-		SkipStart:      d.skipStart,
-		SkipK:          d.skipK,
-
 		MasterRespAt: d.masterRespAt,
 		SCORespIdx:   -1,
 		SlaveSlotFn:  d.slaveSlotFn,
@@ -493,15 +483,7 @@ func (d *Device) RestoreCheckpoint(ck *DeviceCheckpoint, forkSeed uint64, set *s
 	d.TxMeter.RestoreState(ck.TxMeter)
 	d.RxMeter.RestoreState(ck.RxMeter)
 
-	d.quiet.RestoreUntil(ck.QuietUntil)
 	d.masterParked = ck.MasterParked
-	// Listen-skip state is restored here, but the quiet-watcher
-	// subscription is the caller's to re-create: subscription order
-	// across all devices must match the capture (see
-	// channel.QuietWatchers).
-	d.listenSkipping = ck.ListenSkipping
-	d.skipStart = ck.SkipStart
-	d.skipK = ck.SkipK
 
 	d.masterRespAt = ck.MasterRespAt
 	d.slaveSlotFn = ck.SlaveSlotFn

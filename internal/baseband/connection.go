@@ -105,9 +105,6 @@ func (d *Device) scheduleMasterIdle(now sim.Time) {
 		return
 	}
 	d.masterParked = true
-	// The skip is a proof that nothing leaves this antenna before wake;
-	// publish it so quiet listeners can skip their windows too.
-	d.quiet.Promise(wake)
 	d.scheduleMasterSlot(wake)
 }
 
@@ -201,10 +198,6 @@ func (d *Device) wakeMaster() {
 	if t == d.now() && !d.k.Running() {
 		t = d.nextCLKSlot(d.now() + 1)
 	}
-	// Revoke the parked promise before arming the slot: the shrink
-	// notification resumes any bulk-skipped listeners synchronously, so
-	// their windows are re-armed before the transmit opportunity fires.
-	d.quiet.Promise(t)
 	d.tMasterSlot.At(t)
 }
 
@@ -385,7 +378,6 @@ func (d *Device) nextSniffAnchor(from sim.Time) sim.Time {
 
 // slaveListenSlot opens the listen window at a master transmit slot.
 func (d *Device) slaveListenSlot() {
-	d.endListenSkip() // a bulk skip, if any, ends at its wake-up window
 	l := d.mlink
 	if d.state != StateConnection || l == nil {
 		return
@@ -396,9 +388,6 @@ func (d *Device) slaveListenSlot() {
 	}
 	if d.rxBusy || d.txCount > 0 {
 		d.scheduleSlaveListen(d.now() + 1)
-		return
-	}
-	if l.mode == ModeActive && d.tryListenSkip(l) {
 		return
 	}
 	// The window opened leadTicks early; the slot boundary is next.

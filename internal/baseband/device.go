@@ -122,15 +122,6 @@ type Device struct {
 	// Link.Send and wakeMaster).
 	masterParked bool
 
-	// quiet is this device's standing spontaneous-TX declaration in the
-	// channel's quiet-horizon bookkeeping (see channel.QuietUntil); the
-	// listenSkip fields track a bulk-skipped slave listen schedule
-	// (see quiescence.go).
-	quiet          *channel.TxPromise
-	listenSkipping bool
-	skipStart      sim.Time
-	skipK          int
-
 	// Connection state.
 	isMaster         bool
 	lastServedAM     uint8                // round-robin anchor for pickLink
@@ -204,10 +195,6 @@ func New(k *sim.Kernel, ch *channel.Channel, name string, cfg Config) *Device {
 		TxMeter: power.NewMeter(k),
 		RxMeter: power.NewMeter(k),
 	}
-	// A fresh device is in standby: it transmits nothing until a
-	// procedure starts (and every procedure start goes through setState,
-	// which re-declares the promise).
-	d.quiet = ch.NewTxPromise(sim.TimeMax)
 	d.SigState = sim.NewString(k, name+".state", StateStandby.String())
 	d.SigTxOn = sim.NewBool(k, name+".enable_tx_RF", false)
 	d.SigRxOn = sim.NewBool(k, name+".enable_rx_RF", false)
@@ -287,7 +274,6 @@ func (d *Device) MasterLink() *Link { return d.mlink }
 // scheduled under the previous state: closure-scheduled events die by
 // the generation bump, timer-scheduled ones are stopped outright.
 func (d *Device) setState(s State) {
-	d.endListenSkip()
 	d.state = s
 	d.gen++
 	for _, t := range d.stateTimers {
@@ -297,18 +283,6 @@ func (d *Device) setState(s State) {
 	d.SigState.Set(s.String())
 	d.onRx = nil
 	d.onRxStart = nil
-	// Re-declare the spontaneous-TX promise for the new state. Standby
-	// devices and connection-state slaves only ever transmit in reaction
-	// to a reception (responses, resync answers, voice returns), so on a
-	// quiet medium they stay quiet; every other state runs trains or TX
-	// loops that may start at any slot. Role flags are set before the
-	// transition (startMasterLoop / startSlaveLoop), so isMaster is
-	// already correct here.
-	if s == StateStandby || (s == StateConnection && !d.isMaster) {
-		d.quiet.Promise(sim.TimeMax)
-	} else {
-		d.quiet.Promise(0)
-	}
 }
 
 // after schedules fn to run after delay unless the state machine has

@@ -94,7 +94,6 @@ func (d *Device) rescheduleSlaveLoop() {
 	if d.state != StateConnection || d.mlink == nil {
 		return
 	}
-	d.endListenSkip()
 	d.gen++ // drop previously scheduled closure events
 	for _, t := range []*sim.Timer{d.tSlaveSlot, d.tSlaveCls, d.tSlaveResp, d.tSlaveDone, d.tHoldStep} {
 		t.Stop() // and the timer-armed listen/close/response windows

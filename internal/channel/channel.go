@@ -120,12 +120,7 @@ type Channel struct {
 	stats       Stats
 	onCollision func(existing, incoming *Transmission)
 	spatial     *spatialState // nil = the global shared ether (see spatial.go)
-
-	// Quiet-horizon bookkeeping (see quiet.go).
-	promises       []*TxPromise
-	quietWatchers  []QuietWatcher
-	watcherScratch []QuietWatcher
-	inFlight       int // transmissions with a pending delivery event
+	inFlight    int           // transmissions with a pending delivery event
 }
 
 // tuneState tracks one listener's receiver. The struct persists across
@@ -318,7 +313,7 @@ func (c *Channel) Transmit(from string, freq int, v *bits.Vec, meta any) *Transm
 	// (the spatial determinism contract).
 	sortListeners(tx.eligible)
 
-	c.inFlight++ // pin the quiet horizon until the delivery event runs
+	c.inFlight++ // until deliverEnd runs; Snapshot needs this at zero
 	c.k.Schedule(c.cfg.Delay, tx.startFn)
 	c.k.Schedule(sim.Duration(tx.End-now)+c.cfg.Delay, tx.endFn)
 	return tx

@@ -1,13 +1,11 @@
 package channel
 
-import "repro/internal/sim"
-
 // Checkpoint accessors. The channel itself is never serialized
 // wholesale: the quiescent-edge snapshot contract (see core.Snapshot)
 // guarantees no transmission is in flight, tune states are rebuilt by
 // the restored devices re-Tuning, and the spatial index is rebuilt from
 // the world's placement layout. What must survive exactly is the noise
-// RNG's stream position and each transmitter's quiet-horizon promise.
+// RNG's stream position.
 
 // InFlight reports how many transmissions still have a pending delivery
 // event. Snapshot refuses to run unless this is zero — with packets on
@@ -22,20 +20,3 @@ func (c *Channel) RNGState() uint64 { return c.rng.State() }
 // previously returned by RNGState (optionally forked — see
 // sim.ForkState).
 func (c *Channel) SetRNGState(s uint64) { c.rng.SetState(s) }
-
-// QuietWatchers returns the current quiet-horizon subscribers in
-// notification order. Watcher callbacks have side effects (they
-// schedule events), so a checkpoint must capture this order and a
-// restore must re-subscribe in it — re-subscribing in device
-// construction order would reorder the notification fan-out and
-// diverge from the straight run.
-func (c *Channel) QuietWatchers() []QuietWatcher {
-	return append([]QuietWatcher(nil), c.quietWatchers...)
-}
-
-// RestoreUntil imposes a checkpointed declaration without notifying
-// quiet watchers: restore runs before any event fires, and the listen
-// schedules that shrink notifications would wake are themselves rebuilt
-// from the same checkpoint, so a notification here could only perturb
-// state that is about to be overwritten.
-func (p *TxPromise) RestoreUntil(t sim.Time) { p.until = t }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/baseband"
-	"repro/internal/channel"
 	"repro/internal/sim"
 )
 
@@ -42,19 +41,13 @@ type DeviceEntry struct {
 
 // Checkpoint is a full capture of a Simulation at a quiescent instant.
 // Upper layers (netspec worlds, traffic pumps) wrap it with their own
-// state; this layer owns the kernel clock, RNG streams, devices and the
-// quiet-watcher subscription order.
+// state; this layer owns the kernel clock, RNG streams and devices.
 type Checkpoint struct {
 	At      sim.Time
 	Seed    uint64
 	RootRNG uint64
 	ChanRNG uint64
 	Devices []DeviceEntry
-	// QuietWatch lists the devices subscribed to quiet-horizon
-	// notifications, in subscription order. Watcher callbacks schedule
-	// events, so the notification fan-out order is part of the event
-	// order and must survive the round trip.
-	QuietWatch []string
 }
 
 // SnapshotConfig tunes a capture.
@@ -146,11 +139,6 @@ func (s *Simulation) SnapshotCfg(cfg SnapshotConfig) (*Checkpoint, error) {
 		}
 		ck.Devices = append(ck.Devices, DeviceEntry{Name: name, State: dc})
 	}
-	for _, w := range s.Ch.QuietWatchers() {
-		if d, ok := w.(*baseband.Device); ok {
-			ck.QuietWatch = append(ck.QuietWatch, d.Name())
-		}
-	}
 	return ck, nil
 }
 
@@ -188,19 +176,8 @@ func (s *Simulation) Restore(ck *Checkpoint, opt RestoreOptions) (map[string][]*
 	}
 	s.rng.SetState(sim.ForkState(ck.RootRNG, opt.ForkSeed))
 	s.Ch.SetRNGState(sim.ForkState(ck.ChanRNG, opt.ForkSeed))
-	// Re-subscribe quiet watchers in the captured order.
-	for _, name := range ck.QuietWatch {
-		d := s.devices[name]
-		if d == nil {
-			return nil, fmt.Errorf("core: quiet watcher %q not among restored devices", name)
-		}
-		s.Ch.WatchQuiet(d)
-	}
 	if opt.Rearm == nil {
 		set.Execute()
 	}
 	return links, nil
 }
-
-// compile-time: a device satisfies the watcher interface we re-key by.
-var _ channel.QuietWatcher = (*baseband.Device)(nil)

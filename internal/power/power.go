@@ -9,14 +9,6 @@ package power
 import "repro/internal/sim"
 
 // Meter integrates the on-time of one RF chain (TX or RX).
-//
-// Besides explicit Set transitions, a meter can carry one virtual
-// periodic on-window pattern (SkipWindows): the accounting a bulk-skipped
-// listen schedule would have produced is settled lazily, on the first
-// read or transition at or after each virtual window, so eliding the
-// per-window events changes nothing observable — on-time, activation
-// counts and mid-pattern Resets all land on the exact values the
-// event-per-window schedule produces.
 type Meter struct {
 	k       *sim.Kernel
 	on      bool
@@ -24,13 +16,6 @@ type Meter struct {
 	total   sim.Duration
 	starts  int
 	started sim.Time // measurement window start
-
-	// Virtual window pattern: patCount windows of patWidth ticks, the
-	// i-th opening at patStart + i*patPeriod. patCount == 0 means none.
-	patStart  sim.Time
-	patPeriod sim.Duration
-	patWidth  sim.Duration
-	patCount  int
 }
 
 // NewMeter returns a meter with its measurement window opening now.
@@ -38,72 +23,8 @@ func NewMeter(k *sim.Kernel) *Meter {
 	return &Meter{k: k, started: k.Now()}
 }
 
-// settle books every virtual window the clock has reached. Windows fully
-// in the past contribute width and one activation each; a window still
-// open at the current instant flips the chain on with since at the
-// window's start — exactly the state the per-window Set pair would have
-// left — and stays at the head of the pattern until it closes. The loop
-// runs at most once per skipped window over the pattern's lifetime.
-func (m *Meter) settle() {
-	for m.patCount > 0 {
-		now := m.k.Now()
-		start := m.patStart
-		if now < start {
-			return // pattern entirely in the future
-		}
-		if end := start + sim.Time(m.patWidth); now < end {
-			// Straddling window: open it, keep it as the pattern head.
-			if !m.on {
-				m.on = true
-				m.since = start
-				m.starts++
-			}
-			return
-		}
-		// Window fully elapsed: consume it.
-		if m.on {
-			// Opened as a straddler by an earlier settle (activation
-			// already counted); close it at its nominal end.
-			m.total += m.patWidth - sim.Duration(m.since-start)
-			m.on = false
-		} else {
-			m.total += m.patWidth
-			m.starts++
-		}
-		m.patStart += sim.Time(m.patPeriod)
-		m.patCount--
-	}
-}
-
-// SkipWindows installs a virtual on-window pattern: count windows of
-// width ticks, the first opening at first, repeating every period. The
-// chain must be off and no pattern pending; width must be shorter than
-// period so consecutive windows cannot merge.
-func (m *Meter) SkipWindows(first sim.Time, period, width sim.Duration, count int) {
-	if m.patCount != 0 {
-		panic("power: SkipWindows over a pending pattern")
-	}
-	if m.on {
-		panic("power: SkipWindows with the chain on")
-	}
-	if count <= 0 || width == 0 || width >= period {
-		panic("power: SkipWindows pattern malformed")
-	}
-	m.patStart, m.patPeriod, m.patWidth, m.patCount = first, period, width, count
-}
-
-// CancelSkip settles the pattern up to the current instant and drops the
-// remaining virtual windows. A window straddling now stays open as real
-// chain state — the caller resuming a per-event schedule closes it with
-// an ordinary Set(false) at the window's nominal end.
-func (m *Meter) CancelSkip() {
-	m.settle()
-	m.patCount = 0
-}
-
 // Set switches the chain on or off. Redundant sets are ignored.
 func (m *Meter) Set(on bool) {
-	m.settle()
 	if on == m.on {
 		return
 	}
@@ -118,12 +39,11 @@ func (m *Meter) Set(on bool) {
 }
 
 // On reports the current chain state.
-func (m *Meter) On() bool { m.settle(); return m.on }
+func (m *Meter) On() bool { return m.on }
 
 // OnTime returns the accumulated on-duration including a currently open
 // interval.
 func (m *Meter) OnTime() sim.Duration {
-	m.settle()
 	t := m.total
 	if m.on {
 		t += sim.Duration(m.k.Now() - m.since)
@@ -133,7 +53,7 @@ func (m *Meter) OnTime() sim.Duration {
 
 // Activations counts off→on transitions (wake-up events cost energy in
 // real front ends; the ablation benches report them).
-func (m *Meter) Activations() int { m.settle(); return m.starts }
+func (m *Meter) Activations() int { return m.starts }
 
 // Activity returns the on-time fraction of the window since the meter
 // (or the last Reset) started. It is 0 when no time has elapsed.
@@ -145,10 +65,8 @@ func (m *Meter) Activity() float64 {
 	return float64(m.OnTime()) / float64(elapsed)
 }
 
-// Reset restarts the measurement window now, preserving the chain state
-// and any virtual windows still ahead of the clock.
+// Reset restarts the measurement window now, preserving the chain state.
 func (m *Meter) Reset() {
-	m.settle()
 	m.total = 0
 	m.starts = 0
 	m.started = m.k.Now()
@@ -158,32 +76,17 @@ func (m *Meter) Reset() {
 	}
 }
 
-// MeterState is the checkpoint image of a Meter: chain state plus any
-// virtual window pattern still ahead of the clock. Window accumulators
-// (on-time, activations, window start) are deliberately absent — every
-// forked arm re-opens its measurement window with Reset immediately
-// after restore, exactly as the straight-through run does, so only the
-// state that shapes *future* accounting needs to survive.
+// MeterState is the checkpoint image of a Meter: its chain state. Window
+// accumulators (on-time, activations, window start) are deliberately
+// absent — every forked arm re-opens its measurement window with Reset
+// immediately after restore, exactly as the straight-through run does,
+// so only the state that shapes *future* accounting needs to survive.
 type MeterState struct {
-	On        bool
-	PatStart  sim.Time
-	PatPeriod sim.Duration
-	PatWidth  sim.Duration
-	PatCount  int
+	On bool
 }
 
-// CheckpointState settles the meter to the current instant and returns
-// its checkpoint image.
-func (m *Meter) CheckpointState() MeterState {
-	m.settle()
-	return MeterState{
-		On:        m.on,
-		PatStart:  m.patStart,
-		PatPeriod: m.patPeriod,
-		PatWidth:  m.patWidth,
-		PatCount:  m.patCount,
-	}
-}
+// CheckpointState returns the meter's checkpoint image.
+func (m *Meter) CheckpointState() MeterState { return MeterState{On: m.on} }
 
 // RestoreState imposes a checkpointed image on a meter whose kernel
 // clock stands at the snapshot instant. An open interval restarts at
@@ -199,7 +102,6 @@ func (m *Meter) RestoreState(st MeterState) {
 	if m.on {
 		m.starts = 1
 	}
-	m.patStart, m.patPeriod, m.patWidth, m.patCount = st.PatStart, st.PatPeriod, st.PatWidth, st.PatCount
 }
 
 // Profile is a simple RF front-end power model: static currents while a

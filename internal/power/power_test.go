@@ -113,139 +113,3 @@ func TestProfileAverage(t *testing.T) {
 		t.Fatal("default profile degenerate")
 	}
 }
-
-// patternWorld drives one meter with real per-window Set pairs and a
-// second with the equivalent SkipWindows pattern on the same kernel, so
-// every probe compares the virtual accounting against ground truth.
-func patternWorld(k *sim.Kernel, first sim.Time, period, width sim.Duration, count int) (real, virt *Meter) {
-	real, virt = NewMeter(k), NewMeter(k)
-	for i := 0; i < count; i++ {
-		start := first + sim.Time(i)*sim.Time(period)
-		k.At(start, func() { real.Set(true) })
-		k.At(start+sim.Time(width), func() { real.Set(false) })
-	}
-	virt.SkipWindows(first, period, width, count)
-	return real, virt
-}
-
-func probeEqual(t *testing.T, ctx string, k *sim.Kernel, real, virt *Meter) {
-	t.Helper()
-	if virt.OnTime() != real.OnTime() {
-		t.Fatalf("%s at %d: OnTime virtual %d, real %d", ctx, k.Now(), virt.OnTime(), real.OnTime())
-	}
-	if virt.Activations() != real.Activations() {
-		t.Fatalf("%s at %d: Activations virtual %d, real %d", ctx, k.Now(), virt.Activations(), real.Activations())
-	}
-	if virt.On() != real.On() {
-		t.Fatalf("%s at %d: On virtual %v, real %v", ctx, k.Now(), virt.On(), real.On())
-	}
-}
-
-func TestSkipWindowsMatchesRealSets(t *testing.T) {
-	k := sim.NewKernel()
-	real, virt := patternWorld(k, 100, 50, 12, 5)
-	// Probe at every tick across the pattern and beyond, including
-	// window starts, interiors, ends, gaps, and the far side.
-	for at := sim.Time(0); at <= 400; at++ {
-		k.At(at, func() { probeEqual(t, "sweep", k, real, virt) })
-	}
-	k.Run()
-	if virt.OnTime() != 5*12 {
-		t.Fatalf("total OnTime = %d, want 60", virt.OnTime())
-	}
-	if virt.Activations() != 5 {
-		t.Fatalf("Activations = %d, want 5", virt.Activations())
-	}
-}
-
-func TestSkipWindowsStraddlerStaysOpen(t *testing.T) {
-	k := sim.NewKernel()
-	real, virt := patternWorld(k, 100, 50, 12, 3)
-	// First read lands mid-window 1: the straddler opens with since at
-	// the window start, then closes at its nominal end on a later read.
-	k.At(155, func() {
-		if !virt.On() {
-			t.Fatal("straddling window should be open")
-		}
-		probeEqual(t, "mid-straddler", k, real, virt)
-	})
-	k.At(190, func() { probeEqual(t, "after straddler", k, real, virt) })
-	k.Run()
-}
-
-func TestSkipWindowsResetMidPattern(t *testing.T) {
-	k := sim.NewKernel()
-	real, virt := patternWorld(k, 100, 50, 12, 4)
-	// Reset in a gap and mid-window; remaining windows must still book.
-	k.At(170, func() { real.Reset(); virt.Reset() })
-	k.At(205, func() { real.Reset(); virt.Reset() })
-	for _, at := range []sim.Time{171, 206, 230, 270, 300} {
-		k.At(at, func() { probeEqual(t, "post-reset", k, real, virt) })
-	}
-	k.Run()
-}
-
-func TestCancelSkipMidWindowHandsOffChainState(t *testing.T) {
-	k := sim.NewKernel()
-	m := NewMeter(k)
-	m.SkipWindows(100, 50, 12, 4)
-	k.At(205, func() {
-		m.CancelSkip()
-		if !m.On() {
-			t.Fatal("cancel inside a window must leave the chain on")
-		}
-		// The resuming per-event schedule closes the window for real.
-		k.At(212, func() { m.Set(false) })
-	})
-	k.Run()
-	// Windows 0, 1 fully virtual; window 2 (200..212) handed off; window
-	// 3 dropped by the cancel.
-	if m.OnTime() != 3*12 {
-		t.Fatalf("OnTime = %d, want 36", m.OnTime())
-	}
-	if m.Activations() != 3 {
-		t.Fatalf("Activations = %d, want 3", m.Activations())
-	}
-	if m.On() {
-		t.Fatal("chain should be off after the real close")
-	}
-}
-
-func TestCancelSkipForceOffMidWindow(t *testing.T) {
-	k := sim.NewKernel()
-	real, virt := patternWorld(k, 100, 50, 12, 4)
-	// A state transition force-closes the chain mid-window (rxOffForce):
-	// the real schedule sees Set(false) at the same instant.
-	k.At(207, func() {
-		real.Set(false)
-		virt.CancelSkip()
-		virt.Set(false)
-		probeEqual(t, "force-off", k, real, virt)
-	})
-	// The real world's remaining Set pairs still run; mirror them on the
-	// cancelled meter to keep the comparison meaningful.
-	k.At(250, func() { virt.Set(true) })
-	k.At(262, func() { virt.Set(false) })
-	k.At(300, func() { probeEqual(t, "after force-off", k, real, virt) })
-	k.Run()
-}
-
-func TestSkipWindowsRejectsMisuse(t *testing.T) {
-	k := sim.NewKernel()
-	m := NewMeter(k)
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("width >= period", func() { m.SkipWindows(0, 10, 10, 1) })
-	mustPanic("zero count", func() { m.SkipWindows(0, 10, 2, 0) })
-	m.Set(true)
-	mustPanic("chain on", func() { m.SkipWindows(0, 10, 2, 1) })
-	m.Set(false)
-	m.SkipWindows(100, 10, 2, 3)
-	mustPanic("pattern pending", func() { m.SkipWindows(200, 10, 2, 1) })
-}

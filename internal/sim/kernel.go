@@ -207,11 +207,6 @@ func (k *Kernel) Now() Time { return k.now }
 // Pending reports how many events are scheduled and not yet fired.
 func (k *Kernel) Pending() int { return k.q.live }
 
-// Traced reports whether any tracer is attached. Behavioural layers use
-// this to disable event-eliding fast paths that would hide signal
-// transitions from a waveform.
-func (k *Kernel) Traced() bool { return len(k.tracers) > 0 }
-
 // alloc takes a pool slot off the free list (or grows the pool).
 func (q *queue) alloc() int32 {
 	if n := len(q.free); n > 0 {
