@@ -50,7 +50,7 @@ func main() {
 	slaves := flag.Int("slaves", 3, "number of slaves in the piconet")
 	ber := flag.Float64("ber", 0, "channel bit error rate")
 	seed := flag.Uint64("seed", 1, "random seed")
-	vcdPath := flag.String("vcd", "", "write waveforms (VCD) to this file")
+	vcdPath := flag.String("vcd", "", "write waveforms (VCD) to this file (single-piconet scenarios only)")
 	slots := flag.Uint64("slots", 2000, "extra slots to run after setup")
 	tsniff := flag.Int("tsniff", 100, "Tsniff in slots (sniff scenario)")
 	thold := flag.Int("thold", 400, "Thold in slots (hold scenario)")
@@ -72,6 +72,10 @@ func main() {
 	flag.Parse()
 
 	if *specPath != "" {
+		if *vcdPath != "" {
+			fmt.Fprintln(os.Stderr, "btsim: -vcd applies to named scenarios only; -spec runs write no waveforms")
+			os.Exit(1)
+		}
 		runSpecFile(*specPath, *seed, *slots, *settle, *trials, *workers, *fork, trialProgress())
 		return
 	}
@@ -107,6 +111,10 @@ func main() {
 
 	var trace io.Writer
 	if *vcdPath != "" {
+		if err := validateTrace(*scenario, p); err != nil {
+			fmt.Fprintf(os.Stderr, "btsim: %v\n", err)
+			os.Exit(1)
+		}
 		f, err := os.Create(*vcdPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "btsim: %v\n", err)

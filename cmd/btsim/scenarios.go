@@ -77,7 +77,7 @@ var scenarioRegistry = []scenarioInfo{
 	{"scatternet", "-bridges bridges chain -bridges+1 piconets, L2CAP forwarded end to end"},
 	{"mixed", "-piconets piconets share the medium: SCO voice on the first, bulk ACL on the rest"},
 	{"mesh", "3-piconet scatternet with crossing end-to-end flows in both directions"},
-	{"dense", "-piconets piconets on a spatial office grid: path-loss range model, cell-indexed medium"},
+	{"dense", "-piconets piconets on a spatial office grid: path-loss range model, spatial band reuse"},
 }
 
 // validScenario reports whether name is registered.
@@ -449,8 +449,8 @@ func runChain(w *netspec.World, p trialParams, logf func(string, ...any), out *t
 
 // runDense drives the spatial office-floor scenario: piconets on a
 // grid, delivery and interference governed by the path-loss range
-// model, the medium indexed by cells. Unlike coex, piconets far
-// enough apart here reuse the band instead of colliding.
+// model. Unlike coex, piconets far enough apart here reuse the band
+// instead of colliding.
 func runDense(w *netspec.World, p trialParams, logf func(string, ...any), out *trialOutcome) *netspec.Metrics {
 	logf("built %d piconets on a spatial office grid: %gm pitch, %gm delivery range, %gm interference reach\n",
 		len(w.Piconets), float64(experiments.DensitySpacingM), float64(experiments.DensityRangeM),
@@ -552,6 +552,16 @@ func validateParams(scenario string, p trialParams) error {
 	}
 	if p.presence <= 0 || p.presence > 1 {
 		return fmt.Errorf("-presence must be in (0,1], got %g", p.presence)
+	}
+	return nil
+}
+
+// validateTrace refuses -vcd for worlds the tracer cannot record:
+// netspec.Build runs the kernel between piconets, and a traced
+// simulation must have every device before it runs.
+func validateTrace(scenario string, p trialParams) error {
+	if n := len(buildSpec(scenario, p).Piconets); n > 1 {
+		return fmt.Errorf("-vcd traces single-piconet worlds only; -scenario %s builds %d piconets", scenario, n)
 	}
 	return nil
 }

@@ -1,12 +1,17 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 // TestScenarioRegistryRuns executes every registered scenario for a
 // short horizon, so no -scenario value can rot unexecuted: a scenario
 // that panics, fails validation or never reaches setup_ok fails here
-// before it fails a user. The CI workflow runs this check next to the
-// godoc-example race job.
+// before it fails a user. Each scenario also runs once more as -vcd
+// would, traced into io.Discard, unless validateTrace refuses it; a
+// traced run must not panic. The CI workflow runs this check next to
+// the godoc-example race job.
 func TestScenarioRegistryRuns(t *testing.T) {
 	p := trialParams{
 		slaves: 2, ber: 0, seed: 1, slots: 600,
@@ -27,6 +32,18 @@ func TestScenarioRegistryRuns(t *testing.T) {
 			c := out.Out.Get("setup_ok")
 			if c.Total == 0 || c.Rate() < 1 {
 				t.Fatalf("scenario %q did not set up: %v", sc.name, out.Out)
+			}
+			if err := validateTrace(sc.name, p); err != nil {
+				return // -vcd exits 1 before creating the file
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("traced %q panicked: %v", sc.name, r)
+				}
+			}()
+			s, _ := runScenario(sc.name, p.seed, p, io.Discard, nil)
+			if err := s.Close(); err != nil {
+				t.Fatalf("traced %q: closing trace: %v", sc.name, err)
 			}
 		})
 	}

@@ -12,9 +12,9 @@
 // hears every transmission. EnableSpatial (see spatial.go) optionally
 // adds geometry on top: radios get floor positions, a two-threshold
 // path-loss model decides per-receiver reachability (delivery disc,
-// interference-only annulus, silence beyond), and the medium indexes
-// receivers in square cells so a transmission only scans its cell
-// neighbourhood instead of the global receivers slice.
+// interference-only annulus, silence beyond). Both media gather
+// receivers in the same scan; the spatial one only adds a distance
+// test.
 package channel
 
 import (
@@ -126,8 +126,7 @@ type Channel struct {
 // tuneState tracks one listener's receiver. The struct persists across
 // Tune/Untune cycles (Untune only clears `on`), so the per-slot
 // receiver windows of every device reuse one allocation — and Transmit
-// scans the stable receivers slice (or, on a spatial medium, the cell
-// buckets) instead of iterating a map.
+// scans the stable receivers slice instead of iterating a map.
 type tuneState struct {
 	l     Listener
 	seq   int // registration order; ties the eligible sort (see sortListeners)
@@ -299,18 +298,15 @@ func (c *Channel) Transmit(from string, freq int, v *bits.Vec, meta any) *Transm
 	// already locked onto an earlier packet stays with it — a colliding
 	// newcomer corrupts that packet rather than hijacking the correlator,
 	// and at an exact end/start boundary the turnaround is a miss.
-	if sp != nil {
-		sp.gatherEligible(tx, from)
-	} else {
-		for _, st := range c.receivers {
-			if st.on && st.freq == freq && st.since <= now && st.busy == nil && st.l.Name() != from {
-				tx.eligible = append(tx.eligible, st)
-				st.busy = tx
-			}
+	for _, st := range c.receivers {
+		if st.on && st.freq == freq && st.since <= now && st.busy == nil && st.l.Name() != from &&
+			(sp == nil || dist2(st.pos, tx.pos) <= sp.rangeM2) {
+			tx.eligible = append(tx.eligible, st)
+			st.busy = tx
 		}
 	}
-	// Deterministic order regardless of registration or cell geometry
-	// (the spatial determinism contract).
+	// Fan out in (name, registration seq) order, not scan order (the
+	// spatial determinism contract).
 	sortListeners(tx.eligible)
 
 	c.inFlight++ // until deliverEnd runs; Snapshot needs this at zero
@@ -404,8 +400,7 @@ func (c *Channel) pruneActive(now sim.Time) {
 // sortListeners orders the eligible snapshot by (name, registration
 // sequence) for reproducibility. The seq tiebreak pins the order even
 // for duplicate names and — the spatial determinism contract — makes
-// the result independent of the collection order, so the global scan
-// and any cell geometry fan deliveries out identically.
+// the result independent of the order receivers were collected in.
 func sortListeners(ls []*tuneState) {
 	for i := 1; i < len(ls); i++ {
 		for j := i; j > 0 && less(ls[j], ls[j-1]); j-- {

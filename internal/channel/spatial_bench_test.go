@@ -7,12 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
-// The spatial medium's perf contract: per-packet receiver work scales
-// with cell occupancy, not world population. The dense benchmark puts
-// every listener in the transmitter's neighbourhood (worst case, all
-// of them snapshot); the sparse benchmark spreads a much larger world
-// out so the 3x3 neighbourhood holds only a handful; the churn
-// benchmark prices mobility across a cell boundary.
+// The price of the spatial medium's linear receiver scan: every packet
+// visits every registered receiver once. The dense benchmark puts
+// every listener inside the delivery disc (all of them snapshot); the
+// sparse benchmark spreads a much larger world out so the scan visits
+// 1024 receivers and snapshots one.
 
 // benchWorld tunes n listeners at the given positions on frequency 0
 // and returns a kernel/channel pair ready to transmit.
@@ -30,8 +29,8 @@ func benchWorld(b *testing.B, cfg SpatialConfig, pos []Position) (*sim.Kernel, *
 	return k, c
 }
 
-// BenchmarkSpatialDenseCell: 64 co-channel listeners inside one cell
-// with the transmitter — every packet snapshots all of them.
+// BenchmarkSpatialDenseCell: 64 co-channel listeners inside the
+// transmitter's delivery disc — every packet snapshots all of them.
 func BenchmarkSpatialDenseCell(b *testing.B) {
 	pos := make([]Position, 64)
 	for i := range pos {
@@ -47,8 +46,8 @@ func BenchmarkSpatialDenseCell(b *testing.B) {
 }
 
 // BenchmarkSpatialSparseWorld: 1024 listeners on a 100 m grid with a
-// 12 m range — the whole world is registered but each packet touches
-// only the transmitter's cell neighbourhood.
+// 12 m range — each packet pays the distance test for all 1024 and
+// delivers to the one listener in range.
 func BenchmarkSpatialSparseWorld(b *testing.B) {
 	pos := make([]Position, 1024)
 	for i := range pos {
@@ -60,27 +59,5 @@ func BenchmarkSpatialSparseWorld(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Transmit("tx", 0, vec(50), nil)
 		k.Run()
-	}
-}
-
-// BenchmarkSpatialCellChurn: a tuned listener ping-pongs across a cell
-// boundary every iteration — the unbucket/rebucket cost of mobility.
-func BenchmarkSpatialCellChurn(b *testing.B) {
-	pos := make([]Position, 64)
-	for i := range pos {
-		pos[i] = Position{float64(i % 8), float64(i / 8)}
-	}
-	_, c := benchWorld(b, SpatialConfig{RangeM: 20}, pos)
-	// CellM defaults to 2*RangeM = 40 m: these two positions live in
-	// adjacent cells.
-	a, z := Position{39, 0}, Position{41, 0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			c.Place("rx0000", a)
-		} else {
-			c.Place("rx0000", z)
-		}
 	}
 }

@@ -92,10 +92,10 @@ func TestSpatialReuseAndAnnulusCollision(t *testing.T) {
 	}
 }
 
-func TestPlaceRebucketsListener(t *testing.T) {
-	// Mobility: re-placing a tuned listener moves it between index cells
-	// immediately — deliveries follow the new position.
-	k, c := spatialSetup(SpatialConfig{RangeM: 10, CellM: 5})
+func TestPlaceMovesListener(t *testing.T) {
+	// Mobility: re-placing a tuned listener moves it immediately —
+	// deliveries follow the new position.
+	k, c := spatialSetup(SpatialConfig{RangeM: 10})
 	c.Place("master", Position{0, 0})
 	rx := &fakeRx{name: "rover"}
 	c.Place("rover", Position{500, 500}) // far outside range
@@ -116,8 +116,8 @@ func TestPlaceRebucketsListener(t *testing.T) {
 
 // bruteEligible recomputes, by an O(n) scan over every registered
 // receiver, the names of the listeners a transmission from `from` at
-// `now` on `freq` must snapshot — the reference model for the cell
-// index.
+// `now` on `freq` must snapshot — the reference model for Transmit's
+// receiver scan.
 func bruteEligible(c *Channel, from string, freq int, now sim.Time) []string {
 	sp := c.spatial
 	pos := sp.pos[from]
@@ -144,19 +144,17 @@ func eligibleNames(tx *Transmission) []string {
 	return names
 }
 
-func TestSpatialIndexMatchesBruteForce(t *testing.T) {
-	// Property test: on randomized placements, ranges and cell sizes the
-	// cell-indexed receiver snapshot must equal a naive O(n) distance scan,
-	// in the same order (the determinism contract).
+func TestSpatialEligibleMatchesBruteForce(t *testing.T) {
+	// Property test: on randomized placements, ranges, retunes and moves
+	// the receiver snapshot must equal a naive O(n) distance scan, in the
+	// same order (the determinism contract).
 	rng := sim.NewRand(0xC0FFEE)
 	for trial := 0; trial < 60; trial++ {
 		rangeM := 1 + 40*rng.Float64()
 		interferenceM := rangeM * (1 + rng.Float64())
-		// Cell sizes from "much smaller than range" to "much larger".
-		cellM := (rangeM + interferenceM) * math.Pow(2, float64(rng.Intn(7)-3))
 		k := sim.NewKernel()
 		c := New(k, sim.NewRand(rng.Uint64()), Config{})
-		c.EnableSpatial(SpatialConfig{RangeM: rangeM, InterferenceM: interferenceM, CellM: cellM})
+		c.EnableSpatial(SpatialConfig{RangeM: rangeM, InterferenceM: interferenceM})
 
 		world := 20 + 100*rng.Float64() // floor side, in meters
 		n := 5 + rng.Intn(40)
@@ -181,8 +179,8 @@ func TestSpatialIndexMatchesBruteForce(t *testing.T) {
 			want := bruteEligible(c, "tx", freq, k.Now())
 			tx := c.Transmit("tx", freq, vec(20), nil)
 			if got := eligibleNames(tx); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d shot %d (range %.1f cell %.1f): cell-indexed set %v != brute force %v",
-					trial, shot, rangeM, cellM, got, want)
+				t.Fatalf("trial %d shot %d (range %.1f): eligible set %v != brute force %v",
+					trial, shot, rangeM, got, want)
 			}
 			k.Run() // drain the delivery events before the next shot
 		}
@@ -229,7 +227,7 @@ func TestSpatialInfiniteRangeMatchesGlobal(t *testing.T) {
 			k := sim.NewKernel()
 			c := New(k, sim.NewRand(seed), Config{BER: 0.01, Delay: 3})
 			if spatial {
-				c.EnableSpatial(SpatialConfig{RangeM: 1e9, CellM: 40})
+				c.EnableSpatial(SpatialConfig{RangeM: 1e9})
 				prng := sim.NewRand(seed * 7)
 				c.Place("tx", Position{prng.Float64() * 100, prng.Float64() * 100})
 				for i := 0; i < n; i++ {

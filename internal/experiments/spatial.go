@@ -14,8 +14,7 @@ import (
 // world-wide; with positions and a path-loss range, piconets outside
 // each other's interference reach reuse the band, so per-link goodput
 // levels off at the local-neighbourhood interference instead of
-// collapsing with world size — and per-packet receiver work is bounded
-// by cell occupancy, which is what lets the sweep run at all.
+// collapsing with world size.
 
 // DensityRow is one point of the dense-deployment sweep.
 type DensityRow struct {

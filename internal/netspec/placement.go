@@ -74,8 +74,9 @@ func itoa(v int) string {
 }
 
 // Geometry bounds: the simulator models rooms and halls, not planets.
-// Bounded coordinates keep the channel's cell quantisation exact and
-// platform-independent for every spec that validates.
+// Bounded coordinates keep every squared distance the channel compares
+// finite — no overflow to Inf, no Inf-Inf NaN — for every spec that
+// validates.
 const (
 	// MinRangeM and MaxRangeM bound the radio range. MaxRangeM is wide
 	// enough that a placement with RangeM = MaxRangeM covers any legal
@@ -186,7 +187,7 @@ func inRange(v, lo, hi float64) bool { return lo <= v && v <= hi }
 
 // validate checks the defaulted stanza. The bounds exist for
 // determinism as much as sanity: they keep every coordinate small
-// enough that cell quantisation in the channel is exact.
+// enough that the channel's squared distances cannot overflow.
 func (p *Placement) validate() error {
 	const stanza = "placement"
 	if p.Kind < PlaceGrid || p.Kind > PlaceDisc {

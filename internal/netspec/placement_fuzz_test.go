@@ -47,7 +47,7 @@ func FuzzPlacementValidation(f *testing.F) {
 			return
 		}
 		// The stanza validated: it must build into a running world. Any
-		// panic here (cell-key overflow, unplaced device, paging out of
+		// panic here (distance overflow, unplaced device, paging out of
 		// range) means validation let a poisonous geometry through.
 		s := core.NewSimulation(core.Options{Seed: 0xFADE})
 		w, err := Build(s, spec)

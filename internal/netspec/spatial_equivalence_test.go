@@ -15,7 +15,7 @@ import (
 // to the paper's global shared ether — same Metrics, same channel
 // stats, on the same seed. This is what makes the medium refactor
 // safe: any reachability, ordering or RNG-discipline bug in the
-// cell-indexed path shows up as a diff against the reference model.
+// spatial path shows up as a diff against the reference model.
 
 // wideOpenPlacement returns a placement whose delivery disc covers any
 // legal floor — "infinite range".
