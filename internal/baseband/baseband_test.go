@@ -1,9 +1,12 @@
 package baseband
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/channel"
+	"repro/internal/hop"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -230,6 +233,70 @@ func TestFullPiconetCreation(t *testing.T) {
 	r.k.RunUntil(sim.Time(sim.Slots(8000)))
 	if !connected {
 		t.Fatalf("piconet not created (m=%v s=%v)", m.State(), s.State())
+	}
+}
+
+// airTap listens on one RF channel for the whole run and sums, per
+// transmitter, the air bits of every packet it hears.
+type airTap struct {
+	name  string
+	bits  map[string]int
+	heard *int
+}
+
+func (a *airTap) Name() string { return a.name }
+func (a *airTap) RxStart(tx *channel.Transmission) {
+	a.bits[tx.From] += tx.Bits.Len()
+	*a.heard++
+}
+func (a *airTap) RxEnd(*channel.Transmission, *bits.Vec, bool) {}
+
+// TestTxMeterMatchesAirTime pins the transmitter's end-of-air
+// bookkeeping, which the channel runs at the tail of each packet's
+// delivery event: over a creation run and a data transfer, each
+// device's TX-meter on-time equals the air bits it put on the channel
+// times BitTicks.
+func TestTxMeterMatchesAirTime(t *testing.T) {
+	r := newRig(0)
+	m := r.device("master", 0x515151, 0)
+	s := r.device("slave", 0x626262, 777777)
+	airBits, heard := map[string]int{}, 0
+	for f := 0; f < hop.NumChannels; f++ {
+		r.ch.Tune(&airTap{name: fmt.Sprintf("tap%02d", f), bits: airBits, heard: &heard}, f)
+	}
+	s.StartInquiryScan()
+	var link *Link
+	m.StartInquiry(4096, 1, func(rs []InquiryResult, ok bool) {
+		if !ok {
+			t.Error("inquiry phase failed")
+			return
+		}
+		s.StartPageScan()
+		m.StartPage(rs[0].Addr, m.EstimateOf(rs[0], 0), 2048, func(l *Link, ok bool) {
+			if ok {
+				link = l
+				l.Send(make([]byte, 200), packet.LLIDL2CAPStart)
+			}
+		})
+	})
+	r.k.RunUntil(sim.Time(sim.Slots(8000)))
+	for r.ch.InFlight() > 0 {
+		r.k.Step()
+	}
+	if link == nil || link.QueueLen() != 0 {
+		t.Fatal("piconet not created or data not delivered")
+	}
+	// A tap still locked onto one packet misses a second on its channel,
+	// so the sums are complete only if the taps heard every packet.
+	if heard != r.ch.Stats().Transmissions {
+		t.Fatalf("taps heard %d of %d transmissions", heard, r.ch.Stats().Transmissions)
+	}
+	for _, d := range []*Device{m, s} {
+		want := sim.Duration(airBits[d.Name()] * sim.BitTicks)
+		if got := d.TxMeter.OnTime(); got != want || want == 0 || d.TxMeter.On() {
+			t.Errorf("%s: TX on-time %d ticks (meter on %v), want %d = %d air bits",
+				d.Name(), got, d.TxMeter.On(), want, airBits[d.Name()])
+		}
 	}
 }
 

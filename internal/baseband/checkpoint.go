@@ -250,7 +250,7 @@ func (d *Device) Checkpoint(extraLinks []*Link) (*DeviceCheckpoint, error) {
 		Counters:     d.Counters,
 		TxMeter:      d.TxMeter.CheckpointState(),
 		RxMeter:      d.RxMeter.CheckpointState(),
-		TunedFreq:    d.ch.Tuned(d),
+		TunedFreq:    d.radio.Freq(),
 		SigFreq:      d.SigFreq.Get(),
 		MasterParked: d.masterParked,
 		MasterRespAt: d.masterRespAt,
@@ -476,7 +476,7 @@ func (d *Device) RestoreCheckpoint(ck *DeviceCheckpoint, forkSeed uint64, set *s
 		}
 	}
 	if ck.TunedFreq >= 0 {
-		d.ch.Tune(d, ck.TunedFreq)
+		d.radio.Tune(ck.TunedFreq)
 		d.SigRxOn.Set(true)
 	}
 	d.SigFreq.Set(ck.SigFreq)

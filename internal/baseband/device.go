@@ -25,11 +25,11 @@ type AirMeta struct {
 // state machine and (in connection state) the master scheduler or slave
 // listener. It implements channel.Listener.
 type Device struct {
-	name string
-	k    *sim.Kernel
-	ch   *channel.Channel
-	cfg  Config
-	rng  *sim.Rand
+	name  string
+	k     *sim.Kernel
+	radio *channel.Radio // this device's receiver and transmitter on the channel
+	cfg   Config
+	rng   *sim.Rand
 
 	Clock   *btclock.Clock
 	ownSel  *hop.Selector
@@ -186,7 +186,6 @@ func New(k *sim.Kernel, ch *channel.Channel, name string, cfg Config) *Device {
 	d := &Device{
 		name:    name,
 		k:       k,
-		ch:      ch,
 		cfg:     cfg,
 		rng:     sim.NewRand(cfg.Seed),
 		Clock:   btclock.New(cfg.ClockPhase),
@@ -199,6 +198,7 @@ func New(k *sim.Kernel, ch *channel.Channel, name string, cfg Config) *Device {
 	d.SigTxOn = sim.NewBool(k, name+".enable_tx_RF", false)
 	d.SigRxOn = sim.NewBool(k, name+".enable_rx_RF", false)
 	d.SigFreq = sim.NewInt(k, name+".freq", 7, 0)
+	d.radio = ch.Radio(d)
 
 	d.tInqSlot = k.NewTimer(d.inquiryTxSlot)
 	d.tInqSecond = k.NewTimer(d.inquirySecondID)
@@ -311,7 +311,7 @@ func (d *Device) now() sim.Time { return d.k.Now() }
 
 // rxOn tunes the receiver to freq and raises enable_rx_RF.
 func (d *Device) rxOn(freq int) {
-	d.ch.Tune(d, freq)
+	d.radio.Tune(freq)
 	d.RxMeter.Set(true)
 	d.SigRxOn.Set(true)
 	d.SigFreq.Set(int64(freq))
@@ -330,7 +330,7 @@ func (d *Device) rxOff() {
 // in flight (state transitions, header-abort).
 func (d *Device) rxOffForce() {
 	d.rxBusy = false
-	d.ch.Untune(d)
+	d.radio.Off()
 	d.RxMeter.Set(false)
 	d.SigRxOn.Set(false)
 }
@@ -428,12 +428,13 @@ func (d *Device) transmitVec(v *bits.Vec, meta any, freq int) {
 	d.TxMeter.Set(true)
 	d.SigTxOn.Set(true)
 	d.SigFreq.Set(int64(freq))
-	d.ch.Transmit(d.name, freq, v, meta)
+	d.radio.Transmit(freq, v, meta, d.fnTxDone)
 	d.Counters.TxPackets++
-	d.k.Schedule(sim.Duration(v.Len()*sim.BitTicks), d.fnTxDone)
 }
 
 // txDone lowers the TX meter when the last nested transmission ends.
+// The channel runs it at the packet's End, at the tail of the delivery
+// event, so it costs no kernel event of its own.
 func (d *Device) txDone() {
 	d.txCount--
 	if d.txCount == 0 {

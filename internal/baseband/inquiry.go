@@ -194,7 +194,7 @@ func (d *Device) scheduleScanRetune(sel *hop.Selector) {
 // receiver is open, then re-arms itself.
 func (d *Device) scanRetune() {
 	sel := d.scanRetuneSel
-	if !d.rxBusy && !d.scan.inBackoff && d.ch.Tuned(d) >= 0 {
+	if !d.rxBusy && !d.scan.inBackoff && d.radio.Freq() >= 0 {
 		d.rxOn(sel.Scan(d.Clock.CLKN(d.now())))
 	}
 	d.scheduleScanRetune(sel)

@@ -65,7 +65,7 @@ func (d *Device) SuspendMembership() *Membership {
 // AFH map and master link are restored and the slave listen loop
 // restarts under m's hop sequence. A reception still in flight from the
 // previously active piconet is abandoned (the retune semantics of
-// channel.Tune: a bridge leaving at a presence-window boundary drops
+// channel.Radio.Tune: a bridge leaving at a presence-window boundary drops
 // whatever was mid-air), and every listen window scheduled for the old
 // membership dies with the state generation bump. Valid from standby
 // (after SuspendMembership) or from connection state (switching

@@ -1,12 +1,14 @@
 // Package channel models the shared radio medium exactly as the paper's
 // Fig. 2 does: a digital module connecting every device, emulating
-// (a) channel noise as random inversions of on-air bits, (b) the
-// modulator/demodulator delay, and (c) collisions — when two devices
-// transmit overlapping in time on the same RF channel the resolver
-// forces the received value to the undefined symbol 'X' and receivers
-// drop the packet. A device that is not transmitting leaves the wire in
-// high impedance 'Z'; frequency selectivity comes from the FHSS model:
-// a receiver only hears transmissions on the channel it is tuned to.
+// (a) channel noise as random inversions of on-air bits, (b) delivery
+// at the instant the last bit leaves the air (the model's
+// modulator/demodulator delay is zero), and (c) collisions — when two
+// devices transmit overlapping in time on the same RF channel the
+// resolver forces the received value to the undefined symbol 'X' and
+// receivers drop the packet. A device that is not transmitting leaves
+// the wire in high impedance 'Z'; frequency selectivity comes from the
+// FHSS model: a receiver only hears transmissions on the channel it is
+// tuned to.
 //
 // The paper's medium is a single shared ether — every tuned radio
 // hears every transmission. EnableSpatial (see spatial.go) optionally
@@ -34,30 +36,32 @@ type Transmission struct {
 	From     string   // transmitter name, for logs and stats
 	Freq     int      // RF channel 0..78
 	Start    sim.Time // first bit leaves the antenna
-	End      sim.Time // last bit (excluding demodulator delay)
+	End      sim.Time // last bit leaves the air; delivery happens here
 	Bits     *bits.Vec
 	Meta     any      // opaque annotation (packet type) for stats/logs
 	pos      Position // transmitter position (spatial medium only)
 	collided bool     // set when another transmission overlapped on Freq
 
 	// Pool plumbing: the owning channel, the snapshot of receivers that
-	// were tuned at Start (reused between incarnations), and the two
-	// delivery events, allocated once when the node is first created.
+	// were tuned at Start (reused between incarnations), the
+	// transmitter's end-of-air callback, and the two delivery events,
+	// allocated once when the node is first created.
 	ch       *Channel
-	eligible []*tuneState
-	startFn  sim.Event // RxStart fan-out after the demodulator delay
-	endFn    sim.Event // delivery/collision fan-out at End + delay
+	eligible []*Radio
+	done     func()    // transmitter's end-of-air bookkeeping; may be nil
+	startFn  sim.Event // RxStart fan-out, later in the Start tick
+	endFn    sim.Event // delivery/collision fan-out at End
 }
 
 // Duration returns the on-air time.
 func (t *Transmission) Duration() sim.Duration { return sim.Duration(t.End - t.Start) }
 
-// Listener is a tuned receiver. RxStart fires (after the demodulator
-// delay) when a packet begins on the tuned frequency, letting the
-// baseband keep its RF window open to packet end; RxEnd delivers the
-// (noise-corrupted) bits or reports a collision. The delivered bits may
-// be shared with other receivers (and, on a noiseless channel, with the
-// transmitter): listeners must treat rx as read-only.
+// Listener is a tuned receiver. RxStart fires later in the tick a
+// packet begins on the tuned frequency, letting the baseband keep its
+// RF window open to packet end; RxEnd delivers the (noise-corrupted)
+// bits or reports a collision at the packet's End. The delivered bits
+// may be shared with other receivers (and, on a noiseless channel, with
+// the transmitter): listeners must treat rx as read-only.
 type Listener interface {
 	Name() string
 	RxStart(tx *Transmission)
@@ -91,9 +95,6 @@ type Config struct {
 	// BER is the bit error rate: probability each delivered bit is
 	// inverted. The paper sweeps 1/100 .. 1/30.
 	BER float64
-	// Delay models the modulator+demodulator latency applied to
-	// delivery times.
-	Delay sim.Duration
 }
 
 // Jammer is a static interferer (an 802.11 network parked on part of
@@ -112,8 +113,8 @@ type Channel struct {
 	rng *sim.Rand
 	cfg Config
 
-	tuned       map[Listener]*tuneState
-	receivers   []*tuneState // same states in registration order
+	radios      map[Listener]*Radio
+	receivers   []*Radio // tuned-at-least-once radios in registration order
 	active      []*Transmission
 	txFree      []*Transmission // recycled transmission nodes
 	jammers     []Jammer
@@ -123,13 +124,17 @@ type Channel struct {
 	inFlight    int           // transmissions with a pending delivery event
 }
 
-// tuneState tracks one listener's receiver. The struct persists across
-// Tune/Untune cycles (Untune only clears `on`), so the per-slot
-// receiver windows of every device reuse one allocation — and Transmit
-// scans the stable receivers slice instead of iterating a map.
-type tuneState struct {
+// Radio is one listener's handle on the channel: its receiver state
+// and the entry point for its tunes and transmissions. A device takes
+// it once (Channel.Radio) and tunes through it, so the per-slot
+// receiver on/off never looks the listener up again. The struct
+// persists across Tune/Off cycles (Off only clears `on`), and Transmit
+// scans the stable receivers slice of registered radios.
+type Radio struct {
+	c     *Channel
 	l     Listener
-	seq   int // registration order; ties the eligible sort (see sortListeners)
+	name  string // l.Name(), read once
+	seq   int    // registration order, -1 until the first Tune; ties the eligible sort (see sortListeners)
 	on    bool
 	freq  int
 	since sim.Time
@@ -142,7 +147,7 @@ func New(k *sim.Kernel, rng *sim.Rand, cfg Config) *Channel {
 	if cfg.BER < 0 || cfg.BER >= 1 {
 		panic(fmt.Sprintf("channel: BER %v out of [0,1)", cfg.BER))
 	}
-	return &Channel{k: k, rng: rng, cfg: cfg, tuned: make(map[Listener]*tuneState)}
+	return &Channel{k: k, rng: rng, cfg: cfg, radios: make(map[Listener]*Radio)}
 }
 
 // Stats returns a copy of the counters.
@@ -189,61 +194,89 @@ func (c *Channel) jammed(freq int) bool {
 	return false
 }
 
-// Tune points l's receiver at freq from the current instant. Retuning
+// Radio returns l's handle on the channel, creating it on first use.
+// The receiver registers (and, on a spatial medium, resolves its
+// position) at its first Tune, not here, so receiver order follows the
+// order radios first listen.
+func (c *Channel) Radio(l Listener) *Radio {
+	r := c.radios[l]
+	if r == nil {
+		r = &Radio{c: c, l: l, name: l.Name(), seq: -1}
+		c.radios[l] = r
+	}
+	return r
+}
+
+// Tune points l's receiver at freq; see Radio.Tune.
+func (c *Channel) Tune(l Listener, freq int) { c.Radio(l).Tune(freq) }
+
+// Tune points the receiver at freq from the current instant. Retuning
 // while a packet is mid-air abandons that packet and opens a fresh
 // listen window — whatever frequency the retune targets, including the
 // one already tuned. Only an idle retune to the same frequency is a
 // no-op that keeps the original since-time; bouncing away and back
 // mid-packet must not silently rejoin the abandoned reception.
-func (c *Channel) Tune(l Listener, freq int) {
+func (r *Radio) Tune(freq int) {
 	if freq < 0 || freq >= hop.NumChannels {
 		panic(fmt.Sprintf("channel: freq %d out of range", freq))
 	}
-	st := c.tuned[l]
-	if st == nil {
-		st = &tuneState{l: l, seq: len(c.receivers)}
-		c.tuned[l] = st
-		c.receivers = append(c.receivers, st)
+	if r.seq < 0 {
+		c := r.c
+		r.seq = len(c.receivers)
+		c.receivers = append(c.receivers, r)
 		if c.spatial != nil {
-			c.spatial.register(st)
+			c.spatial.register(r)
 		}
-	} else if st.on && st.freq == freq && st.busy == nil {
+	} else if r.on && r.freq == freq && r.busy == nil {
 		return // already listening idle there; keep the original since-time
 	}
-	st.on = true
-	st.freq = freq
-	st.since = c.k.Now()
-	st.busy = nil
+	r.on = true
+	r.freq = freq
+	r.since = r.c.k.Now()
+	r.busy = nil
 }
 
-// Untune stops l's receiver.
-func (c *Channel) Untune(l Listener) {
-	if st := c.tuned[l]; st != nil {
-		st.on = false
-		st.busy = nil
-	}
+// Off stops the receiver, abandoning any packet it was locked onto.
+func (r *Radio) Off() {
+	r.on = false
+	r.busy = nil
 }
 
-// Tuned reports the frequency l listens on, or -1.
-func (c *Channel) Tuned(l Listener) int {
-	if st := c.tuned[l]; st != nil && st.on {
-		return st.freq
+// Freq reports the frequency the receiver listens on, or -1.
+func (r *Radio) Freq() int {
+	if r.on {
+		return r.freq
 	}
 	return -1
 }
 
+// Transmit puts v on the air at freq from the radio's listener; see
+// Channel.Transmit. done, if non-nil, runs once at End, after the last
+// RxEnd and before any event those RxEnds schedule: the transmitter's
+// end-of-air bookkeeping without an event of its own.
+func (r *Radio) Transmit(freq int, v *bits.Vec, meta any, done func()) *Transmission {
+	return r.c.transmit(r.name, freq, v, meta, done)
+}
+
 // Transmit puts v on the air at freq from device `from` (which may also
-// be a Listener; it never hears itself). Delivery happens at the end of
-// the packet plus the demodulator delay, to every listener that was
+// be a Listener; it never hears itself). Delivery happens at End, the
+// instant the last bit leaves the air, to every listener that was
 // already tuned to freq when the first bit arrived and stayed tuned —
 // on a spatial medium, only those inside the transmitter's delivery
 // disc (see spatial.go).
 //
-// The returned pointer is only valid until the delivery event at
-// End + Delay: the node is recycled afterwards (fields zeroed or
-// reused by a later packet). Read what you need synchronously; do not
-// retain it.
+// A packet costs one kernel event (delivery at End) when nobody can
+// hear it, and two when someone can (RxStart fan-out later in the
+// Start tick, then delivery).
+//
+// The returned pointer is only valid until the delivery event at End:
+// the node is recycled afterwards (fields zeroed or reused by a later
+// packet). Read what you need synchronously; do not retain it.
 func (c *Channel) Transmit(from string, freq int, v *bits.Vec, meta any) *Transmission {
+	return c.transmit(from, freq, v, meta, nil)
+}
+
+func (c *Channel) transmit(from string, freq int, v *bits.Vec, meta any, done func()) *Transmission {
 	if v.Len() == 0 {
 		panic("channel: empty transmission")
 	}
@@ -256,6 +289,7 @@ func (c *Channel) Transmit(from string, freq int, v *bits.Vec, meta any) *Transm
 	tx.End = now + sim.Time(v.Len()*sim.BitTicks)
 	tx.Bits = v
 	tx.Meta = meta
+	tx.done = done
 	if sp != nil {
 		tx.pos = sp.txPosition(from)
 	}
@@ -298,20 +332,22 @@ func (c *Channel) Transmit(from string, freq int, v *bits.Vec, meta any) *Transm
 	// already locked onto an earlier packet stays with it — a colliding
 	// newcomer corrupts that packet rather than hijacking the correlator,
 	// and at an exact end/start boundary the turnaround is a miss.
-	for _, st := range c.receivers {
-		if st.on && st.freq == freq && st.since <= now && st.busy == nil && st.l.Name() != from &&
-			(sp == nil || dist2(st.pos, tx.pos) <= sp.rangeM2) {
-			tx.eligible = append(tx.eligible, st)
-			st.busy = tx
+	for _, r := range c.receivers {
+		if r.on && r.freq == freq && r.since <= now && r.busy == nil && r.name != from &&
+			(sp == nil || dist2(r.pos, tx.pos) <= sp.rangeM2) {
+			tx.eligible = append(tx.eligible, r)
+			r.busy = tx
 		}
 	}
-	// Fan out in (name, registration seq) order, not scan order (the
-	// spatial determinism contract).
-	sortListeners(tx.eligible)
 
 	c.inFlight++ // until deliverEnd runs; Snapshot needs this at zero
-	c.k.Schedule(c.cfg.Delay, tx.startFn)
-	c.k.Schedule(sim.Duration(tx.End-now)+c.cfg.Delay, tx.endFn)
+	if len(tx.eligible) > 0 {
+		// Fan out in (name, registration seq) order, not scan order (the
+		// spatial determinism contract).
+		sortListeners(tx.eligible)
+		c.k.Schedule(0, tx.startFn)
+	}
+	c.k.Schedule(sim.Duration(tx.End-now), tx.endFn)
 	return tx
 }
 
@@ -331,40 +367,45 @@ func (c *Channel) allocTx() *Transmission {
 
 // deliverStart fans RxStart out to the receivers still locked on tx.
 func (tx *Transmission) deliverStart() {
-	for _, st := range tx.eligible {
-		if st.busy == tx {
-			st.l.RxStart(tx)
+	for _, r := range tx.eligible {
+		if r.busy == tx {
+			r.l.RxStart(tx)
 		}
 	}
 }
 
 // deliverEnd fans the final bits (or the collision verdict) out to the
-// receivers that stayed tuned through the whole packet, then recycles
-// the transmission node.
+// receivers that stayed tuned through the whole packet, recycles the
+// transmission node, and last runs the transmitter's done callback.
 func (tx *Transmission) deliverEnd() {
 	c := tx.ch
-	for _, st := range tx.eligible {
-		if st.busy != tx || !st.on || st.freq != tx.Freq {
+	for _, r := range tx.eligible {
+		if r.busy != tx || !r.on || r.freq != tx.Freq {
 			continue // retuned or stopped mid-packet
 		}
-		st.busy = nil
+		r.busy = nil
 		if tx.collided {
-			st.l.RxEnd(tx, nil, true)
+			r.l.RxEnd(tx, nil, true)
 			continue
 		}
 		c.stats.Deliveries++
 		c.stats.PerFreq[tx.Freq].Deliveries++
-		st.l.RxEnd(tx, c.corrupt(tx.Bits), false)
+		r.l.RxEnd(tx, c.corrupt(tx.Bits), false)
 	}
 	// The packet has left the air (End <= now), so it can no longer
 	// collide with anything; drop it from the active list and recycle.
 	c.inFlight--
 	c.pruneActive(c.k.Now())
+	done := tx.done
 	tx.Bits = nil
 	tx.Meta = nil
+	tx.done = nil
 	tx.collided = false
 	tx.eligible = tx.eligible[:0]
 	c.txFree = append(c.txFree, tx)
+	if done != nil {
+		done()
+	}
 }
 
 // corrupt applies the BER to a copy of the transmitted bits. A noiseless
@@ -401,7 +442,7 @@ func (c *Channel) pruneActive(now sim.Time) {
 // sequence) for reproducibility. The seq tiebreak pins the order even
 // for duplicate names and — the spatial determinism contract — makes
 // the result independent of the order receivers were collected in.
-func sortListeners(ls []*tuneState) {
+func sortListeners(ls []*Radio) {
 	for i := 1; i < len(ls); i++ {
 		for j := i; j > 0 && less(ls[j], ls[j-1]); j-- {
 			ls[j], ls[j-1] = ls[j-1], ls[j]
@@ -409,10 +450,9 @@ func sortListeners(ls []*tuneState) {
 	}
 }
 
-func less(a, b *tuneState) bool {
-	an, bn := a.l.Name(), b.l.Name()
-	if an != bn {
-		return an < bn
+func less(a, b *Radio) bool {
+	if a.name != b.name {
+		return a.name < b.name
 	}
 	return a.seq < b.seq
 }

@@ -1,6 +1,8 @@
 package channel
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/bits"
@@ -13,6 +15,7 @@ type fakeRx struct {
 	got      []*bits.Vec
 	collided int
 	onStart  func(tx *Transmission)
+	onEnd    func(tx *Transmission)
 }
 
 func (f *fakeRx) Name() string { return f.name }
@@ -23,6 +26,9 @@ func (f *fakeRx) RxStart(tx *Transmission) {
 	}
 }
 func (f *fakeRx) RxEnd(tx *Transmission, rx *bits.Vec, collided bool) {
+	if f.onEnd != nil {
+		f.onEnd(tx)
+	}
 	if collided {
 		f.collided++
 		return
@@ -38,13 +44,13 @@ func vec(n int) *bits.Vec {
 	return v
 }
 
-func setup(ber float64, delay sim.Duration) (*sim.Kernel, *Channel) {
+func setup(ber float64) (*sim.Kernel, *Channel) {
 	k := sim.NewKernel()
-	return k, New(k, sim.NewRand(77), Config{BER: ber, Delay: delay})
+	return k, New(k, sim.NewRand(77), Config{BER: ber})
 }
 
 func TestCleanDelivery(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "slave"}
 	c.Tune(rx, 10)
 	sent := vec(100)
@@ -65,7 +71,7 @@ func TestCleanDelivery(t *testing.T) {
 }
 
 func TestWrongFrequencyNotHeard(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "slave"}
 	c.Tune(rx, 11)
 	k.Schedule(0, func() { c.Transmit("master", 10, vec(50), nil) })
@@ -76,7 +82,7 @@ func TestWrongFrequencyNotHeard(t *testing.T) {
 }
 
 func TestLateTunerMissesPacket(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "slave"}
 	k.Schedule(0, func() { c.Transmit("master", 10, vec(100), nil) })
 	k.Schedule(10, func() { c.Tune(rx, 10) }) // mid-packet: missed sync word
@@ -87,7 +93,7 @@ func TestLateTunerMissesPacket(t *testing.T) {
 }
 
 func TestRetuneMidPacketAbandons(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "slave"}
 	c.Tune(rx, 10)
 	k.Schedule(0, func() { c.Transmit("master", 10, vec(100), nil) })
@@ -98,20 +104,21 @@ func TestRetuneMidPacketAbandons(t *testing.T) {
 	}
 }
 
-func TestUntuneMidPacketAbandons(t *testing.T) {
-	k, c := setup(0, 0)
+func TestRadioOffMidPacketAbandons(t *testing.T) {
+	k, c := setup(0)
 	rx := &fakeRx{name: "slave"}
-	c.Tune(rx, 10)
+	r := c.Radio(rx)
+	r.Tune(10)
 	k.Schedule(0, func() { c.Transmit("master", 10, vec(100), nil) })
-	k.Schedule(50, func() { c.Untune(rx) })
+	k.Schedule(50, func() { r.Off() })
 	k.Run()
 	if len(rx.got) != 0 {
-		t.Fatal("untuned receiver must abandon the packet")
+		t.Fatal("a receiver switched off mid-packet must abandon the packet")
 	}
 }
 
 func TestTransmitterDoesNotHearItself(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "master"}
 	c.Tune(rx, 10)
 	k.Schedule(0, func() { c.Transmit("master", 10, vec(40), nil) })
@@ -122,7 +129,7 @@ func TestTransmitterDoesNotHearItself(t *testing.T) {
 }
 
 func TestCollisionCorruptsBoth(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "observer"}
 	c.Tune(rx, 10)
 	k.Schedule(0, func() { c.Transmit("a", 10, vec(200), nil) })
@@ -142,7 +149,7 @@ func TestCollisionCorruptsBoth(t *testing.T) {
 }
 
 func TestNoCollisionAcrossFrequencies(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx1 := &fakeRx{name: "r1"}
 	rx2 := &fakeRx{name: "r2"}
 	c.Tune(rx1, 10)
@@ -156,7 +163,7 @@ func TestNoCollisionAcrossFrequencies(t *testing.T) {
 }
 
 func TestNoCollisionSequential(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "r"}
 	c.Tune(rx, 5)
 	k.Schedule(0, func() { c.Transmit("a", 5, vec(50), nil) })
@@ -173,7 +180,7 @@ func TestNoCollisionSequential(t *testing.T) {
 }
 
 func TestSequentialWithGapBothReceived(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "r"}
 	c.Tune(rx, 5)
 	k.Schedule(0, func() { c.Transmit("a", 5, vec(50), nil) })
@@ -184,26 +191,96 @@ func TestSequentialWithGapBothReceived(t *testing.T) {
 	}
 }
 
-func TestDelayShiftsDelivery(t *testing.T) {
-	k, c := setup(0, sim.Microseconds(5))
+func TestDeliveryAtPacketEnd(t *testing.T) {
+	k, c := setup(0)
+	var startedAt, deliveredAt sim.Time
 	rx := &fakeRx{name: "r"}
+	rx.onStart = func(*Transmission) { startedAt = k.Now() }
+	rx.onEnd = func(*Transmission) { deliveredAt = k.Now() }
 	c.Tune(rx, 0)
-	var deliveredAt sim.Time
-	k.Schedule(0, func() { c.Transmit("a", 0, vec(10), nil) })
-	k.Schedule(0, func() {}) // keep kernel busy at 0
+	k.Schedule(3, func() { c.Transmit("a", 0, vec(10), nil) })
+	k.Schedule(3, func() {})                               // keep the kernel busy in the start tick
+	k.Schedule(sim.Duration(3+10*sim.BitTicks), func() {}) // and in the end tick
 	k.Run()
-	deliveredAt = k.Now()
-	want := sim.Time(10*sim.BitTicks) + sim.Time(sim.Microseconds(5))
-	if deliveredAt != want {
-		t.Fatalf("delivery at %v, want %v", deliveredAt, want)
-	}
 	if len(rx.got) != 1 {
 		t.Fatal("not delivered")
+	}
+	if startedAt != 3 {
+		t.Fatalf("RxStart at %v, want 3 (the tick the first bit leaves)", startedAt)
+	}
+	if want := sim.Time(3 + 10*sim.BitTicks); deliveredAt != want {
+		t.Fatalf("delivery at %v, want %v (the tick the last bit leaves)", deliveredAt, want)
+	}
+}
+
+// TestTransmitEventBudget pins the medium's kernel cost per packet and
+// where the transmitter's done callback runs. A packet nobody can hear
+// costs one event (delivery at End); a heard one costs two (RxStart
+// fan-out, then delivery). done runs exactly once, at End, after the
+// last RxEnd and before any event those RxEnds schedule.
+func TestTransmitEventBudget(t *testing.T) {
+	const bitsLen = 40
+	air := sim.Time(bitsLen * sim.BitTicks)
+	for _, tc := range []struct {
+		name    string
+		tune    []int // frequencies of the listeners a..
+		txAt    []sim.Time
+		pending int // kernel events the first Transmit leaves behind
+		want    []string
+	}{
+		{"unheard", []int{11, 12}, []sim.Time{0}, 1, []string{"done:m0"}},
+		{"heard", []int{10, 10, 12}, []sim.Time{0}, 2,
+			[]string{"end:a", "end:b", "done:m0", "ev:a", "ev:b"}},
+		{"collided", []int{10}, []sim.Time{0, 5}, 2,
+			[]string{"end:a", "done:m0", "ev:a", "done:m1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, c := setup(0)
+			var log []string
+			for i, f := range tc.tune {
+				name := string(rune('a' + i))
+				rx := &fakeRx{name: name}
+				rx.onEnd = func(*Transmission) {
+					log = append(log, "end:"+name)
+					k.Schedule(0, func() { log = append(log, "ev:"+name) })
+				}
+				c.Radio(rx).Tune(f)
+			}
+			m := c.Radio(&fakeRx{name: "m"})
+			for i, at := range tc.txAt {
+				i, end := i, at+air
+				done := func() {
+					log = append(log, fmt.Sprintf("done:m%d", i))
+					if k.Now() != end {
+						t.Errorf("done for packet %d at %v, want End %v", i, k.Now(), end)
+					}
+				}
+				k.At(at, func() {
+					before := k.Pending()
+					m.Transmit(10, vec(bitsLen), nil, done)
+					if i == 0 {
+						if n := k.Pending() - before; n != tc.pending {
+							t.Errorf("Transmit left %d pending events, want %d", n, tc.pending)
+						}
+					}
+				})
+			}
+			k.Run()
+			if !reflect.DeepEqual(log, tc.want) {
+				t.Fatalf("order %q, want %q", log, tc.want)
+			}
+		})
+	}
+	// The btbench-facing wrapper schedules the same events.
+	k, c := setup(0)
+	c.Transmit("x", 10, vec(bitsLen), nil)
+	if n := k.Pending(); n != 1 {
+		t.Fatalf("unheard Channel.Transmit left %d pending events, want 1", n)
 	}
 }
 
 func TestBERFlipsExpectedFraction(t *testing.T) {
-	k, c := setup(0.02, 0)
+	k, c := setup(0.02)
 	rx := &fakeRx{name: "r"}
 	c.Tune(rx, 0)
 	const bitsPerPkt, pkts = 1000, 200
@@ -223,7 +300,7 @@ func TestBERFlipsExpectedFraction(t *testing.T) {
 }
 
 func TestZeroBERNeverFlips(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "r"}
 	c.Tune(rx, 0)
 	sent := vec(500)
@@ -241,7 +318,7 @@ func TestZeroBERNeverFlips(t *testing.T) {
 }
 
 func TestMultipleListenersAllReceive(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rxs := []*fakeRx{{name: "b"}, {name: "a"}, {name: "c"}}
 	for _, r := range rxs {
 		c.Tune(r, 3)
@@ -256,7 +333,7 @@ func TestMultipleListenersAllReceive(t *testing.T) {
 }
 
 func TestTuneIdleIdempotentKeepsSince(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "r"}
 	c.Tune(rx, 7)
 	// An idle re-tune to the same frequency is a no-op: the receiver
@@ -268,12 +345,13 @@ func TestTuneIdleIdempotentKeepsSince(t *testing.T) {
 	if len(rx.got) != 1 {
 		t.Fatal("idle idempotent Tune dropped eligibility")
 	}
-	if c.Tuned(rx) != 7 {
-		t.Fatal("Tuned() wrong")
+	r := c.Radio(rx)
+	if r.Freq() != 7 {
+		t.Fatal("Freq() wrong")
 	}
-	c.Untune(rx)
-	if c.Tuned(rx) != -1 {
-		t.Fatal("Tuned() after Untune wrong")
+	r.Off()
+	if r.Freq() != -1 {
+		t.Fatal("Freq() after Off wrong")
 	}
 }
 
@@ -283,7 +361,7 @@ func TestRetuneSameFreqMidPacketAbandons(t *testing.T) {
 	// to open a fresh listen window silently rejoined the stale packet.
 	// A mid-packet retune must abandon the reception whatever frequency
 	// it targets, including the one already tuned.
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "r"}
 	c.Tune(rx, 7)
 	k.Schedule(0, func() { c.Transmit("m", 7, vec(100), nil) })
@@ -301,7 +379,7 @@ func TestRetuneAwayAndBackMidPacketAbandons(t *testing.T) {
 	// Bouncing away and back mid-packet must behave exactly like any
 	// other retune: the abandoned packet stays abandoned, and the fresh
 	// window makes the receiver eligible for the next packet only.
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	rx := &fakeRx{name: "r"}
 	c.Tune(rx, 7)
 	k.Schedule(0, func() { c.Transmit("m", 7, vec(100), nil) })
@@ -320,7 +398,7 @@ func TestRetuneAwayAndBackMidPacketAbandons(t *testing.T) {
 }
 
 func TestPerFreqStats(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	c.AddJammer(20, 20, 1)
 	rx := &fakeRx{name: "r"}
 	c.Tune(rx, 10)
@@ -345,7 +423,7 @@ func TestPerFreqStats(t *testing.T) {
 }
 
 func TestCollisionHookAttributesPairs(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	var pairs [][2]string
 	c.SetCollisionHook(func(existing, incoming *Transmission) {
 		pairs = append(pairs, [2]string{existing.From, incoming.From})
@@ -367,7 +445,7 @@ func TestCollisionHookAttributesPairs(t *testing.T) {
 }
 
 func TestPanics(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	for name, fn := range map[string]func(){
 		"bad freq":  func() { c.Tune(&fakeRx{name: "x"}, 79) },
 		"empty tx":  func() { c.Transmit("a", 0, bits.NewVec(0), nil) },
@@ -388,7 +466,7 @@ func TestPanics(t *testing.T) {
 func TestTransmissionAccessors(t *testing.T) {
 	// Transmission nodes are recycled after delivery, so the accessors
 	// must be read before the kernel runs past the packet's end.
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	k.Schedule(3, func() {
 		tx := c.Transmit("m", 1, vec(10), "meta")
 		if tx.Duration() != 10*sim.BitTicks {

@@ -8,10 +8,9 @@ import (
 
 // TestInFlightCountsUntilDeliveryEnd pins the count Snapshot's quiescence
 // probe relies on: a transmission is in flight from Transmit until its
-// delivery-end event (End + Delay) has run, whether it is heard cleanly,
-// collides, or reaches no receiver at all.
+// delivery event at End has run, whether it is heard cleanly, collides,
+// or reaches no receiver at all.
 func TestInFlightCountsUntilDeliveryEnd(t *testing.T) {
-	const delay = sim.Duration(7)
 	air := sim.Time(200 * sim.BitTicks) // a 200-bit packet's time on the air
 	type probe struct {
 		at   sim.Time
@@ -27,19 +26,19 @@ func TestInFlightCountsUntilDeliveryEnd(t *testing.T) {
 		started, got, collided int
 	}{
 		{"clean", 10, []sim.Time{0}, []probe{
-			{1, 1}, {air - 1, 1}, {air + 1, 1}, {air + sim.Time(delay) - 1, 1}, {air + sim.Time(delay) + 1, 0},
+			{1, 1}, {air - 1, 1}, {air, 1}, {air + 1, 0},
 		}, 1, 1, 0},
 		{"collided", 10, []sim.Time{0, 100}, []probe{
-			{50, 1}, {101, 2}, {air + sim.Time(delay) + 1, 1},
-			{100 + air + sim.Time(delay) - 1, 1}, {100 + air + sim.Time(delay) + 1, 0},
+			{50, 1}, {101, 2}, {air + 1, 1},
+			{100 + air - 1, 1}, {100 + air + 1, 0},
 		}, 1, 0, 1},
 		{"no_receiver", -1, []sim.Time{0}, []probe{
-			{1, 1}, {air + sim.Time(delay) - 1, 1}, {air + sim.Time(delay) + 1, 0},
+			{1, 1}, {air - 1, 1}, {air + 1, 0},
 		}, 0, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			k, c := setup(0, delay)
+			k, c := setup(0)
 			rx := &fakeRx{name: "observer"}
 			if tc.tuneTo >= 0 {
 				c.Tune(rx, tc.tuneTo)

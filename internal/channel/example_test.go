@@ -63,7 +63,7 @@ func ExampleChannel_Tune() {
 	// Hop away while the packet is still on the air: no RxEnd arrives.
 	k.Schedule(2, func() { ch.Tune(slave, 20) })
 	k.Run()
-	fmt.Println("tuned to:", ch.Tuned(slave))
+	fmt.Println("tuned to:", ch.Radio(slave).Freq())
 	fmt.Println("deliveries:", ch.Stats().Deliveries)
 	// Output:
 	// slave: packet from master started on channel 10

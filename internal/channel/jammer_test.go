@@ -7,7 +7,7 @@ import (
 )
 
 func TestJammerDestroysInBand(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	c.AddJammer(30, 52, 1.0)
 	rxIn := &fakeRx{name: "in"}
 	rxOut := &fakeRx{name: "out"}
@@ -30,7 +30,7 @@ func TestJammerDestroysInBand(t *testing.T) {
 }
 
 func TestJammerDutyCycle(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	c.AddJammer(0, 78, 0.5)
 	rx := &fakeRx{name: "r"}
 	c.Tune(rx, 5)
@@ -47,7 +47,7 @@ func TestJammerDutyCycle(t *testing.T) {
 }
 
 func TestClearJammers(t *testing.T) {
-	k, c := setup(0, 0)
+	k, c := setup(0)
 	c.AddJammer(0, 78, 1.0)
 	c.ClearJammers()
 	rx := &fakeRx{name: "r"}
@@ -60,7 +60,7 @@ func TestClearJammers(t *testing.T) {
 }
 
 func TestJammerValidation(t *testing.T) {
-	_, c := setup(0, 0)
+	_, c := setup(0)
 	for name, fn := range map[string]func(){
 		"bad range": func() { c.AddJammer(50, 40, 0.5) },
 		"bad high":  func() { c.AddJammer(0, 79, 0.5) },

@@ -68,8 +68,8 @@ type spatialState struct {
 	rangeM2  float64 // delivery disc, squared
 	collide2 float64 // transmitter-pair collision distance, squared
 
-	pos    map[string]Position   // declared placements, by radio name
-	byName map[string]*tuneState // registered listeners, by name
+	pos    map[string]Position // declared placements, by radio name
+	byName map[string]*Radio   // registered listeners, by name
 }
 
 // EnableSpatial switches the channel from the global shared ether to
@@ -98,7 +98,7 @@ func (c *Channel) EnableSpatial(cfg SpatialConfig) {
 		rangeM2:  cfg.RangeM * cfg.RangeM,
 		collide2: sum * sum,
 		pos:      make(map[string]Position),
-		byName:   make(map[string]*tuneState),
+		byName:   make(map[string]*Radio),
 	}
 }
 
@@ -131,10 +131,10 @@ func (c *Channel) PositionOf(name string) (Position, bool) {
 	return p, ok
 }
 
-// register indexes a newly created tuneState: position lookup and name
+// register indexes a newly registered radio: position lookup and name
 // uniqueness.
-func (sp *spatialState) register(st *tuneState) {
-	name := st.l.Name()
+func (sp *spatialState) register(st *Radio) {
+	name := st.name
 	p, ok := sp.pos[name]
 	if !ok {
 		panic(fmt.Sprintf("channel: listener %q tuned on a spatial medium without a position (call Place first)", name))

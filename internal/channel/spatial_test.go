@@ -121,7 +121,7 @@ func TestPlaceMovesListener(t *testing.T) {
 func bruteEligible(c *Channel, from string, freq int, now sim.Time) []string {
 	sp := c.spatial
 	pos := sp.pos[from]
-	var states []*tuneState
+	var states []*Radio
 	for _, st := range c.receivers {
 		if st.on && st.freq == freq && st.since <= now && st.busy == nil &&
 			st.l.Name() != from && dist2(st.pos, pos) <= sp.rangeM2 {
@@ -225,7 +225,7 @@ func TestSpatialInfiniteRangeMatchesGlobal(t *testing.T) {
 		}
 		run := func(spatial bool) ([][]string, Stats) {
 			k := sim.NewKernel()
-			c := New(k, sim.NewRand(seed), Config{BER: 0.01, Delay: 3})
+			c := New(k, sim.NewRand(seed), Config{BER: 0.01})
 			if spatial {
 				c.EnableSpatial(SpatialConfig{RangeM: 1e9})
 				prng := sim.NewRand(seed * 7)
@@ -276,11 +276,11 @@ func TestEnableSpatialGuards(t *testing.T) {
 		}()
 		fn()
 	}
-	_, c := setup(0, 0)
+	_, c := setup(0)
 	c.Tune(&fakeRx{name: "early"}, 3)
 	mustPanic("enable after tune", func() { c.EnableSpatial(SpatialConfig{RangeM: 10}) })
 
-	_, c2 := setup(0, 0)
+	_, c2 := setup(0)
 	mustPanic("zero range", func() { c2.EnableSpatial(SpatialConfig{}) })
 	mustPanic("NaN range", func() { c2.EnableSpatial(SpatialConfig{RangeM: math.NaN()}) })
 	mustPanic("shrunk interference", func() { c2.EnableSpatial(SpatialConfig{RangeM: 10, InterferenceM: 5}) })

@@ -23,8 +23,6 @@ type Options struct {
 	Seed uint64
 	// BER is the channel bit error rate (paper sweeps 0 .. 1/30).
 	BER float64
-	// DelayUS is the modulator/demodulator delay in microseconds.
-	DelayUS int
 	// TraceTo, when non-nil, receives a VCD dump of every device's
 	// enable_tx_RF / enable_rx_RF / state signals (paper Figs 5 and 9).
 	TraceTo io.Writer
@@ -54,10 +52,7 @@ func NewSimulation(opt Options) *Simulation {
 		s.trace = vcd.New(opt.TraceTo)
 		k.AddTracer(s.trace)
 	}
-	s.Ch = channel.New(k, s.rng.Split(), channel.Config{
-		BER:   opt.BER,
-		Delay: sim.Microseconds(uint64(opt.DelayUS)),
-	})
+	s.Ch = channel.New(k, s.rng.Split(), channel.Config{BER: opt.BER})
 	return s
 }
 

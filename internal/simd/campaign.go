@@ -57,6 +57,16 @@ type Request struct {
 	Fork bool `json:"fork,omitempty"`
 }
 
+// The request budget. A campaign runs points × seeds.count replicas,
+// each over settle_slots + slots slots; requests past either cap are
+// refused (422 over HTTP) instead of holding a runner slot for days.
+// maxHorizonSlots (~87 simulated minutes) also keeps the horizon far
+// below the 2^64/1250 slots where sim.Slots wraps the time axis.
+const (
+	maxReplicas     = 4096
+	maxHorizonSlots = 1 << 23
+)
+
 // normalized returns the request with the single-point form folded into
 // Points and defaults applied, or an error describing why it can never
 // run. Spec validation errors come back as the *netspec.StanzaError the
@@ -78,6 +88,12 @@ func (r Request) normalized() (Request, error) {
 	}
 	if r.Slots == 0 {
 		return r, fmt.Errorf("simd: slots must be at least 1")
+	}
+	if r.Seeds.Count > maxReplicas/len(r.Points) {
+		return r, fmt.Errorf("simd: %d points × %d seeds exceeds the budget of %d replicas", len(r.Points), r.Seeds.Count, maxReplicas)
+	}
+	if r.SettleSlots > maxHorizonSlots || r.Slots > maxHorizonSlots-r.SettleSlots {
+		return r, fmt.Errorf("simd: settle_slots %d + slots %d exceeds the budget of %d slots", r.SettleSlots, r.Slots, maxHorizonSlots)
 	}
 	for i := range r.Points {
 		if err := r.Points[i].Validate(); err != nil {

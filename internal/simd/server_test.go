@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -210,6 +212,87 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 	}
 	if code, _ := postJob(t, ts, padded(maxRequestBytes+1)); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("body over the cap: HTTP %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+}
+
+// Requests past the replica or horizon budget are refused with 422 —
+// including a settle horizon that would wrap the time axis — and the
+// server goes on serving.
+func TestServerRequestBudget(t *testing.T) {
+	e := New(Options{MaxJobs: 1, Workers: runner.Serial})
+	defer e.Close()
+	ts := httptest.NewServer(e.Handler())
+	defer ts.Close()
+
+	spec := specJSON(t)
+	for _, tc := range []struct{ name, shape string }{
+		{"seeds", fmt.Sprintf(`"seeds": {"first": 1, "count": %d}, "slots": 100`, maxReplicas+1)},
+		{"seeds at max int", `"seeds": {"first": 1, "count": 9223372036854775807}, "slots": 100`},
+		{"slots", fmt.Sprintf(`"slots": %d`, maxHorizonSlots+1)},
+		{"settle plus slots", fmt.Sprintf(`"slots": %d, "settle_slots": %d`, maxHorizonSlots/2+1, maxHorizonSlots/2)},
+		{"settle wraps sim.Slots", `"slots": 100, "settle_slots": 14757395258967642`},
+		{"slots wrap the sum", `"slots": 18446744073709551615, "settle_slots": 2`},
+	} {
+		body := fmt.Sprintf(`{"spec": %s, %s}`, spec, tc.shape)
+		if code, _ := postJob(t, ts, body); code != http.StatusUnprocessableEntity {
+			t.Errorf("%s: HTTP %d, want 422", tc.name, code)
+		}
+	}
+	points := "[" + strings.TrimSuffix(strings.Repeat(spec+",", 65), ",") + "]"
+	if code, _ := postJob(t, ts, fmt.Sprintf(`{"points": %s, "seeds": {"first": 1, "count": 64}, "slots": 100}`, points)); code != http.StatusUnprocessableEntity {
+		t.Errorf("65 points × 64 seeds: HTTP %d, want 422", code)
+	}
+
+	code, st := postJob(t, ts, fmt.Sprintf(`{"spec": %s, "seeds": {"first": 1, "count": 2}, "slots": 200}`, spec))
+	if code != http.StatusAccepted {
+		t.Fatalf("in-budget request after the refusals: HTTP %d", code)
+	}
+	waitFor(t, "the in-budget job", func() bool { return getStatus(t, ts, st.ID).State == StateDone })
+}
+
+// TestRequestBudgetAdmitsShippedShapes keeps the budget above every
+// request shape the repository ships: the example specs at the horizons
+// their README submits, the btbench service workload's fresh and fork
+// campaigns, and the service tests' long blocker job.
+func TestRequestBudgetAdmitsShippedShapes(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/specs/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs found (%v)", err)
+	}
+	var specs []netspec.Spec
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec netspec.Spec
+		if err := json.Unmarshal(data, &spec); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		specs = append(specs, spec)
+	}
+	for _, spec := range specs {
+		for _, req := range []Request{
+			{Spec: &spec, Seeds: SeedRange{First: 1, Count: 4}, Slots: 20_000},
+			{Spec: &spec, Seeds: SeedRange{First: 1, Count: 4}, Slots: 20_000, SettleSlots: 4000, Fork: true},
+			{Spec: &spec, Seeds: SeedRange{First: 1, Count: 2}, Slots: 2000},
+			{Spec: &spec, Seeds: SeedRange{First: 1, Count: 2}, Slots: 2000, SettleSlots: 20_000, Fork: true},
+		} {
+			if _, err := req.normalized(); err != nil {
+				t.Errorf("shipped shape refused: %v", err)
+			}
+		}
+	}
+	if _, err := blockerReq().normalized(); err != nil {
+		t.Errorf("blocker job refused: %v", err)
+	}
+	// 64 points × 64 seeds over the full horizon sit exactly at both caps.
+	atCaps := Request{Points: make([]netspec.Spec, 64), Seeds: SeedRange{Count: 64}, Slots: maxHorizonSlots - 1, SettleSlots: 1}
+	for i := range atCaps.Points {
+		atCaps.Points[i] = tinySpec()
+	}
+	if _, err := atCaps.normalized(); err != nil {
+		t.Errorf("request at both caps refused: %v", err)
 	}
 }
 
