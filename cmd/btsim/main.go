@@ -44,22 +44,30 @@ import (
 	"repro/internal/core"
 )
 
+// defaultParams holds the scenario flags' defaults.
+var defaultParams = trialParams{
+	slaves: 3, ber: 0, seed: 1, slots: 2000,
+	tsniff: 100, thold: 400,
+	piconets: 2, assessWindow: 2000, jamDuty: 0.9, jamWidth: 23,
+	bridges: 1, presence: 0.8,
+}
+
 func main() {
 	scenario := flag.String("scenario", "creation", scenarioList())
 	specPath := flag.String("spec", "", "run a netspec Spec JSON file instead of a named scenario (prints Metrics JSON; with -trials, the campaign result)")
-	slaves := flag.Int("slaves", 3, "number of slaves in the piconet")
-	ber := flag.Float64("ber", 0, "channel bit error rate")
-	seed := flag.Uint64("seed", 1, "random seed")
+	slaves := flag.Int("slaves", defaultParams.slaves, "number of slaves in the piconet")
+	ber := flag.Float64("ber", defaultParams.ber, "channel bit error rate")
+	seed := flag.Uint64("seed", defaultParams.seed, "random seed")
 	vcdPath := flag.String("vcd", "", "write waveforms (VCD) to this file (single-piconet scenarios only)")
-	slots := flag.Uint64("slots", 2000, "extra slots to run after setup")
-	tsniff := flag.Int("tsniff", 100, "Tsniff in slots (sniff scenario)")
-	thold := flag.Int("thold", 400, "Thold in slots (hold scenario)")
-	piconets := flag.Int("piconets", 2, "co-located piconets (coex scenario)")
-	assessWindow := flag.Int("assess-window", 2000, "channel-assessment window in slots (afh-adaptive scenario)")
-	jamDuty := flag.Float64("jam-duty", 0.9, "jammer duty cycle (afh-adaptive scenario)")
-	jamWidth := flag.Int("jam-width", 23, "jammed channels starting at channel 30 (afh-adaptive scenario)")
-	bridges := flag.Int("bridges", 1, "scatternet bridges; the chain has bridges+1 piconets (scatternet scenario)")
-	presence := flag.Float64("presence", 0.8, "bridge presence duty cycle in (0,1] (scatternet scenario)")
+	slots := flag.Uint64("slots", defaultParams.slots, "extra slots to run after setup")
+	tsniff := flag.Int("tsniff", defaultParams.tsniff, "Tsniff in slots (sniff scenario)")
+	thold := flag.Int("thold", defaultParams.thold, "Thold in slots (hold scenario)")
+	piconets := flag.Int("piconets", defaultParams.piconets, "co-located piconets (coex scenario)")
+	assessWindow := flag.Int("assess-window", defaultParams.assessWindow, "channel-assessment window in slots (afh-adaptive scenario)")
+	jamDuty := flag.Float64("jam-duty", defaultParams.jamDuty, "jammer duty cycle (afh-adaptive scenario)")
+	jamWidth := flag.Int("jam-width", defaultParams.jamWidth, "jammed channels starting at channel 30 (afh-adaptive scenario)")
+	bridges := flag.Int("bridges", defaultParams.bridges, "scatternet bridges; the chain has bridges+1 piconets (scatternet scenario)")
+	presence := flag.Float64("presence", defaultParams.presence, "bridge presence duty cycle in (0,1] (scatternet scenario)")
 	settle := flag.Uint64("settle", 0, "warm-up slots before the measurement window opens (-spec only)")
 	fork := flag.Bool("fork", false, "settle once, snapshot, and fork the replicas from the checkpoint instead of rebuilding each world (-spec only)")
 	trials := flag.Int("trials", 1, "replicate the scenario this many times through the parallel runner")
@@ -127,7 +135,7 @@ func main() {
 	s, _ := runScenario(*scenario, *seed, p, trace, func(format string, args ...any) {
 		fmt.Printf(format, args...)
 	})
-	report(s)
+	report(os.Stdout, s)
 
 	if err := s.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "btsim: closing trace: %v\n", err)
@@ -138,12 +146,12 @@ func main() {
 	}
 }
 
-// report prints the RF-activity summary of every device.
-func report(s *core.Simulation) {
-	fmt.Printf("\n%-8s %-12s %10s %10s %8s\n", "device", "state", "tx_act", "rx_act", "tx_pkts")
+// report writes the RF-activity summary of every device to w.
+func report(w io.Writer, s *core.Simulation) {
+	fmt.Fprintf(w, "\n%-8s %-12s %10s %10s %8s\n", "device", "state", "tx_act", "rx_act", "tx_pkts")
 	for _, d := range s.Devices() {
 		tx, rx := core.Activity(d)
-		fmt.Printf("%-8s %-12s %9.3f%% %9.3f%% %8d\n",
+		fmt.Fprintf(w, "%-8s %-12s %9.3f%% %9.3f%% %8d\n",
 			d.Name(), d.State(), tx*100, rx*100, d.Counters.TxPackets)
 	}
 }

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// registryParams is the short-horizon parameter set every registry
+// scenario runs at in these tests.
+var registryParams = trialParams{
+	slaves: 2, ber: 0, seed: 1, slots: 600,
+	tsniff: 50, thold: 100,
+	piconets: 2, assessWindow: 500, jamDuty: 0.9, jamWidth: 23,
+	bridges: 1, presence: 0.8,
+}
+
 // TestScenarioRegistryRuns executes every registered scenario for a
 // short horizon, so no -scenario value can rot unexecuted: a scenario
 // that panics, fails validation or never reaches setup_ok fails here
@@ -13,12 +22,7 @@ import (
 // traced run must not panic. The CI workflow runs this check next to
 // the godoc-example race job.
 func TestScenarioRegistryRuns(t *testing.T) {
-	p := trialParams{
-		slaves: 2, ber: 0, seed: 1, slots: 600,
-		tsniff: 50, thold: 100,
-		piconets: 2, assessWindow: 500, jamDuty: 0.9, jamWidth: 23,
-		bridges: 1, presence: 0.8,
-	}
+	p := registryParams
 	for _, sc := range scenarioRegistry {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
