@@ -19,16 +19,15 @@ type traceRef struct {
 	h  int
 }
 
-// Signal is a traced, change-notifying value holder, the analogue of a
+// Signal is a traced value holder, the analogue of a
 // SystemC sc_signal at behavioural level. Writes take effect immediately
-// (the kernel's same-time event ordering supplies delta-cycle semantics);
-// subscribers run synchronously on change.
+// (the kernel's same-time event ordering supplies delta-cycle semantics)
+// and reach every tracer synchronously on change.
 type Signal[T comparable] struct {
-	k       *Kernel
-	name    string
-	value   T
-	refs    []traceRef
-	watches []func(T)
+	k     *Kernel
+	name  string
+	value T
+	refs  []traceRef
 }
 
 // NewSignal creates a signal with an initial value and registers it with
@@ -66,7 +65,7 @@ func (s *Signal[T]) Name() string { return s.name }
 func (s *Signal[T]) Get() T { return s.value }
 
 // Set writes a new value; if it differs from the current one the change is
-// traced and watchers run immediately.
+// traced immediately.
 func (s *Signal[T]) Set(v T) {
 	if v == s.value {
 		return
@@ -75,10 +74,4 @@ func (s *Signal[T]) Set(v T) {
 	for _, r := range s.refs {
 		r.tr.Change(s.k.now, r.h, v)
 	}
-	for _, w := range s.watches {
-		w(v)
-	}
 }
-
-// Watch registers fn to run synchronously on every value change.
-func (s *Signal[T]) Watch(fn func(T)) { s.watches = append(s.watches, fn) }

@@ -17,7 +17,7 @@ type Timer struct {
 }
 
 // NewTimer creates an idle timer on the kernel. fn is the default
-// callback; ScheduleFn/AtFn can override it per arm. Pass nil when every
+// callback; AtFn can override it per arm. Pass nil when every
 // arm supplies its own callback.
 func (k *Kernel) NewTimer(fn Event) *Timer {
 	t := &Timer{k: k, fn: fn}
@@ -56,19 +56,11 @@ func (t *Timer) At(at Time) {
 	t.id = t.k.At(at, t.fire)
 }
 
-// ScheduleFn replaces the timer's callback — for this arm and every
-// later one until the next *Fn call — and arms it after delay ticks.
+// AtFn replaces the timer's callback — for this arm and every later
+// one until the next AtFn call — and arms it at absolute time at.
 // Passing a pre-bound method value keeps the arm allocation-free.
-// Callers that alternate callbacks on one timer must use the *Fn
-// variants for every arm (plain Schedule/At re-fire whichever callback
-// was installed last).
-func (t *Timer) ScheduleFn(delay Duration, fn Event) {
-	t.fn = fn
-	t.Schedule(delay)
-}
-
-// AtFn is ScheduleFn at an absolute time: the replaced callback
-// persists across later arms.
+// Callers that alternate callbacks on one timer must use AtFn for every
+// arm (plain Schedule/At re-fire whichever callback was installed last).
 func (t *Timer) AtFn(at Time, fn Event) {
 	t.fn = fn
 	t.At(at)

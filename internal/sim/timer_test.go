@@ -70,13 +70,13 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
-// TestTimerScheduleFn: per-arm callbacks replace the default and stick
+// TestTimerAtFnOverride: per-arm callbacks replace the default and stick
 // for the firing, without disturbing a concurrent timer.
-func TestTimerScheduleFn(t *testing.T) {
+func TestTimerAtFnOverride(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	a := k.NewTimer(func() { order = append(order, "default") })
-	a.ScheduleFn(10, func() { order = append(order, "override") })
+	a.AtFn(10, func() { order = append(order, "override") })
 	b := k.NewTimer(nil)
 	b.AtFn(5, func() { order = append(order, "b") })
 	k.Run()
