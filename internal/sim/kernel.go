@@ -123,14 +123,11 @@ func decodeID(id EventID) (slot int32, gen uint32) {
 // doubles on its own when occupancy outgrows it.
 const defaultBuckets = 256
 
-// Cached-head sentinels (queue.head).
-const (
-	headNone    = int32(-1) // known empty: no pending event
-	headUnknown = int32(-2) // cache invalid; recompute via peek
-)
-
 // queue is the kernel's event queue: a calendar over the slot grid plus
-// an overflow heap and a pooled node store.
+// an overflow heap and a pooled node store. One window invariant holds
+// between any two operations: every calendar event is before calLim and
+// every heap event is at or past it, so the calendar minimum, when there
+// is one, is the earliest pending event.
 type queue struct {
 	nodes []scheduledEvent // event pool; calendar chains and heap index into it
 	free  []int32          // recycled pool slots
@@ -143,7 +140,7 @@ type queue struct {
 	occ        []uint64
 	bmask      uint64 // len(bucketHead) - 1
 	curSlot    uint64 // slot index of the last fired event (cursor)
-	calLim     Time   // events with at < calLim go in the calendar; 0 = heap only
+	calLim     Time   // events with at < calLim go in the calendar; clamped at TimeMax
 	calCount   int
 
 	// Overflow heap: binary min-heap over (at, seq) for events at or
@@ -151,8 +148,7 @@ type queue struct {
 	heap          []int32
 	heapCancelled int
 
-	live int   // pending (not cancelled) events
-	head int32 // cached earliest live pool slot (headNone / headUnknown)
+	live int // pending (not cancelled) events
 }
 
 // Kernel is the simulation scheduler. The zero value is not usable; create
@@ -168,7 +164,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{q: queue{head: headNone}}
+	k := &Kernel{}
 	k.q.initBuckets(defaultBuckets)
 	return k
 }
@@ -189,13 +185,13 @@ func (q *queue) initBuckets(n int) {
 }
 
 // recalcLim recomputes the calendar window's exclusive upper bound. Near
-// the end of the time axis the window would overflow; calLim = 0 then
-// routes every new event to the overflow heap, which is ordering-correct
-// at any horizon.
+// the end of the time axis the window would overflow; calLim is then
+// clamped at TimeMax, so only events at exactly TimeMax wait in the
+// heap. Every earlier slot still fits the window, one bucket each.
 func (q *queue) recalcLim() {
 	end := q.curSlot + uint64(len(q.bucketHead))
 	if end < q.curSlot || end > ^uint64(0)/SlotTicks {
-		q.calLim = 0
+		q.calLim = TimeMax
 		return
 	}
 	q.calLim = Time(end * SlotTicks)
@@ -248,19 +244,13 @@ func (k *Kernel) Schedule(delay Duration, fn Event) EventID {
 	k.nextSeq++
 	n := &q.nodes[slot]
 	n.at, n.seq, n.fn, n.state = at, k.nextSeq, fn, evPending
-	if q.calLim != 0 && at < q.calLim {
+	if at < q.calLim {
 		q.calInsert(slot)
 	} else {
 		n.loc = locHeap
 		q.heapPush(slot)
 	}
 	q.live++
-	// Keep the cached head exact: a valid cache stays valid unless the
-	// newcomer is the new minimum (a new event can never un-schedule the
-	// old minimum).
-	if q.head == headNone || (q.head >= 0 && q.lessNode(slot, q.head)) {
-		q.head = slot
-	}
 	return makeID(slot, n.gen)
 }
 
@@ -357,7 +347,7 @@ func (q *queue) calInsertRaw(s int32) {
 
 // calInsert is calInsertRaw plus census and skew handling: when live
 // calendar events outnumber buckets 2:1 the calendar doubles, widening
-// the window (which may strand fewer events in the overflow heap).
+// the window.
 func (q *queue) calInsert(s int32) {
 	q.calInsertRaw(s)
 	q.calCount++
@@ -366,10 +356,9 @@ func (q *queue) calInsert(s int32) {
 	}
 }
 
-// growCalendar doubles the bucket count and rehashes every chained event.
-// Relative order is untouched: chains are rebuilt from the same (at, seq)
-// keys. Deferred migration of newly in-window heap events happens on the
-// next cursor advance.
+// growCalendar doubles the bucket count, rehashes every chained event and
+// migrates the heap events the wider window now covers. Relative order
+// is untouched: chains are rebuilt from the same (at, seq) keys.
 func (q *queue) growCalendar() {
 	moved := make([]int32, 0, q.calCount)
 	for b := range q.bucketHead {
@@ -383,6 +372,7 @@ func (q *queue) growCalendar() {
 	for _, s := range moved {
 		q.calInsertRaw(s)
 	}
+	q.migrate()
 }
 
 // calUnlink removes slot s from its bucket chain (eager cancellation —
@@ -552,9 +542,6 @@ func (k *Kernel) Cancel(id EventID) bool {
 	}
 	n := &q.nodes[slot]
 	q.live--
-	if q.head == slot {
-		q.head = headUnknown
-	}
 	if n.loc == locCal {
 		q.calUnlink(slot)
 		q.release(slot)
@@ -569,36 +556,18 @@ func (k *Kernel) Cancel(id EventID) bool {
 	return true
 }
 
-// nextLive returns the pool slot of the earliest pending event
-// without removing it (-1 when none). Correctness does not depend on the
-// window invariant: the calendar minimum and the heap minimum are
-// compared under the global (at, seq) order, so even a degraded split
-// (calLim = 0) keeps the schedule exact.
+// nextLive returns the pool slot of the earliest pending event without
+// removing it (-1 when none). Under the window invariant every calendar
+// event precedes every heap event, so the heap is read only when the
+// calendar is empty.
 func (q *queue) nextLive() int32 {
-	c := q.calMin()
-	h := q.heapPeekLive()
-	if c < 0 {
-		return h
+	if c := q.calMin(); c >= 0 {
+		return c
 	}
-	if h >= 0 && q.lessNode(h, c) {
-		return h
-	}
-	return c
+	return q.heapPeekLive()
 }
 
-// peek returns the earliest pending pool slot through the head cache
-// (headNone when the queue is empty). The cache is invalidated when its
-// minimum is consumed or cancelled, and updated in place when a newly
-// scheduled event undercuts it, so steady-state firing pays one scan
-// per pop.
-func (q *queue) peek() int32 {
-	if q.head == headUnknown {
-		q.head = q.nextLive()
-	}
-	return q.head
-}
-
-// take removes slot s — which must be the value peek just returned —
+// take removes slot s — which must be the value nextLive just returned —
 // from its structure and advances the calendar cursor to its slot,
 // migrating newly in-window heap events into the calendar.
 func (q *queue) take(s int32) {
@@ -614,7 +583,6 @@ func (q *queue) take(s int32) {
 	} else {
 		q.heapPop()
 	}
-	q.head = headUnknown
 	if ns := uint64(n.at) / SlotTicks; ns > q.curSlot {
 		q.curSlot = ns
 		q.recalcLim()
@@ -623,12 +591,14 @@ func (q *queue) take(s int32) {
 }
 
 // migrate moves heap events that now fall inside the calendar window into
-// their buckets. Every migrated event's slot is at or beyond the cursor,
-// so the move can never reorder anything already due.
+// their buckets, restoring the window invariant after either window
+// change: a cursor advance or a doubling. Every migrated event's slot is
+// at or beyond the cursor, so the move can never reorder anything
+// already due.
 func (q *queue) migrate() {
 	for {
 		h := q.heapPeekLive()
-		if h < 0 || q.calLim == 0 || q.nodes[h].at >= q.calLim {
+		if h < 0 || q.nodes[h].at >= q.calLim {
 			return
 		}
 		q.heapPop()
@@ -636,8 +606,8 @@ func (q *queue) migrate() {
 	}
 }
 
-// fire removes the event in slot s — which must be the value peek just
-// returned — advances the clock to it and runs its callback. The slot is
+// fire removes the event in slot s — which must be the value nextLive
+// just returned — advances the clock to it and runs its callback. The slot is
 // released before the callback runs, so cancelling the firing event's
 // own ID from within it is a no-op.
 func (k *Kernel) fire(s int32) {
@@ -669,7 +639,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 	k.stopped = false
 	defer func() { k.running = false }()
 	for !k.stopped {
-		s := k.q.peek()
+		s := k.q.nextLive()
 		if s < 0 || k.q.nodes[s].at > limit {
 			break
 		}
@@ -685,7 +655,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 // whether an event ran. Running() is true for the duration of the
 // callback, exactly as under RunUntil.
 func (k *Kernel) Step() bool {
-	s := k.q.peek()
+	s := k.q.nextLive()
 	if s < 0 {
 		return false
 	}

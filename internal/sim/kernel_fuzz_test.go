@@ -12,7 +12,9 @@ import (
 //     the naive sorted-list reference — never early, never reordered;
 //   - exact census: no event is lost or duplicated, Pending always
 //     equals the reference list's length, and the clocks agree;
-//   - EventInfo reports every freshly scheduled event's (at, seq).
+//   - EventInfo reports every freshly scheduled event's (at, seq);
+//   - the window invariant: every overflow-heap entry is at or past the
+//     calendar window's limit, and every calendar entry is before it.
 //
 // The script bytes choose delays (same-tick, off-grid, window-edge,
 // far-future heap) and cancel targets, so the corpus explores the
@@ -68,6 +70,9 @@ func FuzzKernel(f *testing.F) {
 			if k.Now() != model.now {
 				t.Fatalf("%s: clocks diverged: kernel %v, reference %v", ctx, k.Now(), model.now)
 			}
+			if v := k.q.windowViolation(); v != "" {
+				t.Fatalf("%s: %s", ctx, v)
+			}
 		}
 
 		for i := 0; i < len(script); {
@@ -86,6 +91,7 @@ func FuzzKernel(f *testing.F) {
 				model.insert(e)
 				live = append(live, id)
 				liveSid[id] = my
+				check("after Schedule")
 			case 2: // cancel a script-chosen live event
 				if len(live) == 0 {
 					continue

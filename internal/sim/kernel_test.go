@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -337,5 +338,111 @@ func TestCalendarGrowsOnSkew(t *testing.T) {
 		if a%7 > b%7 || (a%7 == b%7 && a > b) {
 			t.Fatalf("resize broke (at, seq) order at %d: %d before %d", i, a, b)
 		}
+	}
+}
+
+// windowViolation describes the first queued event on the wrong side of
+// the calendar window's limit, or returns "" when the window invariant
+// holds: every overflow-heap entry is at or past calLim, and every
+// calendar entry is before it.
+func (q *queue) windowViolation() string {
+	for _, s := range q.heap {
+		if at := q.nodes[s].at; at < q.calLim {
+			return fmt.Sprintf("heap entry at %d below calLim %d", at, q.calLim)
+		}
+	}
+	for _, h := range q.bucketHead {
+		for s := h; s >= 0; s = q.nodes[s].next {
+			if at := q.nodes[s].at; at >= q.calLim {
+				return fmt.Sprintf("calendar entry at %d at or past calLim %d", at, q.calLim)
+			}
+		}
+	}
+	return ""
+}
+
+// TestGrowMigratesHeapEvents: a doubling widens the window, so it must
+// pull the heap events the wider window now covers into the calendar
+// at once, not at the next cursor advance.
+func TestGrowMigratesHeapEvents(t *testing.T) {
+	k := NewKernel()
+	var fired []uint64
+	k.At(Time(Slots(300)), func() { fired = append(fired, 300) }) // past the 256-slot window
+	n := 2*defaultBuckets + 1
+	for i := 0; i < n; i++ {
+		slot := uint64(i % 200)
+		k.At(Time(Slots(slot)), func() { fired = append(fired, slot) })
+	}
+	if len(k.q.bucketHead) != 2*defaultBuckets {
+		t.Fatalf("calendar has %d buckets after %d in-window events, want %d", len(k.q.bucketHead), n, 2*defaultBuckets)
+	}
+	if v := k.q.windowViolation(); v != "" {
+		t.Fatalf("after the doubling: %s", v)
+	}
+	k.Run()
+	if len(fired) != n+1 || fired[n] != 300 {
+		t.Fatalf("fired %d events, last %v; want %d ending at slot 300", len(fired), fired[len(fired)-1], n+1)
+	}
+	for i := 1; i < len(fired); i++ {
+		if fired[i] < fired[i-1] {
+			t.Fatalf("slot %d fired after slot %d", fired[i], fired[i-1])
+		}
+	}
+}
+
+// TestNearTimeMaxMatchesReference: at the end of the time axis the
+// window is clamped at TimeMax. Three rounds of 1,000 events each, at
+// exactly TimeMax, in its last 5 ticks or uniform between now and
+// TimeMax, must fire in the reference model's (at, seq) order while the
+// cursor jumps to the end of the axis and the calendar grows.
+func TestNearTimeMaxMatchesReference(t *testing.T) {
+	k := NewKernel()
+	model := &refModel{}
+	r := NewRand(7)
+	var fired, expect []int
+	start := TimeMax - Time(Slots(300))
+	k.RunUntil(start)
+	model.runUntil(start, nil)
+	sid, seq := 0, uint64(0)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 1000; i++ {
+			var at Time
+			switch r.Intn(3) {
+			case 0:
+				at = TimeMax
+			case 1:
+				at = TimeMax - 1 - Time(r.Intn(5))
+			default:
+				at = k.Now() + Time(r.Uint64()%uint64(TimeMax-k.Now()))
+			}
+			my := sid
+			sid++
+			seq++
+			k.At(at, func() { fired = append(fired, my) })
+			model.insert(refEntry{at: at, seq: seq, sid: my})
+		}
+		if v := k.q.windowViolation(); v != "" {
+			t.Fatalf("round %d, after scheduling: %s", round, v)
+		}
+		limit := k.Now() + (TimeMax-k.Now())/4
+		if round == 2 {
+			limit = TimeMax
+		}
+		k.RunUntil(limit)
+		expect = model.runUntil(limit, expect)
+		if v := k.q.windowViolation(); v != "" {
+			t.Fatalf("round %d, after RunUntil: %s", round, v)
+		}
+	}
+	if len(fired) != 3000 || len(expect) != 3000 {
+		t.Fatalf("fired %d events, reference %d, want 3000", len(fired), len(expect))
+	}
+	for i := range expect {
+		if fired[i] != expect[i] {
+			t.Fatalf("order diverged at %d: got sid %d, want %d", i, fired[i], expect[i])
+		}
+	}
+	if len(k.q.bucketHead) <= defaultBuckets {
+		t.Fatalf("calendar never grew: %d buckets", len(k.q.bucketHead))
 	}
 }
