@@ -607,9 +607,9 @@ func (q *queue) migrate() {
 }
 
 // fire removes the event in slot s — which must be the value nextLive
-// just returned — advances the clock to it and runs its callback. The slot is
-// released before the callback runs, so cancelling the firing event's
-// own ID from within it is a no-op.
+// just returned — advances the clock to it and runs its callback. The
+// slot is released before the callback runs, so cancelling the firing
+// event's own ID from within it is a no-op.
 func (k *Kernel) fire(s int32) {
 	q := &k.q
 	q.take(s)
