@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var updateScenarios = flag.Bool("update", false, "rewrite testdata/scenarios.golden from the current output")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files of the goldens run from the current output")
 
 const scenariosGolden = "testdata/scenarios.golden"
 
@@ -80,7 +80,7 @@ func TestScenarioOutputGolden(t *testing.T) {
 		}
 	}
 	got := sb.String()
-	if *updateScenarios {
+	if *update {
 		if err := os.WriteFile(scenariosGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
