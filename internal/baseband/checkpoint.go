@@ -428,7 +428,8 @@ func (d *Device) RestoreCheckpoint(ck *DeviceCheckpoint, forkSeed uint64, set *s
 			l.txq = append(l.txq, outMsg{data: append([]byte(nil), m.Data...), llid: m.LLID})
 		}
 		if lc.Pending != nil {
-			l.pending = &outMsg{data: append([]byte(nil), lc.Pending.Data...), llid: lc.Pending.LLID}
+			l.cur = outMsg{data: append([]byte(nil), lc.Pending.Data...), llid: lc.Pending.LLID}
+			l.pending = &l.cur
 		}
 		if lc.Attached {
 			if ck.IsMaster {

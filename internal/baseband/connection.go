@@ -65,13 +65,13 @@ func (d *Device) masterSlot() {
 		if l.pending != nil {
 			l.pendingSent = false // not actually sent this time
 		}
-		p = &packet.Packet{AccessLAP: d.cfg.Addr.LAP,
-			Header: &packet.Header{AMAddr: l.AMAddr, Type: packet.TypePoll, ARQN: l.arqnOut}}
+		p = l.scratchPacket(d.cfg.Addr.LAP, packet.TypePoll)
+		p.Header.ARQN = l.arqnOut
 	}
 	if p.Header.Type == packet.TypePoll {
 		d.Counters.Polls++
 	}
-	d.transmit(p, d.cfg.Addr.UAP, clk, d.chanFreq(d.ownSel, clk))
+	d.transmit(p, l, d.cfg.Addr.UAP, clk, d.chanFreq(d.ownSel, clk))
 	l.lastAddressedAt = now
 	l.pollFollowUp = false // re-armed if the response carries data
 
@@ -314,12 +314,12 @@ func (d *Device) completeConnection(l *Link) {
 func (d *Device) deliverUp(l *Link, p *packet.Packet) {
 	if p.LLID == packet.LLIDLMP {
 		if d.OnLMP != nil {
-			d.OnLMP(l, p.Payload)
+			d.OnLMP(l, handUp(p.Payload))
 		}
 		return
 	}
 	if d.OnData != nil {
-		d.OnData(l, p.Payload, p.LLID)
+		d.OnData(l, handUp(p.Payload), p.LLID)
 	}
 }
 
@@ -483,7 +483,7 @@ func (d *Device) slaveRespond() {
 	}
 	rclk := d.Clock.CLK(d.now())
 	resp := l.nextPacket(false)
-	d.transmit(resp, l.Master.UAP, rclk, d.chanFreq(l.sel, rclk))
+	d.transmit(resp, l, l.Master.UAP, rclk, d.chanFreq(l.sel, rclk))
 	d.tSlaveDone.Schedule(sim.Duration(resp.AirBits() * sim.BitTicks))
 }
 

@@ -104,6 +104,13 @@ type Device struct {
 	idOwn  *cachedID
 	idGIAC *cachedID
 
+	// The air path's reusable memory (never checkpointed; see
+	// ARCHITECTURE.md "Performance model"): the codec every assembly and
+	// parse runs through, and the free list of assembled air vectors,
+	// each back from the channel once its packet has left the air.
+	codec   packet.Codec
+	airFree []*airBuf
+
 	// Scratch for the timer callbacks (the state they would otherwise
 	// capture in a closure).
 	scanRetuneSel *hop.Selector // selector driving the scan retune loop
@@ -339,18 +346,54 @@ func (d *Device) rxOffForce() {
 // signal for the packet's air time. Payload-less control packets (POLL,
 // NULL, the park beacon) dominate idle piconet traffic and assemble to
 // one of a few bit patterns — those come from the device's control
-// cache instead of re-running the whitener and FEC every slot.
-func (d *Device) transmit(p *packet.Packet, uap uint8, clk uint32, freq int) {
+// cache instead of re-running the whitener and FEC every slot. Other
+// packets assemble into a pooled air vector; l, when the packet belongs
+// to a link, supplies its boxed AirMeta.
+func (d *Device) transmit(p *packet.Packet, l *Link, uap uint8, clk uint32, freq int) {
 	if h := p.Header; h != nil && (h.Type == packet.TypeNull || h.Type == packet.TypePoll) {
 		c := d.cachedCtl(p, uap, clk)
-		d.transmitVec(c.vec, c.meta, freq)
+		d.transmitVec(c.vec, c.meta, freq, d.fnTxDone)
 		return
 	}
-	meta := AirMeta{Type: p.Type(), LAP: p.AccessLAP}
-	if p.Header != nil {
-		meta.AMAddr = p.Header.AMAddr
+	var meta any
+	if l != nil {
+		meta = l.airMeta(p)
+	} else {
+		m := AirMeta{Type: p.Type(), LAP: p.AccessLAP}
+		if p.Header != nil {
+			m.AMAddr = p.Header.AMAddr
+		}
+		meta = m
 	}
-	d.transmitVec(p.Assemble(uap, clk), meta, freq)
+	b := d.takeAir()
+	d.codec.Assemble(&b.v, p, uap, clk)
+	d.transmitVec(&b.v, meta, freq, b.done)
+}
+
+// airBuf is one pooled air vector. Its end-of-air callback is bound
+// once: the channel runs it after the packet's last RxEnd, and it
+// returns the vector to the device's free list.
+type airBuf struct {
+	v    bits.Vec
+	done func()
+}
+
+// takeAir returns an empty air vector from the free list, or a new one.
+func (d *Device) takeAir() *airBuf {
+	if n := len(d.airFree); n > 0 {
+		b := d.airFree[n-1]
+		d.airFree = d.airFree[:n-1]
+		b.v.Reset()
+		return b
+	}
+	b := &airBuf{}
+	b.v.Reset()
+	b.done = func() {
+		d.txDone()
+		bits.Poison(&b.v)
+		d.airFree = append(d.airFree, b)
+	}
+	return b
 }
 
 // ctlKey identifies one assembled control-packet bit pattern: everything
@@ -417,24 +460,27 @@ func newCachedID(lap uint32) *cachedID {
 // idGIACVec): the steady-state path of the inquiry and page trains,
 // which skips packet assembly and metadata boxing entirely.
 func (d *Device) transmitID(id *cachedID, freq int) {
-	d.transmitVec(id.vec, id.meta, freq)
+	d.transmitVec(id.vec, id.meta, freq, d.fnTxDone)
 }
 
 // transmitVec puts assembled bits on the air, driving the TX meter and
 // signal for the packet's air time. meta is pre-boxed by the caller so
-// the hot paths can reuse one boxed value per packet identity.
-func (d *Device) transmitVec(v *bits.Vec, meta any, freq int) {
+// the hot paths can reuse one boxed value per packet identity. done is
+// txDone, or a pooled vector's callback that runs txDone and then
+// releases the vector.
+func (d *Device) transmitVec(v *bits.Vec, meta any, freq int, done func()) {
 	d.txCount++
 	d.TxMeter.Set(true)
 	d.SigTxOn.Set(true)
 	d.SigFreq.Set(int64(freq))
-	d.radio.Transmit(freq, v, meta, d.fnTxDone)
+	d.radio.Transmit(freq, v, meta, done)
 	d.Counters.TxPackets++
 }
 
 // txDone lowers the TX meter when the last nested transmission ends.
 // The channel runs it at the packet's End, at the tail of the delivery
-// event, so it costs no kernel event of its own.
+// event, so it costs no kernel event of its own. The cached ID and
+// control vectors are never released.
 func (d *Device) txDone() {
 	d.txCount--
 	if d.txCount == 0 {
@@ -470,6 +516,7 @@ func (d *Device) RxEnd(tx *channel.Transmission, rx *bits.Vec, collided bool) {
 	} else {
 		d.rxOff()
 	}
+	d.codec.Poison() // whatever the handler parsed is now released
 }
 
 // Detach resets the device to standby, dropping links, sync and any
@@ -485,10 +532,16 @@ func (d *Device) Detach() {
 	d.Clock.DropSync()
 }
 
-// parse decodes rx with the device's correlator threshold.
+// parse decodes rx with the device's correlator threshold into the
+// device's codec: the packet is valid until the next assembly or parse,
+// and its payload is copied only where it is handed up (handUp).
 func (d *Device) parse(rx *bits.Vec, lap uint32, uap uint8, clk uint32) (*packet.Packet, *packet.RxInfo, error) {
-	return packet.Parse(rx, lap, uap, clk, d.cfg.CorrelatorThreshold)
+	return d.codec.Parse(rx, lap, uap, clk, d.cfg.CorrelatorThreshold)
 }
+
+// handUp copies a parsed payload for a layer above the baseband, which
+// may keep it.
+func handUp(payload []byte) []byte { return append([]byte(nil), payload...) }
 
 // leadTicks converts the RX lead to kernel ticks.
 func (d *Device) leadTicks() sim.Duration {

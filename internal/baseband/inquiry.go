@@ -240,7 +240,7 @@ func (d *Device) inquiryScanRx(tx *channel.Transmission, rx *bits.Vec, collided 
 				CLK:   d.Clock.CLKN(d.now()),
 			},
 		}
-		d.transmit(fhs, 0, 0, respFreq)
+		d.transmit(fhs, nil, 0, 0, respFreq)
 		d.scan.respN++
 		// Return to scanning after the FHS leaves the antenna.
 		d.after(sim.Duration(fhs.AirBits()*sim.BitTicks), func() {

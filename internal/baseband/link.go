@@ -1,6 +1,7 @@
 package baseband
 
 import (
+	"repro/internal/bits"
 	"repro/internal/hop"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -31,10 +32,12 @@ type Link struct {
 	// packet-type ablation swaps it.
 	PacketType packet.Type
 
-	// ARQ state.
+	// ARQ state. The queue pops by copying down, so its backing array
+	// is reused; pending points at cur, never at a fresh message.
 	txq         []outMsg
-	pending     *outMsg // sent, awaiting acknowledgement
-	pendingSent bool    // pending has been transmitted at least once
+	pending     *outMsg // sent, awaiting acknowledgement (&cur or nil)
+	cur         outMsg
+	pendingSent bool // pending has been transmitted at least once
 	seqnOut     bool
 	arqnOut     bool
 	seqnIn      bool
@@ -65,6 +68,14 @@ type Link struct {
 	// Stats.
 	TxData int
 	RxData int
+
+	// The air path's reusable memory (never checkpointed): segment
+	// buffers of acknowledged messages for Send to refill, the packet
+	// nextPacket fills, and one boxed AirMeta per packet type.
+	bufFree [][]byte
+	txp     packet.Packet
+	txh     packet.Header
+	metas   [16]any
 }
 
 func newLink(dev *Device, amaddr uint8, peer, master BDAddr) *Link {
@@ -92,18 +103,29 @@ func (l *Link) QueueLen() int {
 	return n
 }
 
-// Send queues an upper-layer payload. Payloads longer than the packet
-// type's capacity are split into maximal chunks. On a master, queueing
-// re-arms a long-skipped TX loop (see wakeMaster).
+// Send queues a copy of an upper-layer payload. Payloads longer than
+// the packet type's capacity are split into maximal chunks. On a
+// master, queueing re-arms a long-skipped TX loop (see wakeMaster).
 func (l *Link) Send(data []byte, llid uint8) {
 	maxLen := l.PacketType.MaxPayload()
 	for len(data) > maxLen {
-		l.txq = append(l.txq, outMsg{data: append([]byte(nil), data[:maxLen]...), llid: llid})
+		l.txq = append(l.txq, outMsg{data: l.segment(data[:maxLen]), llid: llid})
 		data = data[maxLen:]
 		llid = LLIDContinue(llid)
 	}
-	l.txq = append(l.txq, outMsg{data: append([]byte(nil), data...), llid: llid})
+	l.txq = append(l.txq, outMsg{data: l.segment(data), llid: llid})
 	l.dev.wakeMaster()
+}
+
+// segment copies one chunk of a payload into a buffer from the link's
+// free list, which acknowledgements refill (see processRx).
+func (l *Link) segment(chunk []byte) []byte {
+	var buf []byte
+	if n := len(l.bufFree); n > 0 {
+		buf = l.bufFree[n-1][:0]
+		l.bufFree = l.bufFree[:n-1]
+	}
+	return append(buf, chunk...)
 }
 
 // LLIDContinue maps a start LLID to its continuation value.
@@ -117,22 +139,26 @@ func LLIDContinue(llid uint8) uint8 {
 // hasTraffic reports whether a data transmission is wanted.
 func (l *Link) hasTraffic() bool { return l.pending != nil || len(l.txq) > 0 }
 
-// nextPacket builds the next baseband packet for this link: a
-// retransmission, fresh data, or the idle packet (POLL for the master,
-// NULL for a slave). The ARQN bit always reflects the last reception.
+// scratchPacket resets the link's reusable packet to a header-only
+// packet of type t addressed to this link. It lives only until the
+// transmit path has assembled it onto the air.
+func (l *Link) scratchPacket(lap uint32, t packet.Type) *packet.Packet {
+	l.txh = packet.Header{AMAddr: l.AMAddr, Type: t}
+	l.txp = packet.Packet{AccessLAP: lap, Header: &l.txh}
+	return &l.txp
+}
+
+// nextPacket builds the next baseband packet for this link in its
+// scratch packet: a retransmission, fresh data, or the idle packet
+// (POLL for the master, NULL for a slave). The ARQN bit always reflects
+// the last reception.
 func (l *Link) nextPacket(master bool) *packet.Packet {
-	// Packet and header share one allocation; the pair lives only until
-	// the transmit path has assembled it onto the air.
-	a := &struct {
-		p packet.Packet
-		h packet.Header
-	}{}
-	a.h = packet.Header{AMAddr: l.AMAddr, ARQN: l.arqnOut}
-	a.p = packet.Packet{AccessLAP: l.Master.LAP, Header: &a.h}
 	if l.pending == nil && len(l.txq) > 0 {
-		msg := l.txq[0]
-		l.txq = l.txq[1:]
-		l.pending = &msg
+		l.cur = l.txq[0]
+		n := copy(l.txq, l.txq[1:])
+		l.txq[n] = outMsg{}
+		l.txq = l.txq[:n]
+		l.pending = &l.cur
 		l.pendingSent = false
 		l.seqnOut = !l.seqnOut
 	}
@@ -141,26 +167,42 @@ func (l *Link) nextPacket(master bool) *packet.Packet {
 			l.dev.Counters.Retransmits++
 		}
 		l.pendingSent = true
-		a.h.Type = l.PacketType
-		a.h.SEQN = l.seqnOut
+		p := l.scratchPacket(l.Master.LAP, l.PacketType)
+		l.txh.ARQN = l.arqnOut
+		l.txh.SEQN = l.seqnOut
 		l.TxData++
-		a.p.Payload = l.pending.data
-		a.p.LLID = l.pending.llid
-		return &a.p
+		p.Payload = l.pending.data
+		p.LLID = l.pending.llid
+		return p
 	}
+	t := packet.TypeNull
 	if master {
-		a.h.Type = packet.TypePoll
-	} else {
-		a.h.Type = packet.TypeNull
+		t = packet.TypePoll
 	}
-	return &a.p
+	p := l.scratchPacket(l.Master.LAP, t)
+	l.txh.ARQN = l.arqnOut
+	return p
+}
+
+// airMeta returns the boxed AirMeta of a packet on this link, boxing it
+// once per packet type rather than once per packet.
+func (l *Link) airMeta(p *packet.Packet) any {
+	m := AirMeta{Type: p.Header.Type, AMAddr: p.Header.AMAddr, LAP: p.AccessLAP}
+	box := &l.metas[m.Type&0xF]
+	if old, ok := (*box).(AirMeta); !ok || old != m {
+		*box = m
+	}
+	return *box
 }
 
 // processRx updates ARQ state from a received header and reports whether
 // the payload (if any) is new (not a duplicate).
 func (l *Link) processRx(h *packet.Header, hasPayload bool) (deliver bool) {
 	if h.ARQN && l.pending != nil {
-		l.pending = nil // acknowledged
+		// Acknowledged: the segment buffer goes back to Send.
+		bits.PoisonBytes(l.cur.data)
+		l.bufFree = append(l.bufFree, l.cur.data)
+		l.pending, l.cur = nil, outMsg{}
 	}
 	if !hasPayload {
 		return false

@@ -241,5 +241,5 @@ func (d *Device) transmitBeacon(now sim.Time) {
 		AccessLAP: d.cfg.Addr.LAP,
 		Header:    &packet.Header{AMAddr: 0, Type: packet.TypeNull},
 	}
-	d.transmit(p, d.cfg.Addr.UAP, clk, d.chanFreq(d.ownSel, clk))
+	d.transmit(p, nil, d.cfg.Addr.UAP, clk, d.chanFreq(d.ownSel, clk))
 }

@@ -208,7 +208,7 @@ func (d *Device) masterResponse(x uint32, respStart sim.Time) {
 				CLK:    d.Clock.CLK(d.now()),
 			},
 		}
-		d.transmit(fhs, target.UAP, 0, d.pg.dacSel.RespForX(x+1))
+		d.transmit(fhs, nil, target.UAP, 0, d.pg.dacSel.RespForX(x+1))
 	})
 	// Listen for the slave's ID acknowledgement one slot after the FHS.
 	ackAt := fhsAt + sim.Time(sim.Slots(1))

@@ -88,8 +88,12 @@ func (s *SCOLink) voiceFrame() []byte {
 		}
 		return f
 	}
-	return make([]byte, s.Type.MaxPayload())
+	return silence[:s.Type.MaxPayload()]
 }
+
+// silence is the frame a source-less voice link sends; packets only
+// read their payloads, so every link shares it.
+var silence [30]byte
 
 // AddSCO reserves a synchronous voice channel on an established ACL
 // link (master side). Call AcceptSCO with the same parameters on the
@@ -141,12 +145,9 @@ func validateSCO(ty packet.Type, tscoSlots int) {
 // and listen for the slave's return frame in the following slot.
 func (d *Device) transmitSCOSlot(sco *SCOLink, now sim.Time) {
 	clk := d.Clock.CLK(now)
-	p := &packet.Packet{
-		AccessLAP: d.cfg.Addr.LAP,
-		Header:    &packet.Header{AMAddr: sco.ACL.AMAddr, Type: sco.Type},
-		Payload:   sco.voiceFrame(),
-	}
-	d.transmit(p, d.cfg.Addr.UAP, clk, d.chanFreq(d.ownSel, clk))
+	p := sco.ACL.scratchPacket(d.cfg.Addr.LAP, sco.Type)
+	p.Payload = sco.voiceFrame()
+	d.transmit(p, sco.ACL, d.cfg.Addr.UAP, clk, d.chanFreq(d.ownSel, clk))
 	sco.TxFrames++
 
 	respAt := now + sim.Time(sim.Slots(1))
@@ -171,7 +172,7 @@ func (d *Device) handleSCORx(p *packet.Packet, rxStart sim.Time) {
 	}
 	sco.RxFrames++
 	if sco.Sink != nil {
-		sco.Sink(p.Payload)
+		sco.Sink(handUp(p.Payload))
 	}
 	if d.isMaster {
 		return
@@ -192,11 +193,8 @@ func (d *Device) scoRespond() {
 		return
 	}
 	clk := d.Clock.CLK(d.now())
-	resp := &packet.Packet{
-		AccessLAP: sco.ACL.Master.LAP,
-		Header:    &packet.Header{AMAddr: sco.ACL.AMAddr, Type: sco.Type},
-		Payload:   sco.voiceFrame(),
-	}
-	d.transmit(resp, sco.ACL.Master.UAP, clk, d.chanFreq(sco.ACL.sel, clk))
+	resp := sco.ACL.scratchPacket(sco.ACL.Master.LAP, sco.Type)
+	resp.Payload = sco.voiceFrame()
+	d.transmit(resp, sco.ACL, sco.ACL.Master.UAP, clk, d.chanFreq(sco.ACL.sel, clk))
 	sco.TxFrames++
 }

@@ -63,7 +63,9 @@ func Resolve(a, b Logic) Logic {
 // a word at a time and a read of up to 64 bits at any offset touches at
 // most two words without a length branch. Multi-bit reads and writes
 // (Uint, XorUint, AppendUint) move up to 64 bits per call. Vectors are
-// made by NewVec or FromBools; the zero Vec is not ready for use.
+// made by NewVec or FromBools; the zero Vec is ready for use after
+// Reset, which also empties a used vector for reuse without giving up
+// its words.
 type Vec struct {
 	w []uint64 // len(w) == n/64 + 1; bits past n are zero
 	n int
@@ -71,6 +73,17 @@ type Vec struct {
 
 // NewVec returns an empty vector with capacity for n bits.
 func NewVec(n int) *Vec { return &Vec{w: make([]uint64, 1, n/64+1)} }
+
+// Reset empties the vector, keeping its capacity for the next appends:
+// the air path refills one vector per packet instead of allocating.
+func (v *Vec) Reset() {
+	if cap(v.w) == 0 {
+		v.w = make([]uint64, 1)
+	}
+	v.w = v.w[:1]
+	v.w[0] = 0
+	v.n = 0
+}
 
 // FromBools builds a vector from explicit bit values.
 func FromBools(vals ...bool) *Vec {
@@ -162,11 +175,14 @@ func (v *Vec) AppendVec(o *Vec) {
 		v.n += o.n
 		return
 	}
-	v.appendRange(o, 0, o.n)
+	v.AppendRange(o, 0, o.n)
 }
 
-// appendRange appends bits [from, to) of o a word at a time.
-func (v *Vec) appendRange(o *Vec, from, to int) {
+// AppendRange appends bits [from, to) of o a word at a time.
+func (v *Vec) AppendRange(o *Vec, from, to int) {
+	if from < 0 || from > to || to > o.n {
+		panic(rangeError{"AppendRange", from, to - from, o.n})
+	}
 	for ; from < to; from += 64 {
 		k := min(64, to-from)
 		v.AppendUint(o.Uint(from, k), k)
@@ -176,7 +192,9 @@ func (v *Vec) appendRange(o *Vec, from, to int) {
 // AppendBytes appends bytes LSB-first, in slice order: eight bytes are
 // one little-endian word, split over the last word and a new one.
 func (v *Vec) AppendBytes(bs []byte) {
-	v.w = slices.Grow(v.w, len(bs)/8+1)
+	// Exactly the words the result needs: a vector NewVec sized for
+	// these bytes does not grow.
+	v.w = slices.Grow(v.w, (v.n+8*len(bs))/64+1-len(v.w))
 	s := uint(v.n) % 64
 	for ; len(bs) >= 8; bs = bs[8:] {
 		x := binary.LittleEndian.Uint64(bs)
@@ -225,7 +243,7 @@ func (v *Vec) Slice(from, to int) *Vec {
 		panic(rangeError{"Slice", from, to - from, v.n})
 	}
 	out := NewVec(to - from)
-	out.appendRange(v, from, to)
+	out.AppendRange(v, from, to)
 	return out
 }
 
@@ -244,17 +262,23 @@ func (v *Vec) BytesRange(from, to int) []byte {
 	if from < 0 || from > to || to > v.n {
 		panic(rangeError{"BytesRange", from, to - from, v.n})
 	}
-	out := make([]byte, (to-from+7)/8)
-	k := 0
+	return v.AppendBytesRange(make([]byte, 0, (to-from+7)/8), from, to)
+}
+
+// AppendBytesRange appends bits [from, to), packed like BytesRange, to
+// dst and returns the extended slice: the receive path unpacks payloads
+// into a buffer it reuses.
+func (v *Vec) AppendBytesRange(dst []byte, from, to int) []byte {
+	if from < 0 || from > to || to > v.n {
+		panic(rangeError{"AppendBytesRange", from, to - from, v.n})
+	}
 	for ; to-from >= 64; from += 64 {
-		binary.LittleEndian.PutUint64(out[k:], v.Uint(from, 64))
-		k += 8
+		dst = binary.LittleEndian.AppendUint64(dst, v.Uint(from, 64))
 	}
 	for ; from < to; from += 8 {
-		out[k] = byte(v.Uint(from, min(8, to-from)))
-		k++
+		dst = append(dst, byte(v.Uint(from, min(8, to-from))))
 	}
-	return out
+	return dst
 }
 
 // HammingDistance counts differing bit positions against o over the first

@@ -191,3 +191,42 @@ func TestHotAccessorsInline(t *testing.T) {
 		}
 	}
 }
+
+// vecSink keeps the vectors of the allocation tests on the heap, as
+// the air path's are.
+var vecSink *Vec
+
+// TestAppendBytesAllocs pins AppendBytes to the capacity it needs: a
+// vector NewVec sized for a payload takes its bytes without growing,
+// so the two allocations are NewVec's own.
+func TestAppendBytesAllocs(t *testing.T) {
+	for _, n := range []int{17, 27, 224, 339} { // DM1, DH1, DM5, DH5 payloads
+		b := make([]byte, n)
+		if got := testing.AllocsPerRun(100, func() {
+			vecSink = NewVec(8 * len(b))
+			vecSink.AppendBytes(b)
+		}); got != 2 {
+			t.Errorf("%d bytes: %v allocations, want 2", n, got)
+		}
+	}
+}
+
+// TestResetReusesWords pins the reuse path: refilling a reset vector
+// within its capacity allocates nothing, and a zero Vec is ready after
+// Reset.
+func TestResetReusesWords(t *testing.T) {
+	b := make([]byte, 339)
+	v := NewVec(8 * len(b))
+	if got := testing.AllocsPerRun(100, func() {
+		v.Reset()
+		v.AppendBytes(b)
+	}); got != 0 {
+		t.Errorf("refill allocated %v times, want 0", got)
+	}
+	var z Vec
+	z.Reset()
+	z.AppendUint(5, 3)
+	if z.Len() != 3 || z.Uint(0, 3) != 5 {
+		t.Errorf("zero Vec after Reset: Len %d, bits %b", z.Len(), z.Uint(0, z.Len()))
+	}
+}

@@ -21,6 +21,7 @@ func (r *refVec) Bit(i int) uint8     { return r.bits[i] }
 func (r *refVec) FlipBit(i int)       { r.bits[i] ^= 1 }
 func (r *refVec) AppendBit(b uint8)   { r.bits = append(r.bits, b&1) }
 func (r *refVec) AppendVec(o *refVec) { r.bits = append(r.bits, o.bits...) }
+func (r *refVec) Reset()              { r.bits = r.bits[:0] }
 func (r *refVec) Clone() *refVec      { return r.Slice(0, r.Len()) }
 func (r *refVec) Bytes() []byte       { return r.BytesRange(0, r.Len()) }
 
@@ -52,6 +53,10 @@ func (r *refVec) XorUint(offset int, x uint64, n int) {
 
 func (r *refVec) Slice(from, to int) *refVec {
 	return &refVec{bits: append([]uint8(nil), r.bits[from:to]...)}
+}
+
+func (r *refVec) AppendRange(o *refVec, from, to int) {
+	r.bits = append(r.bits, o.bits[from:to]...)
 }
 
 func (r *refVec) BytesRange(from, to int) []byte {
@@ -162,11 +167,12 @@ func runVecScript(t *testing.T, script []byte) {
 	for k := range vs {
 		vs[k], rs[k] = NewVec(0), &refVec{}
 	}
+	var dst []byte // reused by AppendBytesRange, stale bytes and all
 	for step := 0; len(s.b) > 0; step++ {
 		op, k, o := s.byte(), int(s.byte())%vecSlots, int(s.byte())%vecSlots
 		v, r := vs[k], rs[k]
 		n := r.Len()
-		switch op % 14 {
+		switch op % 17 {
 		case 0:
 			x, w := s.u64(), int(s.byte())%65
 			v.AppendUint(x, w)
@@ -233,6 +239,26 @@ func runVecScript(t *testing.T, script []byte) {
 			if got, want := v.Ones(), r.Ones(); got != want {
 				t.Fatalf("step %d: Ones = %d, reference %d", step, got, want)
 			}
+		case 14:
+			// The air path's reuse: empty, then refill from the stale
+			// words' capacity.
+			v.Reset()
+			r.Reset()
+		case 15:
+			m := rs[o].Len()
+			from := s.offset(m)
+			to := from + s.offset(m-from)
+			v.AppendRange(vs[o], from, to)
+			r.AppendRange(rs[o], from, to)
+		case 16:
+			from := s.offset(n)
+			to := from + s.offset(n-from)
+			keep := min(len(dst), int(s.byte())%4)
+			want := append(append([]byte(nil), dst[:keep]...), r.BytesRange(from, to)...)
+			dst = v.AppendBytesRange(dst[:keep], from, to)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("step %d: AppendBytesRange(%d, %d) = %x, reference %x", step, from, to, dst, want)
+			}
 		}
 		for j := range vs {
 			checkVec(t, step, vs[j], rs[j])
@@ -260,6 +286,13 @@ func vecSeedScripts() [][]byte {
 			[]byte{6, 0, 0, 1, 129, 0, 6, 0, 0, 0, 60, 0, 13, 0, 0}),
 		// Zero-width reads and writes at the end of a full word.
 		cat([]byte{0, 0, 0}, u64(1), []byte{64, 7, 0, 0, 0, 0, 64, 0, 8, 0, 0, 0}, u64(5), []byte{0, 64, 0}),
+		// Reuse: 130 bits, reset, a short refill over the stale words,
+		// a range of another vector on and off a word boundary, and
+		// bytes unpacked into a reused buffer.
+		cat([]byte{0, 0, 0}, u64(^uint64(0)), []byte{64, 0, 0, 0}, u64(^uint64(0)), []byte{64, 1, 0, 0, 1},
+			[]byte{5, 0, 1}, []byte{14, 0, 0, 0, 0, 0}, u64(0x5), []byte{3},
+			[]byte{15, 0, 1, 1, 3, 0, 0, 1, 0, 0}, []byte{15, 2, 1, 0, 60, 0, 1, 40, 0},
+			[]byte{16, 0, 0, 0, 0, 0, 0, 130, 0, 0}, []byte{16, 0, 0, 0, 2, 0, 0, 9, 0, 2}),
 	}
 }
 

@@ -61,7 +61,10 @@ func (t *Transmission) Duration() sim.Duration { return sim.Duration(t.End - t.S
 // RF window open to packet end; RxEnd delivers the (noise-corrupted)
 // bits or reports a collision at the packet's End. The delivered bits
 // may be shared with other receivers (and, on a noiseless channel, with
-// the transmitter): listeners must treat rx as read-only.
+// the transmitter): listeners must treat rx as read-only. Like the
+// *Transmission, rx must not be retained past RxEnd: a noisy copy goes
+// back to the channel's free list when RxEnd returns, and the
+// transmitter reuses its own vector once the packet has left the air.
 type Listener interface {
 	Name() string
 	RxStart(tx *Transmission)
@@ -117,6 +120,7 @@ type Channel struct {
 	receivers   []*Radio // tuned-at-least-once radios in registration order
 	active      []*Transmission
 	txFree      []*Transmission // recycled transmission nodes
+	rxFree      []*bits.Vec     // recycled noisy copies (see corrupt)
 	jammers     []Jammer
 	stats       Stats
 	onCollision func(existing, incoming *Transmission)
@@ -390,7 +394,12 @@ func (tx *Transmission) deliverEnd() {
 		}
 		c.stats.Deliveries++
 		c.stats.PerFreq[tx.Freq].Deliveries++
-		r.l.RxEnd(tx, c.corrupt(tx.Bits), false)
+		rx := c.corrupt(tx.Bits)
+		r.l.RxEnd(tx, rx, false)
+		if rx != tx.Bits {
+			bits.Poison(rx)
+			c.rxFree = append(c.rxFree, rx)
+		}
 	}
 	// The packet has left the air (End <= now), so it can no longer
 	// collide with anything; drop it from the active list and recycle.
@@ -408,17 +417,27 @@ func (tx *Transmission) deliverEnd() {
 	}
 }
 
-// corrupt applies the BER to a copy of the transmitted bits. A noiseless
-// channel hands receivers the transmitted vector itself: the per-receiver
-// copy exists only to carry independent noise, and the whole receive
-// chain (correlation, FEC, dewhitening, payload extraction) reads rx
-// without mutating it — receivers must treat delivered bits as shared
-// and read-only, per the Listener contract.
+// corrupt applies the BER to a copy of the transmitted bits, taken from
+// the channel's free list: deliverEnd returns it there once RxEnd is
+// done with it. A noiseless channel hands receivers the transmitted
+// vector itself: the per-receiver copy exists only to carry independent
+// noise, and the whole receive chain (correlation, FEC, dewhitening,
+// payload extraction) reads rx without mutating it — receivers must
+// treat delivered bits as shared and read-only, per the Listener
+// contract.
 func (c *Channel) corrupt(v *bits.Vec) *bits.Vec {
 	if c.cfg.BER == 0 {
 		return v
 	}
-	out := v.Clone()
+	var out *bits.Vec
+	if n := len(c.rxFree); n > 0 {
+		out = c.rxFree[n-1]
+		c.rxFree = c.rxFree[:n-1]
+		out.Reset()
+	} else {
+		out = bits.NewVec(v.Len())
+	}
+	out.AppendVec(v)
 	for i := 0; i < out.Len(); i++ {
 		if c.rng.Bool(c.cfg.BER) {
 			out.FlipBit(i)

@@ -478,3 +478,40 @@ func TestTransmissionAccessors(t *testing.T) {
 	})
 	k.Run()
 }
+
+// onesRx reads every delivery and keeps nothing, as the Listener
+// contract asks.
+type onesRx struct {
+	name string
+	ones int
+}
+
+func (o *onesRx) Name() string          { return o.name }
+func (o *onesRx) RxStart(*Transmission) {}
+func (o *onesRx) RxEnd(_ *Transmission, rx *bits.Vec, collided bool) {
+	if !collided {
+		o.ones += rx.Ones()
+	}
+}
+
+// TestNoisyCopiesRecycled pins the BER copies to the channel's free
+// list: once warm, a noisy packet delivered to two receivers allocates
+// nothing, and every copy still carries its own noise.
+func TestNoisyCopiesRecycled(t *testing.T) {
+	k, c := setup(0.02)
+	a, b := &onesRx{name: "a"}, &onesRx{name: "b"}
+	c.Tune(a, 0)
+	c.Tune(b, 0)
+	sent := vec(500)
+	send := func() {
+		c.Transmit("tx", 0, sent, nil)
+		k.Run()
+	}
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("%v allocations per noisy packet, want 0", allocs)
+	}
+	if c.Stats().FlippedBits == 0 || a.ones == b.ones {
+		t.Errorf("copies share their noise: flipped %d, ones %d and %d", c.Stats().FlippedBits, a.ones, b.ones)
+	}
+}

@@ -76,23 +76,28 @@ func DecodeFEC13Uint(x uint64, n int) (out uint64, corrected int) {
 // It also reports how many triples needed correction, a useful channel
 // quality measure.
 func DecodeFEC13(in *bits.Vec) (out *bits.Vec, corrected int, ok bool) {
-	return DecodeFEC13Range(in, 0, in.Len())
-}
-
-// DecodeFEC13Range decodes bits [from, to) of in without copying them
-// into a separate vector first, 21 triples per step.
-func DecodeFEC13Range(in *bits.Vec, from, to int) (out *bits.Vec, corrected int, ok bool) {
-	if (to-from)%3 != 0 {
+	out = bits.NewVec(in.Len() / 3)
+	if corrected, ok = AppendDecodeFEC13(out, in, 0, in.Len()); !ok {
 		return nil, 0, false
 	}
-	out = bits.NewVec((to - from) / 3)
+	return out, corrected, true
+}
+
+// AppendDecodeFEC13 decodes bits [from, to) of in, 21 triples per step,
+// and appends the result to out: the receive path decodes into a vector
+// it reuses, without copying the coded bits out first. ok is false,
+// with nothing appended, if the range is not a whole number of triples.
+func AppendDecodeFEC13(out, in *bits.Vec, from, to int) (corrected int, ok bool) {
+	if (to-from)%3 != 0 {
+		return 0, false
+	}
 	for ; from < to; from += 63 {
 		n := min(63, to-from) / 3
 		d, c := DecodeFEC13Uint(in.Uint(from, 3*n), n)
 		out.AppendUint(d, n)
 		corrected += c
 	}
-	return out, corrected, true
+	return corrected, true
 }
 
 // fec23Gen is the generator polynomial of the (15,10) shortened Hamming
@@ -181,16 +186,21 @@ func AppendFEC23(out, in *bits.Vec) {
 // block. ok is false if the input length is not a multiple of 15 or any
 // block has an uncorrectable (multi-bit) error pattern.
 func DecodeFEC23(in *bits.Vec) (out *bits.Vec, corrected int, ok bool) {
-	return DecodeFEC23Range(in, 0, in.Len())
+	out = bits.NewVec(in.Len() / fec23BlockLen * fec23DataLen)
+	if corrected, ok = AppendDecodeFEC23(out, in, 0, in.Len()); !ok {
+		return nil, corrected, false
+	}
+	return out, corrected, true
 }
 
-// DecodeFEC23Range decodes bits [from, to) of in without copying them
-// out first, four blocks per step.
-func DecodeFEC23Range(in *bits.Vec, from, to int) (out *bits.Vec, corrected int, ok bool) {
+// AppendDecodeFEC23 decodes bits [from, to) of in, four blocks per
+// step, and appends the data bits to out. ok is false if the range is
+// not a whole number of blocks (nothing appended) or a block is
+// uncorrectable (out then holds a partial decode the caller discards).
+func AppendDecodeFEC23(out, in *bits.Vec, from, to int) (corrected int, ok bool) {
 	if (to-from)%fec23BlockLen != 0 {
-		return nil, 0, false
+		return 0, false
 	}
-	out = bits.NewVec((to - from) / fec23BlockLen * fec23DataLen)
 	for ; from < to; from += 4 * fec23BlockLen {
 		blocks := min(4*fec23BlockLen, to-from) / fec23BlockLen
 		x := in.Uint(from, fec23BlockLen*blocks)
@@ -201,7 +211,7 @@ func DecodeFEC23Range(in *bits.Vec, from, to int) (out *bits.Vec, corrected int,
 			if syn := fec23ParityTab[d] ^ uint8(cw>>fec23DataLen)&(1<<fec23ParityLen-1); syn != 0 {
 				pos := fec23Syndromes[syn]
 				if pos < 0 {
-					return nil, corrected, false
+					return corrected, false
 				}
 				corrected++
 				if pos >= fec23ParityLen {
@@ -213,5 +223,5 @@ func DecodeFEC23Range(in *bits.Vec, from, to int) (out *bits.Vec, corrected int,
 		}
 		out.AppendUint(data, fec23DataLen*blocks)
 	}
-	return out, corrected, true
+	return corrected, true
 }

@@ -114,19 +114,28 @@ func TestAppendFEC13MatchesEncode(t *testing.T) {
 	}
 }
 
+// appended returns a copy of a followed by b.
+func appended(a, b *bits.Vec) *bits.Vec {
+	out := a.Clone()
+	out.AppendVec(b)
+	return out
+}
+
 func TestDecodeFEC13RangeMatchesSlice(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	v := rndVec(r, 240)
 	for trial := 0; trial < 32; trial++ {
 		from := r.Intn(60)
 		to := from + 3*r.Intn((v.Len()-from)/3)
-		gotV, gotC, gotOK := DecodeFEC13Range(v, from, to)
+		prefix := rndVec(r, trial)
+		gotV := prefix.Clone()
+		gotC, gotOK := AppendDecodeFEC13(gotV, v, from, to)
 		wantV, wantC, wantOK := DecodeFEC13(v.Slice(from, to))
-		if gotOK != wantOK || gotC != wantC || (gotOK && !gotV.Equal(wantV)) {
-			t.Fatalf("[%d,%d): DecodeFEC13Range diverges from sliced decode", from, to)
+		if gotOK != wantOK || gotC != wantC || (gotOK && !gotV.Equal(appended(prefix, wantV))) {
+			t.Fatalf("[%d,%d): AppendDecodeFEC13 diverges from sliced decode", from, to)
 		}
 	}
-	if _, _, ok := DecodeFEC13Range(v, 0, 7); ok {
+	if _, ok := AppendDecodeFEC13(bits.NewVec(0), v, 0, 7); ok {
 		t.Fatal("non-multiple-of-3 range must fail")
 	}
 }
@@ -243,10 +252,12 @@ func TestFEC23RangeMatchesSlice(t *testing.T) {
 		}
 		from := 15 * r.Intn(8)
 		to := from + 15*r.Intn((v.Len()-from)/15+1)
-		gotV, gotC, gotOK := DecodeFEC23Range(v, from, to)
+		prefix := rndVec(r, trial)
+		gotV := prefix.Clone()
+		gotC, gotOK := AppendDecodeFEC23(gotV, v, from, to)
 		wantV, wantC, wantOK := DecodeFEC23(v.Slice(from, to))
-		if gotOK != wantOK || gotC != wantC || (gotOK && !gotV.Equal(wantV)) {
-			t.Fatalf("[%d,%d): DecodeFEC23Range diverges from sliced decode", from, to)
+		if gotOK != wantOK || gotC != wantC || (gotOK && !gotV.Equal(appended(prefix, wantV))) {
+			t.Fatalf("[%d,%d): AppendDecodeFEC23 diverges from sliced decode", from, to)
 		}
 	}
 	prefix := rndVec(r, 7)

@@ -107,9 +107,10 @@ func (w *World) poissonPump(p *PiconetState, slave int, mean float64, burst int,
 		arm: PumpArm{Kind: pumpPoisson, Piconet: p.Index, Slave: slave, Bytes: burst, MeanGap: mean},
 		rng: rng,
 	}
+	zeros := make([]byte, burst) // Send copies; every burst shares it
 	var arm func()
 	send := func() {
-		link.Send(make([]byte, burst), packet.LLIDL2CAPStart)
+		link.Send(zeros, packet.LLIDL2CAPStart)
 		arm()
 	}
 	arm = func() {

@@ -276,14 +276,37 @@ type RxInfo struct {
 	PayloadFixed    int // FEC-2/3 corrections in the payload
 }
 
-// Assemble serialises the packet to on-air bits. uap and clk are the
-// receiver-agreed values (sender's UAP for HEC/CRC, piconet clock for
-// whitening); for ID packets they are unused.
+// Codec is the reusable working memory of one transmitter's and
+// receiver's packet chains: the payload staged between whitening and
+// FEC, the decoded packet, header, FHS fields and quality report, and
+// the unpacked payload bytes. A device holds one, so its steady-state
+// traffic assembles and parses without allocating. The zero Codec is
+// ready for use; its buffers grow to the largest packet seen and stay.
+type Codec struct {
+	pl      bits.Vec // payload before FEC (Assemble) or after it (Parse)
+	pkt     Packet
+	hdr     Header
+	fhs     FHSPayload
+	info    RxInfo
+	payload []byte
+}
+
+// Assemble serialises the packet to on-air bits in a fresh vector. uap
+// and clk are the receiver-agreed values (sender's UAP for HEC/CRC,
+// piconet clock for whitening); for ID packets they are unused.
 func (p *Packet) Assemble(uap uint8, clk uint32) *bits.Vec {
-	if p.IsID() {
-		return access.Code(p.AccessLAP, false)
-	}
+	var c Codec
 	out := bits.NewVec(p.AirBits())
+	c.Assemble(out, p, uap, clk)
+	return out
+}
+
+// Assemble appends the on-air bits of p to out (see Packet.Assemble).
+func (c *Codec) Assemble(out *bits.Vec, p *Packet, uap uint8, clk uint32) {
+	if p.IsID() {
+		access.AppendCode(out, p.AccessLAP, false)
+		return
+	}
 	access.AppendCode(out, p.AccessLAP, true)
 
 	w := coding.NewWhitener(clk)
@@ -298,8 +321,9 @@ func (p *Packet) Assemble(uap uint8, clk uint32) *bits.Vec {
 	switch {
 	case t == TypeNull || t == TypePoll:
 	case t.fec13Payload() || t.fec23():
-		// FEC comes after whitening, so the payload is built apart.
-		pl := bits.NewVec(p.payloadBitLen())
+		// FEC comes after whitening, so the payload is staged apart.
+		pl := &c.pl
+		pl.Reset()
 		p.appendPayload(pl, uap)
 		w.Apply(pl)
 		if t.fec13Payload() {
@@ -312,7 +336,6 @@ func (p *Packet) Assemble(uap uint8, clk uint32) *bits.Vec {
 		p.appendPayload(out, uap)
 		w.ApplyRange(out, start, out.Len())
 	}
-	return out
 }
 
 // appendPayload appends the unwhitened, un-FEC'd payload bit string
@@ -375,25 +398,29 @@ func boolBit(b bool) uint8 {
 // Parse decodes received on-air bits. expectLAP is the access code the
 // receiver's correlator is armed with; uap/clk as in Assemble; threshold
 // is the correlator's sync-error budget. ID packets parse as soon as the
-// access code correlates and the length is the bare 68-bit form.
+// access code correlates and the length is the bare 68-bit form. The
+// result is the caller's to keep; a receiver that parses every packet
+// uses a Codec instead.
 func Parse(rx *bits.Vec, expectLAP uint32, uap uint8, clk uint32, threshold int) (*Packet, *RxInfo, error) {
-	// One allocation covers the packet, header and quality report — the
-	// receive path runs once per delivered transmission and dominated the
-	// allocator before they were fused.
-	a := &struct {
-		p    Packet
-		h    Header
-		info RxInfo
-	}{}
-	info := &a.info
+	return new(Codec).Parse(rx, expectLAP, uap, clk, threshold)
+}
+
+// Parse decodes rx like the package-level Parse, into the codec: the
+// packet, its header, FHS fields and payload bytes, and the quality
+// report all live in c and are valid until c's next Assemble or Parse.
+// A caller that hands the payload on copies it first.
+func (c *Codec) Parse(rx *bits.Vec, expectLAP uint32, uap uint8, clk uint32, threshold int) (*Packet, *RxInfo, error) {
+	info := &c.info
+	*info = RxInfo{}
 	errs, ok := access.Correlate(rx, expectLAP, threshold)
 	info.SyncErrors = errs
 	if !ok {
 		return nil, info, ErrAccessCode
 	}
+	p := &c.pkt
 	if rx.Len() < 72+54 {
-		a.p.AccessLAP = expectLAP
-		return &a.p, info, nil
+		*p = Packet{AccessLAP: expectLAP}
+		return p, info, nil
 	}
 
 	// The header is decoded, dewhitened and checked as an integer.
@@ -404,39 +431,38 @@ func Parse(rx *bits.Vec, expectLAP uint32, uap uint8, clk uint32, threshold int)
 	if coding.HECUint(hdr, 10, uap) != uint8(hdr>>10) {
 		return nil, info, ErrHEC
 	}
-	a.h = Header{
+	h := &c.hdr
+	*h = Header{
 		AMAddr: uint8(hdr & 0x7),
 		Type:   Type(hdr >> 3 & 0xF),
 		Flow:   hdr>>7&1 == 1,
 		ARQN:   hdr>>8&1 == 1,
 		SEQN:   hdr>>9&1 == 1,
 	}
-	h := &a.h
-	a.p = Packet{AccessLAP: expectLAP, Header: h}
-	p := &a.p
+	*p = Packet{AccessLAP: expectLAP, Header: h}
 
 	switch h.Type {
 	case TypeNull, TypePoll:
 		return p, info, nil
 	}
 	if h.Type.IsSCO() {
-		return parseSCO(p, rx, w, info)
+		return c.parseSCO(rx, w)
 	}
-	var body *bits.Vec
+	body := &c.pl
+	body.Reset()
 	if h.Type.fec23() {
-		dec, fixed, ok := coding.DecodeFEC23Range(rx, 72+54, rx.Len())
+		fixed, ok := coding.AppendDecodeFEC23(body, rx, 72+54, rx.Len())
 		if !ok {
 			return nil, info, ErrPayloadFEC
 		}
 		info.PayloadFixed = fixed
-		body = dec
 	} else {
-		body = rx.Slice(72+54, rx.Len())
+		body.AppendRange(rx, 72+54, rx.Len())
 	}
 	w.Apply(body)
 
 	if h.Type == TypeFHS {
-		if err := parseFHS(p, body, uap); err != nil {
+		if err := c.parseFHS(uap); err != nil {
 			return nil, info, err
 		}
 		return p, info, nil
@@ -470,48 +496,52 @@ func Parse(rx *bits.Vec, expectLAP uint32, uap uint8, clk uint32, threshold int)
 			return nil, info, ErrCRC
 		}
 	}
-	p.Payload = body.BytesRange(phb, end)
-	if length == 0 {
-		p.Payload = nil
+	if length > 0 {
+		c.payload = body.AppendBytesRange(c.payload[:0], phb, end)
+		p.Payload = c.payload
 	}
 	return p, info, nil
 }
 
-// parseSCO decodes a voice payload: HV1 majority-votes its repetition
-// code, HV2's Hamming blocks may declare an erasure, HV3 delivers the
-// raw (possibly corrupted) bits — voice has no CRC and no ARQ.
-func parseSCO(p *Packet, rx *bits.Vec, w *coding.Whitener, info *RxInfo) (*Packet, *RxInfo, error) {
+// parseSCO decodes a voice payload into c: HV1 majority-votes its
+// repetition code, HV2's Hamming blocks may declare an erasure, HV3
+// delivers the raw (possibly corrupted) bits — voice has no CRC and no
+// ARQ.
+func (c *Codec) parseSCO(rx *bits.Vec, w *coding.Whitener) (*Packet, *RxInfo, error) {
+	p, info := &c.pkt, &c.info
 	t := p.Header.Type
 	want := t.MaxPayload() * 8
-	var body *bits.Vec
+	body := &c.pl
+	body.Reset()
 	switch {
-	case t.fec13Payload():
-		dec, fixed, ok := coding.DecodeFEC13Range(rx, 72+54, rx.Len())
-		if !ok || dec.Len() < want {
+	case t.fec13Payload() || t.fec23():
+		var fixed int
+		var ok bool
+		if t.fec13Payload() {
+			fixed, ok = coding.AppendDecodeFEC13(body, rx, 72+54, rx.Len())
+		} else {
+			fixed, ok = coding.AppendDecodeFEC23(body, rx, 72+54, rx.Len())
+		}
+		if !ok || body.Len() < want {
 			return nil, info, ErrPayloadFEC
 		}
 		info.PayloadFixed = fixed
-		body = dec
-	case t.fec23():
-		dec, fixed, ok := coding.DecodeFEC23Range(rx, 72+54, rx.Len())
-		if !ok || dec.Len() < want {
-			return nil, info, ErrPayloadFEC
-		}
-		info.PayloadFixed = fixed
-		body = dec
 	default:
 		if rx.Len()-(72+54) < want {
 			return nil, info, ErrMalformed
 		}
-		body = rx.Slice(72+54, 72+54+want)
+		body.AppendRange(rx, 72+54, 72+54+want)
 	}
 	w.ApplyRange(body, 0, want)
-	p.Payload = body.BytesRange(0, want)
+	c.payload = body.AppendBytesRange(c.payload[:0], 0, want)
+	p.Payload = c.payload
 	return p, info, nil
 }
 
-// parseFHS decodes the FHS information field into p.FHS.
-func parseFHS(p *Packet, body *bits.Vec, uap uint8) error {
+// parseFHS decodes the FHS information field of the dewhitened body
+// into c's FHS payload.
+func (c *Codec) parseFHS(uap uint8) error {
+	body := &c.pl
 	if body.Len() < 160 {
 		return ErrMalformed
 	}
@@ -519,7 +549,7 @@ func parseFHS(p *Packet, body *bits.Vec, uap uint8) error {
 	if coding.CRC16Range(body, 0, 144, uap) != crc {
 		return ErrCRC
 	}
-	p.FHS = &FHSPayload{
+	c.fhs = FHSPayload{
 		LAP:    uint32(body.Uint(34, 24)),
 		SR:     uint8(body.Uint(60, 2)),
 		UAP:    uint8(body.Uint(64, 8)),
@@ -528,5 +558,23 @@ func parseFHS(p *Packet, body *bits.Vec, uap uint8) error {
 		AMAddr: uint8(body.Uint(112, 3)),
 		CLK:    uint32(body.Uint(115, 26)) << 2,
 	}
+	c.pkt.FHS = &c.fhs
 	return nil
+}
+
+// Poison overwrites everything a parse left in c (see bits.Poison): a
+// receiver poisons its codec once it has handed the packet on, so a
+// reader that kept the packet past that point reads garbage. It does
+// nothing unless the module is built with the poison tag.
+func (c *Codec) Poison() {
+	if !bits.Poisoning {
+		return
+	}
+	bits.Poison(&c.pl)
+	bits.PoisonBytes(c.payload)
+	c.hdr = Header{AMAddr: ^c.hdr.AMAddr, Type: ^c.hdr.Type, Flow: !c.hdr.Flow, ARQN: !c.hdr.ARQN, SEQN: !c.hdr.SEQN}
+	c.fhs = FHSPayload{LAP: ^c.fhs.LAP, UAP: ^c.fhs.UAP, NAP: ^c.fhs.NAP, Class: ^c.fhs.Class,
+		AMAddr: ^c.fhs.AMAddr, CLK: ^c.fhs.CLK, SR: ^c.fhs.SR}
+	c.pkt.LLID = ^c.pkt.LLID
+	c.pkt.PFlow = !c.pkt.PFlow
 }

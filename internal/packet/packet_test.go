@@ -165,7 +165,7 @@ func TestFHSCRCFailureReturnsNilPacket(t *testing.T) {
 	v := p.Assemble(testUAP, testCLK)
 	// Flip one information bit under valid FEC-2/3 codewords, so the
 	// payload decodes cleanly and only the CRC can object.
-	body, _, ok := coding.DecodeFEC23Range(v, 72+54, v.Len())
+	body, _, ok := coding.DecodeFEC23(v.Slice(72+54, v.Len()))
 	if !ok {
 		t.Fatal("clean FHS payload failed FEC decode")
 	}
