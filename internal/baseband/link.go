@@ -162,25 +162,25 @@ func (l *Link) nextPacket(master bool) *packet.Packet {
 		l.pendingSent = false
 		l.seqnOut = !l.seqnOut
 	}
+	t := packet.TypeNull
+	switch {
+	case l.pending != nil:
+		t = l.PacketType
+	case master:
+		t = packet.TypePoll
+	}
+	p := l.scratchPacket(l.Master.LAP, t)
+	l.txh.ARQN = l.arqnOut
 	if l.pending != nil {
 		if l.pendingSent {
 			l.dev.Counters.Retransmits++
 		}
 		l.pendingSent = true
-		p := l.scratchPacket(l.Master.LAP, l.PacketType)
-		l.txh.ARQN = l.arqnOut
 		l.txh.SEQN = l.seqnOut
 		l.TxData++
 		p.Payload = l.pending.data
 		p.LLID = l.pending.llid
-		return p
 	}
-	t := packet.TypeNull
-	if master {
-		t = packet.TypePoll
-	}
-	p := l.scratchPacket(l.Master.LAP, t)
-	l.txh.ARQN = l.arqnOut
 	return p
 }
 
