@@ -9,7 +9,7 @@ package bits
 // the zero bits past Len(), so such a reader fails on content, not on a
 // range check.
 func Poison(v *Vec) {
-	if !poisoning || v == nil || len(v.w) == 0 { // nil, or a zero Vec never Reset
+	if !Poisoning || v == nil || len(v.w) == 0 { // nil, or a zero Vec never Reset
 		return
 	}
 	full := v.n / 64
@@ -22,14 +22,10 @@ func Poison(v *Vec) {
 // PoisonBytes is Poison for a released byte buffer: every byte is
 // inverted.
 func PoisonBytes(b []byte) {
-	if !poisoning {
+	if !Poisoning {
 		return
 	}
 	for i := range b {
 		b[i] = ^b[i]
 	}
 }
-
-// Poisoning reports whether released buffers are poisoned (the poison
-// build tag).
-const Poisoning = poisoning

@@ -2,4 +2,5 @@
 
 package bits
 
-const poisoning = false
+// Poisoning reports whether released buffers are poisoned (see Poison).
+const Poisoning = false
