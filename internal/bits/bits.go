@@ -85,6 +85,13 @@ func (v *Vec) Reset() {
 	v.n = 0
 }
 
+// Grow makes room for n more bits, so appending up to n bits does not
+// reallocate: the air path sizes a reused vector once for each packet
+// instead of growing it word by word on first use.
+func (v *Vec) Grow(n int) {
+	v.w = slices.Grow(v.w, (v.n+n)/64+1-len(v.w))
+}
+
 // FromBools builds a vector from explicit bit values.
 func FromBools(vals ...bool) *Vec {
 	v := NewVec(len(vals))
@@ -192,9 +199,7 @@ func (v *Vec) AppendRange(o *Vec, from, to int) {
 // AppendBytes appends bytes LSB-first, in slice order: eight bytes are
 // one little-endian word, split over the last word and a new one.
 func (v *Vec) AppendBytes(bs []byte) {
-	// Exactly the words the result needs: a vector NewVec sized for
-	// these bytes does not grow.
-	v.w = slices.Grow(v.w, (v.n+8*len(bs))/64+1-len(v.w))
+	v.Grow(8 * len(bs)) // a vector NewVec sized for these bytes does not grow
 	s := uint(v.n) % 64
 	for ; len(bs) >= 8; bs = bs[8:] {
 		x := binary.LittleEndian.Uint64(bs)

@@ -212,8 +212,8 @@ func TestAppendBytesAllocs(t *testing.T) {
 }
 
 // TestResetReusesWords pins the reuse path: refilling a reset vector
-// within its capacity allocates nothing, and a zero Vec is ready after
-// Reset.
+// within its capacity allocates nothing, Grow sizes a vector in one
+// step, and a zero Vec is ready after Reset.
 func TestResetReusesWords(t *testing.T) {
 	b := make([]byte, 339)
 	v := NewVec(8 * len(b))
@@ -222,6 +222,15 @@ func TestResetReusesWords(t *testing.T) {
 		v.AppendBytes(b)
 	}); got != 0 {
 		t.Errorf("refill allocated %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		vecSink = NewVec(0)
+		vecSink.Grow(2870) // a DH5 on air
+		for i := 0; i < 2870/64; i++ {
+			vecSink.AppendUint(^uint64(0), 64)
+		}
+	}); got != 3 {
+		t.Errorf("NewVec, Grow and appends took %v allocations, want 3", got)
 	}
 	var z Vec
 	z.Reset()

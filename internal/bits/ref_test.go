@@ -172,7 +172,7 @@ func runVecScript(t *testing.T, script []byte) {
 		op, k, o := s.byte(), int(s.byte())%vecSlots, int(s.byte())%vecSlots
 		v, r := vs[k], rs[k]
 		n := r.Len()
-		switch op % 17 {
+		switch op % 18 {
 		case 0:
 			x, w := s.u64(), int(s.byte())%65
 			v.AppendUint(x, w)
@@ -259,6 +259,8 @@ func runVecScript(t *testing.T, script []byte) {
 			if !bytes.Equal(dst, want) {
 				t.Fatalf("step %d: AppendBytesRange(%d, %d) = %x, reference %x", step, from, to, dst, want)
 			}
+		case 17:
+			v.Grow(s.u16()) // capacity only; the reference has none
 		}
 		for j := range vs {
 			checkVec(t, step, vs[j], rs[j])
@@ -292,7 +294,8 @@ func vecSeedScripts() [][]byte {
 		cat([]byte{0, 0, 0}, u64(^uint64(0)), []byte{64, 0, 0, 0}, u64(^uint64(0)), []byte{64, 1, 0, 0, 1},
 			[]byte{5, 0, 1}, []byte{14, 0, 0, 0, 0, 0}, u64(0x5), []byte{3},
 			[]byte{15, 0, 1, 1, 3, 0, 0, 1, 0, 0}, []byte{15, 2, 1, 0, 60, 0, 1, 40, 0},
-			[]byte{16, 0, 0, 0, 0, 0, 0, 130, 0, 0}, []byte{16, 0, 0, 0, 2, 0, 0, 9, 0, 2}),
+			[]byte{16, 0, 0, 0, 0, 0, 0, 130, 0, 0}, []byte{16, 0, 0, 0, 2, 0, 0, 9, 0, 2},
+			[]byte{14, 1, 0, 17, 1, 0, 0, 2}, []byte{0, 1, 0}, u64(^uint64(0)), []byte{64}),
 	}
 }
 

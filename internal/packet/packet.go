@@ -14,6 +14,7 @@ package packet
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/bits"
@@ -303,6 +304,7 @@ func (p *Packet) Assemble(uap uint8, clk uint32) *bits.Vec {
 
 // Assemble appends the on-air bits of p to out (see Packet.Assemble).
 func (c *Codec) Assemble(out *bits.Vec, p *Packet, uap uint8, clk uint32) {
+	out.Grow(p.AirBits())
 	if p.IsID() {
 		access.AppendCode(out, p.AccessLAP, false)
 		return
@@ -324,6 +326,7 @@ func (c *Codec) Assemble(out *bits.Vec, p *Packet, uap uint8, clk uint32) {
 		// FEC comes after whitening, so the payload is staged apart.
 		pl := &c.pl
 		pl.Reset()
+		pl.Grow(p.payloadBitLen())
 		p.appendPayload(pl, uap)
 		w.Apply(pl)
 		if t.fec13Payload() {
@@ -450,6 +453,7 @@ func (c *Codec) Parse(rx *bits.Vec, expectLAP uint32, uap uint8, clk uint32, thr
 	}
 	body := &c.pl
 	body.Reset()
+	body.Grow(rx.Len() - (72 + 54))
 	if h.Type.fec23() {
 		fixed, ok := coding.AppendDecodeFEC23(body, rx, 72+54, rx.Len())
 		if !ok {
@@ -497,7 +501,7 @@ func (c *Codec) Parse(rx *bits.Vec, expectLAP uint32, uap uint8, clk uint32, thr
 		}
 	}
 	if length > 0 {
-		c.payload = body.AppendBytesRange(c.payload[:0], phb, end)
+		c.payload = body.AppendBytesRange(slices.Grow(c.payload[:0], length), phb, end)
 		p.Payload = c.payload
 	}
 	return p, info, nil
@@ -513,6 +517,7 @@ func (c *Codec) parseSCO(rx *bits.Vec, w *coding.Whitener) (*Packet, *RxInfo, er
 	want := t.MaxPayload() * 8
 	body := &c.pl
 	body.Reset()
+	body.Grow(rx.Len() - (72 + 54))
 	switch {
 	case t.fec13Payload() || t.fec23():
 		var fixed int
@@ -533,7 +538,7 @@ func (c *Codec) parseSCO(rx *bits.Vec, w *coding.Whitener) (*Packet, *RxInfo, er
 		body.AppendRange(rx, 72+54, 72+54+want)
 	}
 	w.ApplyRange(body, 0, want)
-	c.payload = body.AppendBytesRange(c.payload[:0], 0, want)
+	c.payload = body.AppendBytesRange(slices.Grow(c.payload[:0], want/8), 0, want)
 	p.Payload = c.payload
 	return p, info, nil
 }
