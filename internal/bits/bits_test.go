@@ -223,14 +223,17 @@ func TestResetReusesWords(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("refill allocated %v times, want 0", got)
 	}
-	if got := testing.AllocsPerRun(100, func() {
-		vecSink = NewVec(0)
-		vecSink.Grow(2870) // a DH5 on air
-		for i := 0; i < 2870/64; i++ {
-			vecSink.AppendUint(^uint64(0), 64)
-		}
-	}); got != 3 {
-		t.Errorf("NewVec, Grow and appends took %v allocations, want 3", got)
+	// Grow reserves a packet's words in one step: the appends that
+	// follow stay in them.
+	g := NewVec(0)
+	g.Grow(2870) // a DH5 on air
+	first := &g.w[0]
+	for g.Len()+64 <= 2870 {
+		g.AppendUint(^uint64(0), 64)
+	}
+	g.AppendUint(0, 2870-g.Len())
+	if &g.w[0] != first {
+		t.Error("appends after Grow(2870) reallocated")
 	}
 	var z Vec
 	z.Reset()
