@@ -13,7 +13,7 @@ import (
 	"repro/internal/runner"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/figures.golden from the current output")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current output")
 
 // renderAllFigures regenerates every figure in the evaluation section —
 // the eleven tables plus the two VCD waveform figures (hashed) — at
