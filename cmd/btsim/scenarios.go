@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/baseband"
@@ -123,12 +124,12 @@ func buildSpec(scenario string, p trialParams) netspec.Spec {
 	switch scenario {
 	case "creation", "transfer":
 		return netspec.Spec{
-			Piconets: []netspec.Piconet{netspec.NewPiconet(p.slaves, netspec.WithR1PageScan())},
+			Piconets: []netspec.Piconet{{Slaves: p.slaves, R1PageScan: true}},
 			Probes:   []netspec.Probe{slaveProbe},
 		}
 	case "discovery":
 		return netspec.Spec{
-			Piconets: []netspec.Piconet{netspec.NewPiconet(p.slaves, netspec.Detached(), netspec.WithR1PageScan())},
+			Piconets: []netspec.Piconet{{Slaves: p.slaves, Detached: true, R1PageScan: true}},
 			Probes:   []netspec.Probe{slaveProbe},
 		}
 	case "sniff":
@@ -144,19 +145,19 @@ func buildSpec(scenario string, p trialParams) netspec.Spec {
 			})
 		}
 		return netspec.Spec{
-			Piconets: []netspec.Piconet{netspec.NewPiconet(p.slaves, netspec.WithR1PageScan())},
+			Piconets: []netspec.Piconet{{Slaves: p.slaves, R1PageScan: true}},
 			Modes:    modes,
 			Probes:   []netspec.Probe{slaveProbe},
 		}
 	case "hold":
 		return netspec.Spec{
-			Piconets: []netspec.Piconet{netspec.NewPiconet(p.slaves, netspec.WithR1PageScan())},
+			Piconets: []netspec.Piconet{{Slaves: p.slaves, R1PageScan: true}},
 			Modes:    []netspec.PowerMode{{Kind: netspec.HoldMode, TholdSlots: p.thold}},
 			Probes:   []netspec.Probe{slaveProbe},
 		}
 	case "park":
 		return netspec.Spec{
-			Piconets: []netspec.Piconet{netspec.NewPiconet(p.slaves, netspec.WithR1PageScan())},
+			Piconets: []netspec.Piconet{{Slaves: p.slaves, R1PageScan: true}},
 			Modes:    []netspec.PowerMode{{Kind: netspec.ParkMode, BeaconSlots: 64}},
 			Probes:   []netspec.Probe{slaveProbe},
 		}
@@ -166,28 +167,28 @@ func buildSpec(scenario string, p trialParams) netspec.Spec {
 			piconets = p.piconets
 		}
 		return netspec.Spec{
-			Piconets: netspec.HomogeneousPiconets(piconets, p.slaves, netspec.WithTpoll(netspec.TpollNever)),
-			Traffic:  []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
+			Piconets: slices.Repeat([]netspec.Piconet{{Slaves: p.slaves, TpollSlots: netspec.TpollNever}}, piconets),
+			Traffic:  []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
 			Probes:   []netspec.Probe{slaveProbe},
 		}
 	case "afh-adaptive":
 		lo, hi := jamBand(p)
 		return netspec.Spec{
-			Piconets: []netspec.Piconet{
-				netspec.NewPiconet(p.slaves, netspec.WithAdaptiveAFH(p.assessWindow),
-					netspec.WithTpoll(netspec.TpollNever)),
-			},
-			Traffic: []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
+			Piconets: []netspec.Piconet{{
+				Slaves: p.slaves, TpollSlots: netspec.TpollNever,
+				AFH: netspec.AFHAdaptive, AssessWindowSlots: p.assessWindow,
+			}},
+			Traffic: []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
 			Jammers: []netspec.Jammer{{Lo: lo, Hi: hi, Duty: p.jamDuty}},
 			Probes:  []netspec.Probe{slaveProbe},
 		}
 	case "scatternet":
 		piconets := p.bridges + 1
 		return netspec.Spec{
-			Piconets: netspec.HomogeneousPiconets(piconets, chainSlaves(p.slaves, piconets)),
-			Bridges:  netspec.ChainBridges(piconets, netspec.WithPresence(p.presence)),
+			Piconets: slices.Repeat([]netspec.Piconet{{Slaves: chainSlaves(p.slaves, piconets)}}, piconets),
+			Bridges:  netspec.ChainBridges(piconets, netspec.Bridge{PresenceDuty: p.presence}),
 			Traffic: []netspec.Traffic{
-				netspec.FlowTraffic(netspec.MasterName(0), netspec.SlaveName(piconets-1, 1)),
+				{Kind: netspec.TrafficFlow, From: netspec.MasterName(0), To: netspec.SlaveName(piconets-1, 1)},
 			},
 			Probes: []netspec.Probe{bridgeProbe},
 		}
@@ -195,11 +196,11 @@ func buildSpec(scenario string, p trialParams) netspec.Spec {
 		piconets := p.piconets // validateParams pins >= 2 for mixed
 		// HV3 reserves one even slot in three, so at most three voice
 		// streams interleave on the first piconet.
-		pics := []netspec.Piconet{netspec.NewPiconet(min(p.slaves, 3))}
-		traffic := []netspec.Traffic{netspec.VoiceTraffic(0, packet.TypeHV3)}
+		pics := []netspec.Piconet{{Slaves: min(p.slaves, 3)}}
+		traffic := []netspec.Traffic{{Kind: netspec.TrafficVoice, PacketType: packet.TypeHV3}}
 		for i := 1; i < piconets; i++ {
-			pics = append(pics, netspec.NewPiconet(p.slaves, netspec.WithTpoll(netspec.TpollNever)))
-			traffic = append(traffic, netspec.BulkTraffic(i))
+			pics = append(pics, netspec.Piconet{Slaves: p.slaves, TpollSlots: netspec.TpollNever})
+			traffic = append(traffic, netspec.Traffic{Kind: netspec.TrafficBulk, Piconet: i})
 		}
 		return netspec.Spec{Piconets: pics, Traffic: traffic, Probes: []netspec.Probe{slaveProbe}}
 	case "dense":
@@ -208,11 +209,11 @@ func buildSpec(scenario string, p trialParams) netspec.Spec {
 		return spec
 	case "mesh":
 		return netspec.Spec{
-			Piconets: netspec.HomogeneousPiconets(3, chainSlaves(p.slaves, 3)),
-			Bridges:  netspec.ChainBridges(3, netspec.WithPresence(p.presence)),
+			Piconets: slices.Repeat([]netspec.Piconet{{Slaves: chainSlaves(p.slaves, 3)}}, 3),
+			Bridges:  netspec.ChainBridges(3, netspec.Bridge{PresenceDuty: p.presence}),
 			Traffic: []netspec.Traffic{
-				netspec.FlowTraffic(netspec.MasterName(0), netspec.SlaveName(2, 1)),
-				netspec.FlowTraffic(netspec.MasterName(2), netspec.SlaveName(0, 1)),
+				{Kind: netspec.TrafficFlow, From: netspec.MasterName(0), To: netspec.SlaveName(2, 1)},
+				{Kind: netspec.TrafficFlow, From: netspec.MasterName(2), To: netspec.SlaveName(0, 1)},
 			},
 			Probes: []netspec.Probe{bridgeProbe},
 		}

@@ -14,6 +14,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hop"
@@ -31,9 +32,12 @@ func main() {
 	// construction, so the piconets assemble on a clean medium.
 	sim := core.NewSimulation(core.Options{Seed: 2005})
 	world, err := netspec.Build(sim, netspec.Spec{
-		Piconets: netspec.HomogeneousPiconets(4, 1, netspec.WithAdaptiveAFH(1500), netspec.WithTpoll(netspec.TpollNever)),
-		Traffic:  []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
-		Jammers:  []netspec.Jammer{{Lo: jamLo, Hi: jamHi, Duty: jamDuty}},
+		Piconets: slices.Repeat([]netspec.Piconet{{
+			Slaves: 1, TpollSlots: netspec.TpollNever,
+			AFH: netspec.AFHAdaptive, AssessWindowSlots: 1500,
+		}}, 4),
+		Traffic: []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
+		Jammers: []netspec.Jammer{{Lo: jamLo, Hi: jamHi, Duty: jamDuty}},
 	})
 	if err != nil {
 		panic(err)

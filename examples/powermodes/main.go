@@ -21,7 +21,7 @@ func main() {
 	measure := func(name string, modes ...netspec.PowerMode) {
 		sim := core.NewSimulation(core.Options{Seed: 7})
 		world, err := netspec.Build(sim, netspec.Spec{
-			Piconets: []netspec.Piconet{netspec.NewPiconet(1)},
+			Piconets: []netspec.Piconet{{Slaves: 1}},
 			Modes:    modes,
 			Probes: []netspec.Probe{
 				{Name: "slave", Kind: netspec.ProbeSlaveActivity, Piconet: 0},

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/netspec"
@@ -53,8 +54,8 @@ func CoexSweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg
 		},
 		Trial: func(seed uint64, piconets int) coexObs {
 			w := netspec.MustBuild(core.NewSimulation(core.Options{Seed: seed}), netspec.Spec{
-				Piconets: netspec.HomogeneousPiconets(piconets, 1, netspec.WithTpoll(netspec.TpollNever)),
-				Traffic:  []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
+				Piconets: slices.Repeat([]netspec.Piconet{{Slaves: 1, TpollSlots: netspec.TpollNever}}, piconets),
+				Traffic:  []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
 			})
 			w.Start()
 			w.Sim.RunSlots(coexTrialSettleSlots)
@@ -125,7 +126,7 @@ func adaptiveArm(seed uint64, mode netspec.AFHMode, width int, duty float64,
 			OracleHi:          hi,
 			AssessWindowSlots: assessWindow,
 		}},
-		Traffic: []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
+		Traffic: []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
 		Jammers: []netspec.Jammer{{Lo: afhBandLo, Hi: hi, Duty: duty}},
 	})
 	w.Start()

@@ -64,10 +64,10 @@ func ScatternetSweep(duties []float64, measureSlots uint64, replicas int, seed u
 		},
 		Trial: func(seed uint64, duty float64) scatObs {
 			w := netspec.MustBuild(core.NewSimulation(core.Options{Seed: seed}), netspec.Spec{
-				Piconets: netspec.HomogeneousPiconets(2, 1),
-				Bridges:  netspec.ChainBridges(2, netspec.WithPresence(duty)),
+				Piconets: []netspec.Piconet{{Slaves: 1}, {Slaves: 1}},
+				Bridges:  []netspec.Bridge{{A: 0, B: 1, PresenceDuty: duty}},
 				Traffic: []netspec.Traffic{
-					netspec.FlowTraffic(netspec.MasterName(0), netspec.SlaveName(1, 1)),
+					{Kind: netspec.TrafficFlow, From: netspec.MasterName(0), To: netspec.SlaveName(1, 1)},
 				},
 			})
 			w.Start()

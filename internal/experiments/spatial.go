@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/netspec"
 	"repro/internal/runner"
@@ -39,9 +41,12 @@ const (
 // single-slave piconets with saturating pumps on a spatial grid.
 func DensitySpec(piconets int) netspec.Spec {
 	return netspec.Spec{
-		Piconets:  netspec.HomogeneousPiconets(piconets, 1, netspec.WithTpoll(netspec.TpollNever)),
-		Traffic:   []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
-		Placement: netspec.GridPlacement(DensityRangeM, DensitySpacingM).WithInterference(DensityInterferenceM),
+		Piconets: slices.Repeat([]netspec.Piconet{{Slaves: 1, TpollSlots: netspec.TpollNever}}, piconets),
+		Traffic:  []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
+		Placement: &netspec.Placement{
+			Kind: netspec.PlaceGrid, RangeM: DensityRangeM, SpacingM: DensitySpacingM,
+			InterferenceM: DensityInterferenceM,
+		},
 	}
 }
 

@@ -46,9 +46,6 @@ type PiconetState struct {
 // (nil = the full 79-channel set).
 func (p *PiconetState) CurrentMap() *hop.ChannelMap { return p.cur }
 
-// Spec returns the resolved stanza the piconet was built from.
-func (p *PiconetState) Spec() Piconet { return p.spec }
-
 // World is a built spec: every piconet, bridge, traffic source and
 // probe of the description, standing on one shared medium.
 type World struct {
@@ -228,12 +225,12 @@ func (w *World) buildPiconet(i int) *PiconetState {
 // HCI piconet (nil if the device has none).
 func (w *World) Controller(device string) *hci.Controller { return w.ctrl[device] }
 
-// AdoptDevice registers an externally created device (a monitoring
-// node, an extra interferer) as belonging to piconet index for the
-// collision attribution. A scatternet bridge belongs to two piconets at
+// adoptDevice registers a device created outside the piconet build (a
+// scatternet bridge) as belonging to piconet index for the collision
+// attribution. A scatternet bridge belongs to two piconets at
 // once; by convention the build books it under stanza field A, so its
 // collision pairs split the same way its presence time does.
-func (w *World) AdoptDevice(d *baseband.Device, piconet int) {
+func (w *World) adoptDevice(d *baseband.Device, piconet int) {
 	if piconet < 0 || piconet >= len(w.Piconets) {
 		panic(fmt.Sprintf("netspec: piconet index %d out of range", piconet))
 	}
@@ -283,15 +280,6 @@ func (w *World) applyMode(m *PowerMode) {
 			}
 		}
 	}
-}
-
-// DefaultFlow is the canonical end-to-end flow of a bridged world:
-// from the first piconet's master to the first slave of the last
-// piconet — every hop of a chain, both directions of every bridge
-// window exercised on the way.
-func (w *World) DefaultFlow() FlowSpec {
-	last := w.Piconets[len(w.Piconets)-1]
-	return FlowSpec{From: w.Piconets[0].Master.Name(), To: last.Slaves[0].Name()}
 }
 
 // runUntil advances the kernel in slot chunks until cond holds, or

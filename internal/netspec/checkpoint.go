@@ -408,7 +408,7 @@ func RestoreWorld(s *core.Simulation, ck *WorldCheckpoint, opt core.RestoreOptio
 			Index: i, Dev: d, LMP: lmp.Attach(d), spec: sp, world: w,
 			t0: bc.T0, active: bc.Active,
 		}
-		w.AdoptDevice(d, sp.A)
+		w.adoptDevice(d, sp.A)
 		blinks := links[d.Name()]
 		for mi := range b.Members {
 			mc := &bc.Members[mi]

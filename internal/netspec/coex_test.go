@@ -1,6 +1,7 @@
 package netspec
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/hop"
@@ -18,7 +19,7 @@ func saturated(piconets ...Piconet) Spec {
 	for i := range piconets {
 		piconets[i].TpollSlots = TpollNever
 	}
-	return Spec{Piconets: piconets, Traffic: []Traffic{BulkTraffic(AllPiconets)}}
+	return Spec{Piconets: piconets, Traffic: []Traffic{{Kind: TrafficBulk, Piconet: AllPiconets}}}
 }
 
 func TestAdaptiveClassifierLearnsJammedBand(t *testing.T) {
@@ -133,7 +134,7 @@ func TestMultiSlaveFairness(t *testing.T) {
 }
 
 func TestFourPiconetsCollideAcrossPiconets(t *testing.T) {
-	w := world(t, 7, saturated(HomogeneousPiconets(4, 1)...))
+	w := world(t, 7, saturated(slices.Repeat([]Piconet{{Slaves: 1}}, 4)...))
 	w.Start()
 	w.Sim.RunSlots(64)
 	w.ResetMetrics()
@@ -158,7 +159,7 @@ func TestFourPiconetsCollideAcrossPiconets(t *testing.T) {
 }
 
 func TestResetMetricsOpensFreshWindow(t *testing.T) {
-	w := world(t, 13, saturated(HomogeneousPiconets(2, 1)...))
+	w := world(t, 13, saturated([]Piconet{{Slaves: 1}, {Slaves: 1}}...))
 	w.Start()
 	w.Sim.RunSlots(2000)
 	if w.Metrics().Bytes == 0 {

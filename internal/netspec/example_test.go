@@ -16,12 +16,12 @@ func ExampleBuild() {
 	s := core.NewSimulation(core.Options{Seed: 7})
 	w, err := netspec.Build(s, netspec.Spec{
 		Piconets: []netspec.Piconet{
-			netspec.NewPiconet(1), // voice piconet
-			netspec.NewPiconet(1), // bulk piconet
+			{Slaves: 1}, // voice piconet
+			{Slaves: 1}, // bulk piconet
 		},
 		Traffic: []netspec.Traffic{
-			netspec.VoiceTraffic(0, packet.TypeHV3),
-			netspec.BulkTraffic(1),
+			{Kind: netspec.TrafficVoice, Piconet: 0, PacketType: packet.TypeHV3},
+			{Kind: netspec.TrafficBulk, Piconet: 1},
 		},
 	})
 	if err != nil {
@@ -50,8 +50,8 @@ func ExampleBuild() {
 // a half-built world.
 func ExampleBuild_validation() {
 	_, err := netspec.Build(core.NewSimulation(core.Options{Seed: 1}), netspec.Spec{
-		Piconets: []netspec.Piconet{netspec.NewPiconet(3)},
-		Bridges:  []netspec.Bridge{netspec.NewBridge(0, 2)},
+		Piconets: []netspec.Piconet{{Slaves: 3}},
+		Bridges:  []netspec.Bridge{{A: 0, B: 2}},
 	})
 	fmt.Println(err)
 	// Output:

@@ -52,8 +52,7 @@ const (
 )
 
 // Spec is one declarative world description. The zero value is an
-// empty world; stanzas are appended (or assembled with the option
-// constructors) and compiled by Build.
+// empty world; stanzas are appended and compiled by Build.
 type Spec struct {
 	// Piconets are the piconet stanzas, in build order. Index in this
 	// slice is the piconet's identity everywhere else in the spec.
@@ -326,6 +325,17 @@ func SlaveName(i, j int) string { return fmt.Sprintf("p%d.slave%d", i, j) }
 
 // BridgeName returns the device name of bridge i.
 func BridgeName(i int) string { return fmt.Sprintf("bridge%d", i) }
+
+// ChainBridges joins piconets 0..piconets-1 into a chain: bridge i is
+// a copy of b joining piconets i and i+1.
+func ChainBridges(piconets int, b Bridge) []Bridge {
+	out := make([]Bridge, 0, piconets-1)
+	for i := 0; i < piconets-1; i++ {
+		b.A, b.B = i, i+1
+		out = append(out, b)
+	}
+	return out
+}
 
 // StanzaError reports a validation failure, naming the offending
 // stanza by kind, index and (when set) name.

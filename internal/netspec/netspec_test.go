@@ -2,6 +2,7 @@ package netspec
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func world(t *testing.T, seed uint64, spec Spec) *World {
 // every malformed stanza comes back as a *StanzaError naming the
 // stanza kind and index, with a message that says what is wrong.
 func TestValidationNamesOffendingStanza(t *testing.T) {
-	onePiconet := []Piconet{NewPiconet(1)}
+	onePiconet := []Piconet{{Slaves: 1}}
 	cases := []struct {
 		name    string
 		spec    Spec
@@ -35,76 +36,76 @@ func TestValidationNamesOffendingStanza(t *testing.T) {
 		message string
 	}{
 		{"zero slaves", Spec{Piconets: []Piconet{{}}}, "piconet", 0, "at least 1 slave"},
-		{"eight slaves", Spec{Piconets: []Piconet{NewPiconet(8)}}, "piconet", 0, "7 active members"},
-		{"oracle band unset", Spec{Piconets: []Piconet{NewPiconet(1, WithOracleAFH(0, 0))}},
+		{"eight slaves", Spec{Piconets: []Piconet{{Slaves: 8}}}, "piconet", 0, "7 active members"},
+		{"oracle band unset", Spec{Piconets: []Piconet{{Slaves: 1, AFH: AFHOracle, OracleLo: 0, OracleHi: 0}}},
 			"piconet", 0, "OracleLo/OracleHi"},
 		{"bridge unknown piconet", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 5)},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 5}},
 		}, "bridge", 0, "unknown piconet 5"},
 		{"bridge self loop", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(1, 1)},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 1, B: 1}},
 		}, "bridge", 0, "itself"},
 		{"bridge over capacity", Spec{
-			Piconets: []Piconet{NewPiconet(7), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 1)},
+			Piconets: []Piconet{{Slaves: 7}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
 		}, "piconet", 0, "7 active members"},
 		{"bridge to detached", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1, Detached())},
-			Bridges:  []Bridge{NewBridge(0, 1)},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1, Detached: true}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
 		}, "bridge", 0, "detached"},
 		{"overlapping SCO", Spec{
 			Piconets: onePiconet,
 			Traffic: []Traffic{
-				VoiceTraffic(0, packet.TypeHV3),
-				VoiceTraffic(0, packet.TypeHV3, WithTsco(12, 0)), // period 6, offset 0 ≡ 0 mod 3
+				{Kind: TrafficVoice, Piconet: 0, PacketType: packet.TypeHV3},
+				{Kind: TrafficVoice, Piconet: 0, PacketType: packet.TypeHV3, TscoSlots: 12, DscoEven: 0}, // period 6, offset 0 ≡ 0 mod 3
 			},
 		}, "traffic", 1, "overlaps traffic[0]"},
 		{"aliasing SCO offset", Spec{
 			Piconets: onePiconet,
 			Traffic: []Traffic{
-				VoiceTraffic(0, packet.TypeHV3, WithTsco(6, 3)), // 3 aliases 0 mod Tsco/2
+				{Kind: TrafficVoice, Piconet: 0, PacketType: packet.TypeHV3, TscoSlots: 6, DscoEven: 3}, // 3 aliases 0 mod Tsco/2
 			},
 		}, "traffic", 0, "Dsco 3 outside"},
 		{"duplicate ACL pump", Spec{
-			Piconets: []Piconet{NewPiconet(2)},
+			Piconets: []Piconet{{Slaves: 2}},
 			Traffic: []Traffic{
-				BulkTraffic(0, WithSlave(2)),
-				PoissonTraffic(0), // covers slave 2 again
+				{Kind: TrafficBulk, Piconet: 0, Slave: 2},
+				{Kind: TrafficPoisson, Piconet: 0}, // covers slave 2 again
 			},
 		}, "traffic", 1, "already carries ACL traffic[0]"},
 		{"voice with ACL type", Spec{
 			Piconets: onePiconet,
-			Traffic:  []Traffic{VoiceTraffic(0, packet.TypeDM1)},
+			Traffic:  []Traffic{{Kind: TrafficVoice, Piconet: 0, PacketType: packet.TypeDM1}},
 		}, "traffic", 0, "not a voice packet type"},
 		{"bulk in bridged world", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 1)},
-			Traffic:  []Traffic{BulkTraffic(AllPiconets)},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
+			Traffic:  []Traffic{{Kind: TrafficBulk, Piconet: AllPiconets}},
 		}, "traffic", 0, "cannot share a world with bridges"},
 		{"flow without bridges", Spec{
 			Piconets: onePiconet,
-			Traffic:  []Traffic{FlowTraffic(MasterName(0), SlaveName(0, 1))},
+			Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(0, 1)}},
 		}, "traffic", 0, "at least one bridge"},
 		{"flow unknown endpoint", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 1)},
-			Traffic:  []Traffic{FlowTraffic(MasterName(0), "nobody")},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
+			Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: "nobody"}},
 		}, "traffic", 0, "not a device"},
 		{"flow from bridge", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 1)},
-			Traffic:  []Traffic{FlowTraffic(BridgeName(0), SlaveName(0, 1))},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
+			Traffic:  []Traffic{{Kind: TrafficFlow, From: BridgeName(0), To: SlaveName(0, 1)}},
 		}, "traffic", 0, "neither originate nor terminate"},
 		{"flow into bridge", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 1)},
-			Traffic:  []Traffic{FlowTraffic(MasterName(0), BridgeName(0))},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
+			Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: BridgeName(0)}},
 		}, "traffic", 0, "neither originate nor terminate"},
 		{"traffic unknown piconet", Spec{
 			Piconets: onePiconet,
-			Traffic:  []Traffic{BulkTraffic(3)},
+			Traffic:  []Traffic{{Kind: TrafficBulk, Piconet: 3}},
 		}, "traffic", 0, "unknown piconet 3"},
 		{"jammer band", Spec{
 			Piconets: onePiconet,
@@ -134,20 +135,20 @@ func TestValidationNamesOffendingStanza(t *testing.T) {
 			Probes:   []Probe{{Kind: ProbeBridgeActivity}},
 		}, "probe", 0, "without bridges"},
 		{"bad presence duty", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 1, WithPresence(1.4))},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1, PresenceDuty: 1.4}},
 		}, "bridge", 0, "duty"},
 		{"odd presence period", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 1, WithPresencePeriod(130))},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1, PresencePeriodSlots: 130}},
 		}, "bridge", 0, "multiple of 4"},
 		{"tiny presence period", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 1, WithPresencePeriod(32))},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1, PresencePeriodSlots: 32}},
 		}, "bridge", 0, ">= 64"},
 		{"presence window eaten by guard", Spec{
-			Piconets: []Piconet{NewPiconet(1), NewPiconet(1)},
-			Bridges:  []Bridge{NewBridge(0, 1, WithPresence(0.03))},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1, PresenceDuty: 0.03}},
 		}, "bridge", 0, "no presence window"},
 	}
 	for _, tc := range cases {
@@ -176,25 +177,25 @@ func TestValidationNamesOffendingStanza(t *testing.T) {
 
 func TestValidSpecsValidate(t *testing.T) {
 	specs := []Spec{
-		{Piconets: []Piconet{NewPiconet(7)}},
+		{Piconets: []Piconet{{Slaves: 7}}},
 		{
-			Piconets: HomogeneousPiconets(3, 2),
+			Piconets: []Piconet{{Slaves: 2}, {Slaves: 2}, {Slaves: 2}},
 			Traffic: []Traffic{
-				VoiceTraffic(0, packet.TypeHV3),
-				VoiceTraffic(0, packet.TypeHV1, WithTsco(6, 2), WithSlave(2)),
-				BulkTraffic(1),
-				PoissonTraffic(2),
+				{Kind: TrafficVoice, Piconet: 0, PacketType: packet.TypeHV3},
+				{Kind: TrafficVoice, Piconet: 0, PacketType: packet.TypeHV1, TscoSlots: 6, DscoEven: 2, Slave: 2},
+				{Kind: TrafficBulk, Piconet: 1},
+				{Kind: TrafficPoisson, Piconet: 2},
 			},
 			Jammers: []Jammer{{Lo: 30, Hi: 52, Duty: 0.9}},
 			Modes:   []PowerMode{{Kind: SniffMode, Piconet: 1, TsniffSlots: 64}},
 			Probes:  []Probe{{Kind: ProbeSlaveActivity, Piconet: AllPiconets}},
 		},
 		{
-			Piconets: HomogeneousPiconets(3, 5, WithTpoll(64)),
-			Bridges:  ChainBridges(3),
+			Piconets: slices.Repeat([]Piconet{{Slaves: 5, TpollSlots: 64}}, 3),
+			Bridges:  ChainBridges(3, Bridge{}),
 			Traffic: []Traffic{
-				FlowTraffic(MasterName(0), SlaveName(2, 1)),
-				FlowTraffic(MasterName(2), SlaveName(0, 1)),
+				{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(2, 1)},
+				{Kind: TrafficFlow, From: MasterName(2), To: SlaveName(0, 1)},
 			},
 		},
 	}
@@ -209,20 +210,20 @@ func TestValidSpecsValidate(t *testing.T) {
 // worlds poll every 64 slots so idle links stay supervised, bridge-free
 // worlds effectively never (the pumped data is the poll).
 func TestTpollDefaultIsBridgeAware(t *testing.T) {
-	plain := Spec{Piconets: HomogeneousPiconets(2, 1)}.withDefaults()
+	plain := Spec{Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}}}.withDefaults()
 	if got := plain.Piconets[0].TpollSlots; got != 0 {
 		t.Fatalf("bridge-free Tpoll resolved to %d, want 0 (baseband default)", got)
 	}
 	bridged := Spec{
-		Piconets: HomogeneousPiconets(2, 1),
-		Bridges:  ChainBridges(2),
+		Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+		Bridges:  []Bridge{{A: 0, B: 1}},
 	}.withDefaults()
 	if got := bridged.Piconets[0].TpollSlots; got != 64 {
 		t.Fatalf("bridged Tpoll default %d, want 64", got)
 	}
 	explicit := Spec{
-		Piconets: HomogeneousPiconets(2, 1, WithTpoll(128)),
-		Bridges:  ChainBridges(2),
+		Piconets: slices.Repeat([]Piconet{{Slaves: 1, TpollSlots: 128}}, 2),
+		Bridges:  []Bridge{{A: 0, B: 1}},
 	}.withDefaults()
 	if got := explicit.Piconets[0].TpollSlots; got != 128 {
 		t.Fatalf("explicit Tpoll overridden to %d", got)
@@ -234,10 +235,10 @@ func TestTpollDefaultIsBridgeAware(t *testing.T) {
 // the unified metrics surface.
 func TestMixedVoiceAndBulkWorld(t *testing.T) {
 	w := world(t, 11, Spec{
-		Piconets: []Piconet{NewPiconet(2), NewPiconet(1)},
+		Piconets: []Piconet{{Slaves: 2}, {Slaves: 1}},
 		Traffic: []Traffic{
-			VoiceTraffic(0, packet.TypeHV3),
-			BulkTraffic(1),
+			{Kind: TrafficVoice, Piconet: 0, PacketType: packet.TypeHV3},
+			{Kind: TrafficBulk, Piconet: 1},
 		},
 	})
 	w.Start()
@@ -282,8 +283,8 @@ func TestMixedVoiceAndBulkWorld(t *testing.T) {
 func TestPoissonTrafficDeterministic(t *testing.T) {
 	run := func() int {
 		w := world(t, 23, Spec{
-			Piconets: []Piconet{NewPiconet(1)},
-			Traffic:  []Traffic{PoissonTraffic(0, WithMeanGap(40), WithBurstBytes(64))},
+			Piconets: []Piconet{{Slaves: 1}},
+			Traffic:  []Traffic{{Kind: TrafficPoisson, Piconet: 0, MeanGapSlots: 40, BurstBytes: 64}},
 		})
 		w.Start()
 		w.ResetMetrics()
@@ -303,7 +304,7 @@ func TestPoissonTrafficDeterministic(t *testing.T) {
 // devices exist, nothing is paged.
 func TestDetachedPiconetBuildsUnconnected(t *testing.T) {
 	w := world(t, 3, Spec{
-		Piconets: []Piconet{NewPiconet(2, Detached())},
+		Piconets: []Piconet{{Slaves: 2, Detached: true}},
 	})
 	p := w.Piconets[0]
 	if p.Master == nil || len(p.Slaves) != 2 {
@@ -322,7 +323,7 @@ func TestDetachedPiconetBuildsUnconnected(t *testing.T) {
 // it, SendData arrives as a DataEvent on the far controller.
 func TestHCIRoundTrip(t *testing.T) {
 	w := world(t, 9, Spec{
-		Piconets: []Piconet{NewPiconet(1, WithHCI())},
+		Piconets: []Piconet{{Slaves: 1, HCI: true}},
 	})
 	mc := w.Controller(MasterName(0))
 	sc := w.Controller(SlaveName(0, 1))
@@ -387,7 +388,7 @@ func TestHCIRoundTrip(t *testing.T) {
 func TestPowerModesLowerActivity(t *testing.T) {
 	measure := func(modes ...PowerMode) float64 {
 		w := world(t, 13, Spec{
-			Piconets: []Piconet{NewPiconet(1)},
+			Piconets: []Piconet{{Slaves: 1}},
 			Modes:    modes,
 			Probes:   []Probe{{Name: "s", Kind: ProbeSlaveActivity, Piconet: 0}},
 		})
@@ -410,8 +411,8 @@ func TestPowerModesLowerActivity(t *testing.T) {
 // TestStartTwicePanics pins the one-shot Start contract.
 func TestStartTwicePanics(t *testing.T) {
 	w := world(t, 1, Spec{
-		Piconets: []Piconet{NewPiconet(1)},
-		Traffic:  []Traffic{BulkTraffic(0)},
+		Piconets: []Piconet{{Slaves: 1}},
+		Traffic:  []Traffic{{Kind: TrafficBulk, Piconet: 0}},
 	})
 	w.Start()
 	defer func() {

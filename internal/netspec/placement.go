@@ -127,30 +127,6 @@ type Placement struct {
 	SlaveSpreadM float64 `json:"slave_spread_m,omitempty"`
 }
 
-// GridPlacement is an office-floor layout: masters on a grid with the
-// given pitch, delivering within rangeM.
-func GridPlacement(rangeM, spacingM float64) *Placement {
-	return &Placement{Kind: PlaceGrid, RangeM: rangeM, SpacingM: spacingM}
-}
-
-// RoomPlacement clusters perRoom piconets per room on a room grid with
-// the given pitch.
-func RoomPlacement(rangeM, spacingM float64, perRoom int) *Placement {
-	return &Placement{Kind: PlaceRooms, RangeM: rangeM, SpacingM: spacingM, PiconetsPerRoom: perRoom}
-}
-
-// DiscPlacement scatters masters uniformly over a disc of radiusM.
-func DiscPlacement(rangeM, radiusM float64) *Placement {
-	return &Placement{Kind: PlaceDisc, RangeM: rangeM, RadiusM: radiusM}
-}
-
-// WithInterference widens the stanza's interference annulus and
-// returns it, for chaining onto a constructor.
-func (p *Placement) WithInterference(interferenceM float64) *Placement {
-	p.InterferenceM = interferenceM
-	return p
-}
-
 // withDefaults fills the documented defaults in place (the stanza has
 // already been deep-copied by Spec.withDefaults). n is the spec's
 // piconet count, which sizes the default grid and disc.

@@ -26,7 +26,7 @@ func FuzzPlacementValidation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind int, rangeM, interferenceM, spacingM float64,
 		columns int, radiusM, clusterRadiusM float64, perRoom int, slaveSpreadM float64) {
 		spec := Spec{
-			Piconets: []Piconet{NewPiconet(2)},
+			Piconets: []Piconet{{Slaves: 2}},
 			Placement: &Placement{
 				Kind:            PlacementKind(kind),
 				RangeM:          rangeM,

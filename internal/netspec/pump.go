@@ -31,8 +31,7 @@ const (
 // PumpArm is one pump's serialized descriptor: enough identity and
 // parameters to rebuild its closure in a restored world, plus the
 // pending event's captured position. Restore never consults the spec's
-// traffic stanzas — flows can also be started dynamically (StartFlows),
-// so the descriptor is self-contained.
+// traffic stanzas, so the descriptor is self-contained.
 type PumpArm struct {
 	Kind pumpKind
 	// Piconet and Slave (0-based) locate bulk, poisson and classifier

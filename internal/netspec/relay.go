@@ -72,13 +72,6 @@ type BridgeState struct {
 	world  *World
 }
 
-// ActiveMembership returns the index (0 or 1) of the currently
-// activated membership.
-func (b *BridgeState) ActiveMembership() int { return b.active }
-
-// Spec returns the resolved stanza the bridge was built from.
-func (b *BridgeState) Spec() Bridge { return b.spec }
-
 // depth is the total store-and-forward backlog across both directions.
 func (b *BridgeState) depth() int { return len(b.q[0]) + len(b.q[1]) }
 
@@ -232,7 +225,7 @@ func (w *World) buildBridge(i int) *BridgeState {
 	b.node.bridge = b
 	// Attribute the bridge's collisions to piconet A (it spends half
 	// its presence in each; the attribution needs one owner).
-	w.AdoptDevice(d, sp.A)
+	w.adoptDevice(d, sp.A)
 
 	b.Members[0] = w.joinPiconet(b, sp.A)
 	bb0 := d.SuspendMembership()

@@ -22,9 +22,9 @@ func relayed(t *testing.T, seed uint64, spec Spec, slots uint64) (*World, Metric
 
 func TestBridgeDeliversAcrossPiconets(t *testing.T) {
 	spec := Spec{
-		Piconets: HomogeneousPiconets(2, 1),
-		Bridges:  ChainBridges(2),
-		Traffic:  []Traffic{FlowTraffic(MasterName(0), SlaveName(1, 1))},
+		Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+		Bridges:  []Bridge{{A: 0, B: 1}},
+		Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(1, 1)}},
 	}
 	w, m := relayed(t, 7, spec, 8000)
 	if m.EndToEndBytes == 0 {
@@ -62,9 +62,9 @@ func TestBridgeDeliversAcrossPiconets(t *testing.T) {
 
 func TestReverseFlowUsesOppositeWindows(t *testing.T) {
 	_, m := relayed(t, 11, Spec{
-		Piconets: HomogeneousPiconets(2, 1),
-		Bridges:  ChainBridges(2),
-		Traffic:  []Traffic{FlowTraffic(SlaveName(1, 1), MasterName(0))},
+		Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+		Bridges:  []Bridge{{A: 0, B: 1}},
+		Traffic:  []Traffic{{Kind: TrafficFlow, From: SlaveName(1, 1), To: MasterName(0)}},
 	}, 8000)
 	if m.EndToEndBytes == 0 {
 		t.Fatal("reverse flow delivered nothing")
@@ -76,9 +76,9 @@ func TestReverseFlowUsesOppositeWindows(t *testing.T) {
 
 func TestChainOfThreePiconets(t *testing.T) {
 	w, m := relayed(t, 13, Spec{
-		Piconets: HomogeneousPiconets(3, 1),
-		Bridges:  ChainBridges(3),
-		Traffic:  []Traffic{FlowTraffic(MasterName(0), SlaveName(2, 1))},
+		Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}, {Slaves: 1}},
+		Bridges:  ChainBridges(3, Bridge{}),
+		Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(2, 1)}},
 	}, 12000)
 	if len(w.Bridges) != 2 {
 		t.Fatalf("chain of 3 needs 2 bridges, got %d", len(w.Bridges))
@@ -98,9 +98,9 @@ func TestChainOfThreePiconets(t *testing.T) {
 // abandons happen constantly and everything must still flow.
 func TestShortPeriodBoundaries(t *testing.T) {
 	_, m := relayed(t, 19, Spec{
-		Piconets: HomogeneousPiconets(2, 1),
+		Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
 		Bridges:  []Bridge{{A: 0, B: 1, PresencePeriodSlots: 64, PresenceDuty: 1, GuardEvenSlots: 2}},
-		Traffic:  []Traffic{FlowTraffic(MasterName(0), SlaveName(1, 1))},
+		Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(1, 1)}},
 	}, 8000)
 	if m.EndToEndBytes == 0 {
 		t.Fatal("no delivery under rapid timesharing")

@@ -3,6 +3,7 @@ package netspec
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -53,23 +54,25 @@ type eqCase struct {
 
 func equivalenceSpecs(seed uint64) []eqCase {
 	rng := sim.NewRand(seed)
+	piconets := 2 + rng.Intn(3)
+	slaves := 1 + rng.Intn(3)
 	cases := []eqCase{
 		{ber: 1.0 / 80, spec: Spec{ // interfering bulk piconets, a jammer, one sniffed slave
-			Piconets: HomogeneousPiconets(2+rng.Intn(3), 1+rng.Intn(3), WithTpoll(TpollNever)),
-			Traffic:  []Traffic{BulkTraffic(AllPiconets)},
+			Piconets: slices.Repeat([]Piconet{{Slaves: slaves, TpollSlots: TpollNever}}, piconets),
+			Traffic:  []Traffic{{Kind: TrafficBulk, Piconet: AllPiconets}},
 			Jammers:  []Jammer{{Lo: 0, Hi: 15, Duty: 0.5}},
 		}},
 		{ber: 1.0 / 80, spec: Spec{ // voice beside poisson data
-			Piconets: []Piconet{NewPiconet(2), NewPiconet(1 + rng.Intn(2))},
+			Piconets: []Piconet{{Slaves: 2}, {Slaves: 1 + rng.Intn(2)}},
 			Traffic: []Traffic{
-				VoiceTraffic(0, packet.TypeHV3, WithSlave(1)),
-				PoissonTraffic(1, WithMeanGap(40)),
+				{Kind: TrafficVoice, Piconet: 0, PacketType: packet.TypeHV3, Slave: 1},
+				{Kind: TrafficPoisson, Piconet: 1, MeanGapSlots: 40},
 			},
 		}},
 		{ber: 0, spec: Spec{ // scatternet chain with an end-to-end flow
-			Piconets: HomogeneousPiconets(3, 1),
-			Bridges:  ChainBridges(3),
-			Traffic:  []Traffic{FlowTraffic(MasterName(0), SlaveName(2, 1))},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}, {Slaves: 1}},
+			Bridges:  ChainBridges(3, Bridge{}),
+			Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(2, 1)}},
 		}},
 	}
 	cases[0].spec.Modes = []PowerMode{{Kind: SniffMode, Piconet: 0, Slave: 1}}
@@ -105,8 +108,8 @@ func TestPlacementDoesNotPerturbBaseWorld(t *testing.T) {
 	build := func(pl *Placement) string {
 		s := core.NewSimulation(core.Options{Seed: 42})
 		w := MustBuild(s, Spec{
-			Piconets:  HomogeneousPiconets(2, 2, WithTpoll(TpollNever)),
-			Traffic:   []Traffic{BulkTraffic(AllPiconets)},
+			Piconets:  slices.Repeat([]Piconet{{Slaves: 2, TpollSlots: TpollNever}}, 2),
+			Traffic:   []Traffic{{Kind: TrafficBulk, Piconet: AllPiconets}},
 			Placement: pl,
 		})
 		w.Start()
@@ -129,8 +132,8 @@ func TestSpatialSeparationDropsInterference(t *testing.T) {
 	run := func(pl *Placement) Metrics {
 		s := core.NewSimulation(core.Options{Seed: 7})
 		w := MustBuild(s, Spec{
-			Piconets:  HomogeneousPiconets(4, 1, WithTpoll(TpollNever)),
-			Traffic:   []Traffic{BulkTraffic(AllPiconets)},
+			Piconets:  slices.Repeat([]Piconet{{Slaves: 1, TpollSlots: TpollNever}}, 4),
+			Traffic:   []Traffic{{Kind: TrafficBulk, Piconet: AllPiconets}},
 			Placement: pl,
 		})
 		w.Start()

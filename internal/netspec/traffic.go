@@ -140,19 +140,6 @@ func (w *World) startPoisson(p *PiconetState, t *Traffic) {
 	}
 }
 
-// StartFlows starts end-to-end relayed flows outside the spec's
-// Traffic stanzas (the scatternet adapter's dynamic entry point). With
-// no specs it starts the world's DefaultFlow. It panics on an unknown
-// endpoint or a bridge origin, and on a world without bridges.
-func (w *World) StartFlows(sduBytes, pumpDepth int, specs ...FlowSpec) {
-	if len(specs) == 0 {
-		specs = []FlowSpec{w.DefaultFlow()}
-	}
-	for _, spec := range specs {
-		w.startFlow(spec, sduBytes, pumpDepth)
-	}
-}
-
 // startFlow arms one origin's SDU stream toward its destination, gated
 // on its first-hop baseband queue so backpressure propagates to the
 // bridges instead of piling up at the source link.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -20,30 +21,30 @@ func roundTripCases() map[string]Spec {
 			Piconets: []Piconet{{Slaves: 1}},
 		},
 		"office-grid": {
-			Piconets:  HomogeneousPiconets(3, 1, WithTpoll(TpollNever)),
-			Traffic:   []Traffic{BulkTraffic(AllPiconets)},
-			Placement: GridPlacement(12, 10).WithInterference(22),
+			Piconets:  slices.Repeat([]Piconet{{Slaves: 1, TpollSlots: TpollNever}}, 3),
+			Traffic:   []Traffic{{Kind: TrafficBulk, Piconet: AllPiconets}},
+			Placement: &Placement{Kind: PlaceGrid, RangeM: 12, SpacingM: 10, InterferenceM: 22},
 		},
 		"voice-sniff": {
 			Piconets: []Piconet{{Slaves: 2, Name: "v"}},
 			Traffic: []Traffic{
-				VoiceTraffic(0, packet.TypeHV3, WithSlave(1)),
-				BulkTraffic(0, WithSlave(2), WithPacketType(packet.TypeDM1)),
+				{Kind: TrafficVoice, Piconet: 0, PacketType: packet.TypeHV3, Slave: 1},
+				{Kind: TrafficBulk, Piconet: 0, Slave: 2, PacketType: packet.TypeDM1},
 			},
 			Modes: []PowerMode{{Kind: SniffMode, Piconet: 0, Slave: 2, TsniffSlots: 100}},
 		},
 		"scatternet-flow": {
-			Piconets: HomogeneousPiconets(2, 1),
-			Bridges:  ChainBridges(2, WithPresence(0.8)),
-			Traffic:  []Traffic{FlowTraffic(MasterName(0), SlaveName(1, 1), WithSDUBytes(64))},
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1, PresenceDuty: 0.8}},
+			Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(1, 1), SDUBytes: 64}},
 			Probes:   []Probe{{Name: "relay", Kind: ProbeBridgeActivity}},
 		},
 		"jammer-afh": {
 			Piconets: []Piconet{
-				NewPiconet(1, WithAdaptiveAFH(2000)),
-				NewPiconet(1, WithOracleAFH(30, 52)),
+				{Slaves: 1, AFH: AFHAdaptive, AssessWindowSlots: 2000},
+				{Slaves: 1, AFH: AFHOracle, OracleLo: 30, OracleHi: 52},
 			},
-			Traffic: []Traffic{BulkTraffic(AllPiconets)},
+			Traffic: []Traffic{{Kind: TrafficBulk, Piconet: AllPiconets}},
 			Jammers: []Jammer{{Lo: 30, Hi: 52, Duty: 0.9}},
 			Probes: []Probe{
 				{Name: "spectrum", Kind: ProbePerFreq},
@@ -51,15 +52,15 @@ func roundTripCases() map[string]Spec {
 			},
 		},
 		"poisson-rooms": {
-			Piconets:  HomogeneousPiconets(2, 2),
-			Traffic:   []Traffic{PoissonTraffic(AllPiconets, WithMeanGap(64), WithBurstBytes(128))},
+			Piconets:  []Piconet{{Slaves: 2}, {Slaves: 2}},
+			Traffic:   []Traffic{{Kind: TrafficPoisson, Piconet: AllPiconets, MeanGapSlots: 64, BurstBytes: 128}},
 			Modes:     []PowerMode{{Kind: HoldMode, Piconet: 1, Slave: 1, TholdSlots: 200}},
-			Placement: RoomPlacement(15, 20, 2),
+			Placement: &Placement{Kind: PlaceRooms, RangeM: 15, SpacingM: 20, PiconetsPerRoom: 2},
 		},
 		"disc-hall": {
-			Piconets:  HomogeneousPiconets(2, 1, WithR1PageScan()),
-			Traffic:   []Traffic{BulkTraffic(AllPiconets)},
-			Placement: DiscPlacement(30, 8),
+			Piconets:  slices.Repeat([]Piconet{{Slaves: 1, R1PageScan: true}}, 2),
+			Traffic:   []Traffic{{Kind: TrafficBulk, Piconet: AllPiconets}},
+			Placement: &Placement{Kind: PlaceDisc, RangeM: 30, RadiusM: 8},
 		},
 	}
 }

@@ -15,7 +15,7 @@ import (
 func benchReq(seed uint64) Request {
 	spec := netspec.Spec{
 		Piconets: []netspec.Piconet{{Slaves: 1}},
-		Traffic:  []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
+		Traffic:  []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
 	}
 	return Request{
 		Spec:  &spec,

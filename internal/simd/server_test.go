@@ -335,9 +335,9 @@ func TestServerCampaignDeterminism(t *testing.T) {
 		Points: []netspec.Spec{
 			tinySpec(),
 			{
-				Piconets:  netspec.HomogeneousPiconets(2, 1),
-				Traffic:   []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
-				Placement: netspec.GridPlacement(12, 10),
+				Piconets:  []netspec.Piconet{{Slaves: 1}, {Slaves: 1}},
+				Traffic:   []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
+				Placement: &netspec.Placement{Kind: netspec.PlaceGrid, RangeM: 12, SpacingM: 10},
 			},
 		},
 		Seeds:       SeedRange{First: 3, Count: 4},

@@ -19,7 +19,7 @@ import (
 func tinySpec() netspec.Spec {
 	return netspec.Spec{
 		Piconets: []netspec.Piconet{{Slaves: 1}},
-		Traffic:  []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
+		Traffic:  []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
 	}
 }
 
@@ -563,9 +563,9 @@ func TestEngineDrainTimeout(t *testing.T) {
 func TestRunMatchesRunReplica(t *testing.T) {
 	spec := tinySpec()
 	pair := netspec.Spec{
-		Piconets:  netspec.HomogeneousPiconets(2, 1),
-		Traffic:   []netspec.Traffic{netspec.BulkTraffic(netspec.AllPiconets)},
-		Placement: netspec.GridPlacement(12, 10),
+		Piconets:  []netspec.Piconet{{Slaves: 1}, {Slaves: 1}},
+		Traffic:   []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
+		Placement: &netspec.Placement{Kind: netspec.PlaceGrid, RangeM: 12, SpacingM: 10},
 	}
 	req := Request{
 		Points:      []netspec.Spec{spec, pair},
