@@ -41,6 +41,7 @@ type Transmission struct {
 	Meta     any      // opaque annotation (packet type) for stats/logs
 	pos      Position // transmitter position (spatial medium only)
 	collided bool     // set when another transmission overlapped on Freq
+	idx      int      // position in the channel's active list
 
 	// Pool plumbing: the owning channel, the snapshot of receivers that
 	// were tuned at Start (reused between incarnations), the
@@ -117,15 +118,14 @@ type Channel struct {
 	cfg Config
 
 	radios      map[Listener]*Radio
-	receivers   []*Radio // tuned-at-least-once radios in registration order
-	active      []*Transmission
+	receivers   []*Radio        // tuned-at-least-once radios in registration order
+	active      []*Transmission // transmissions whose deliverEnd has not run yet
 	txFree      []*Transmission // recycled transmission nodes
 	rxFree      []*bits.Vec     // recycled noisy copies (see corrupt)
 	jammers     []Jammer
 	stats       Stats
 	onCollision func(existing, incoming *Transmission)
 	spatial     *spatialState // nil = the global shared ether (see spatial.go)
-	inFlight    int           // transmissions with a pending delivery event
 }
 
 // Radio is one listener's handle on the channel: its receiver state
@@ -328,7 +328,7 @@ func (c *Channel) transmit(from string, freq int, v *bits.Vec, meta any, done fu
 			}
 		}
 	}
-	c.pruneActive(now)
+	tx.idx = len(c.active)
 	c.active = append(c.active, tx)
 
 	// Snapshot eligible receivers now; they must remain tuned through the
@@ -344,7 +344,6 @@ func (c *Channel) transmit(from string, freq int, v *bits.Vec, meta any, done fu
 		}
 	}
 
-	c.inFlight++ // until deliverEnd runs; Snapshot needs this at zero
 	if len(tx.eligible) > 0 {
 		// Fan out in (name, registration seq) order, not scan order (the
 		// spatial determinism contract).
@@ -402,9 +401,12 @@ func (tx *Transmission) deliverEnd() {
 		}
 	}
 	// The packet has left the air (End <= now), so it can no longer
-	// collide with anything; drop it from the active list and recycle.
-	c.inFlight--
-	c.pruneActive(c.k.Now())
+	// collide with anything; swap it out of the active list and recycle.
+	n := len(c.active) - 1
+	last := c.active[n]
+	c.active[tx.idx], last.idx = last, tx.idx
+	c.active[n] = nil
+	c.active = c.active[:n]
 	done := tx.done
 	tx.Bits = nil
 	tx.Meta = nil
@@ -445,16 +447,6 @@ func (c *Channel) corrupt(v *bits.Vec) *bits.Vec {
 		}
 	}
 	return out
-}
-
-func (c *Channel) pruneActive(now sim.Time) {
-	kept := c.active[:0]
-	for _, t := range c.active {
-		if t.End > now {
-			kept = append(kept, t)
-		}
-	}
-	c.active = kept
 }
 
 // sortListeners orders the eligible snapshot by (name, registration

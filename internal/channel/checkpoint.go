@@ -10,7 +10,7 @@ package channel
 // InFlight reports how many transmissions still have a pending delivery
 // event. Snapshot refuses to run unless this is zero — with packets on
 // the air there is no quiescent edge to capture.
-func (c *Channel) InFlight() int { return c.inFlight }
+func (c *Channel) InFlight() int { return len(c.active) }
 
 // RNGState returns the exact position of the channel's noise RNG stream
 // (bit-error and jammer-duty draws) for a checkpoint.
