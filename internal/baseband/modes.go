@@ -54,12 +54,6 @@ func (l *Link) enterHold(holdSlots int, repeat bool) {
 	l.dev.rescheduleSlaveLoop()
 }
 
-// ExitHold cancels hold at its natural expiry (mode flips once the slave
-// resynchronises; master resumes polling at holdUntil).
-func (l *Link) ExitHold() {
-	l.autoHold = false
-}
-
 // EnterPark parks the link: the slave stops participating but stays
 // synchronised by listening to the master's broadcast beacon every
 // beaconSlots slots. Call on both ends with the same period.

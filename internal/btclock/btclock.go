@@ -39,10 +39,6 @@ func (c *Clock) CLK(t sim.Time) uint32 {
 	return (c.CLKN(t) + c.offset) & Mask
 }
 
-// Phase returns the power-on phase, so a checkpoint can rebuild the
-// clock with New(Phase()) + SetOffset(Offset()).
-func (c *Clock) Phase() uint32 { return c.phase }
-
 // Offset returns the current CLKN→CLK offset.
 func (c *Clock) Offset() uint32 { return c.offset }
 

@@ -59,10 +59,11 @@ type SnapshotConfig struct {
 	// Quiescent, when non-nil, adds an upper-layer quiescence predicate
 	// (e.g. "no LMP transaction open") to the probe.
 	Quiescent func() bool
-	// MaxProbeSlots bounds how far Snapshot may run the world forward
-	// looking for a quiescent slot edge (default 4096).
-	MaxProbeSlots uint64
 }
+
+// maxProbeSlots bounds how far Snapshot may run the world forward
+// looking for a quiescent slot edge.
+const maxProbeSlots = 4096
 
 // RestoreOptions tunes a restore.
 type RestoreOptions struct {
@@ -109,10 +110,6 @@ func (s *Simulation) SnapshotCfg(cfg SnapshotConfig) (*Checkpoint, error) {
 	if s.trace != nil {
 		return nil, fmt.Errorf("core: cannot snapshot a VCD-traced world")
 	}
-	max := cfg.MaxProbeSlots
-	if max == 0 {
-		max = 4096
-	}
 	for probed := uint64(0); ; probed++ {
 		blocker := s.quiescentBlocker()
 		if blocker == "" && (cfg.Quiescent == nil || cfg.Quiescent()) {
@@ -121,8 +118,8 @@ func (s *Simulation) SnapshotCfg(cfg SnapshotConfig) (*Checkpoint, error) {
 		if blocker == "" {
 			blocker = "upper layer busy"
 		}
-		if probed >= max {
-			return nil, fmt.Errorf("core: no quiescent edge within %d slots: %s", max, blocker)
+		if probed >= maxProbeSlots {
+			return nil, fmt.Errorf("core: no quiescent edge within %d slots: %s", maxProbeSlots, blocker)
 		}
 		s.RunSlots(1)
 	}

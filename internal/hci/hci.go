@@ -99,9 +99,6 @@ func Attach(dev *baseband.Device) *Controller {
 // Dev exposes the underlying device (for meters and signals).
 func (c *Controller) Dev() *baseband.Device { return c.dev }
 
-// LM exposes the link manager (for advanced LMP use).
-func (c *Controller) LM() *lmp.Manager { return c.lm }
-
 // Link resolves a handle (nil if unknown).
 func (c *Controller) Link(h ConnHandle) *baseband.Link { return c.handles[h] }
 
