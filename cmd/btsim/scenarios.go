@@ -197,7 +197,7 @@ func buildSpec(scenario string, p trialParams) netspec.Spec {
 		// HV3 reserves one even slot in three, so at most three voice
 		// streams interleave on the first piconet.
 		pics := []netspec.Piconet{{Slaves: min(p.slaves, 3)}}
-		traffic := []netspec.Traffic{{Kind: netspec.TrafficVoice, PacketType: packet.TypeHV3}}
+		traffic := []netspec.Traffic{{Kind: netspec.TrafficVoice, Piconet: 0, PacketType: packet.TypeHV3}}
 		for i := 1; i < piconets; i++ {
 			pics = append(pics, netspec.Piconet{Slaves: p.slaves, TpollSlots: netspec.TpollNever})
 			traffic = append(traffic, netspec.Traffic{Kind: netspec.TrafficBulk, Piconet: i})
