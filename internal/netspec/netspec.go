@@ -371,7 +371,7 @@ var fullRateTsco = map[packet.Type]int{
 
 // withDefaults returns a deep copy of the spec with every zero field
 // filled with its documented default. Validation and Build both work
-// on the resolved copy, so a Spec literal and the option constructors
+// on the resolved copy, so an unset field and its explicit default
 // behave identically.
 func (s Spec) withDefaults() Spec {
 	out := Spec{
