@@ -101,7 +101,8 @@ func TestCheckpointForkMatrix(t *testing.T) {
 				}
 				ftr := &memTracer{}
 				fs := core.NewSimulation(opts)
-				fw, err := netspec.RestoreWorld(fs, dck, core.RestoreOptions{ForkSeed: forkSeed, Tracer: ftr})
+				fs.K.AddTracer(ftr)
+				fw, err := netspec.RestoreWorld(fs, dck, core.RestoreOptions{ForkSeed: forkSeed})
 				if err != nil {
 					t.Fatalf("RestoreWorld: %v", err)
 				}

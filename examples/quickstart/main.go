@@ -16,13 +16,14 @@ func main() {
 	// Everything is deterministic given the seed.
 	sim := core.NewSimulation(core.Options{Seed: 42, BER: 0.001})
 
-	// Two devices with HCI front ends: a laptop and a phone.
-	laptop := sim.AddController("laptop", baseband.Config{
+	// Two devices, each behind an HCI front end (hci.Attach): a laptop
+	// and a phone.
+	laptop := hci.Attach(sim.AddDevice("laptop", baseband.Config{
 		Addr: baseband.BDAddr{LAP: 0x10AB42, UAP: 0x12, NAP: 0x00C0},
-	})
-	phone := sim.AddController("phone", baseband.Config{
+	}))
+	phone := hci.Attach(sim.AddDevice("phone", baseband.Config{
 		Addr: baseband.BDAddr{LAP: 0x77DE01, UAP: 0x34, NAP: 0x00C1},
-	})
+	}))
 
 	// Event handlers: the laptop drives the connection, the phone answers.
 	var handle hci.ConnHandle

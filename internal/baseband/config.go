@@ -98,6 +98,37 @@ func (m Mode) String() string {
 	return fmt.Sprintf("MODE(%d)", int(m))
 }
 
+// Fixed link-controller timings (Core Spec v1.2 Vol 2 Part B). Unlike
+// the Config fields below, no experiment varies them.
+const (
+	// nPage is N_page, the train repetition count in page state before
+	// swapping trains. 128 makes train A span a whole R1 scan interval
+	// (128 × 16 slots = 2048), so a correctly estimated scan phase is
+	// covered whenever the scan window opens (SR=R1 pairing).
+	nPage = 128
+	// pageRespTimeoutSlots is pagerespTO: handshake steps must follow
+	// within this budget or both sides fall back.
+	pageRespTimeoutSlots = 8
+	// newConnTimeoutSlots is newconnectionTO: POLL/response must
+	// complete the switch to the channel hopping sequence within this
+	// budget.
+	newConnTimeoutSlots = 32
+	// carrierSenseUS is how long an active slave listens at each
+	// master-slot start to see whether the master transmits (the "small
+	// part of time at the beginning of each time slot" of the paper).
+	carrierSenseUS = 12
+	// rxLeadUS opens listen windows slightly early (the uncertainty
+	// window).
+	rxLeadUS = 10
+	// sniffListenUS is the per-attempt-slot listen duration at a sniff
+	// anchor when no packet arrives (resync uncertainty makes it longer
+	// than the active-mode carrier sense).
+	sniffListenUS = 150
+	// holdResyncUS is the listen window a slave needs to resynchronise
+	// with the piconet when returning from hold.
+	holdResyncUS = 3000
+)
+
 // Config sets a device's identity and the protocol/RF parameters the
 // experiments sweep. Zero values are replaced by defaults (see
 // Normalize), whose calibration the design ablations in EXPERIMENTS.md
@@ -114,20 +145,9 @@ type Config struct {
 	// timeout only works with a smaller value (see the NInquiry ablation
 	// in EXPERIMENTS.md "Beyond the paper's figures").
 	NInquiry int
-	// NPage is the train repetition count in page state before swapping.
-	// The default 128 makes train A span a whole R1 scan interval (128 ×
-	// 16 slots = 2048), guaranteeing a correctly-estimated scan phase is
-	// covered whenever the scan window opens (spec SR=R1 pairing).
-	NPage int
 	// BackoffMaxSlots bounds the inquiry-response random backoff
 	// (uniform over 0..max).
 	BackoffMaxSlots int
-	// PageRespTimeoutSlots is pagerespTO: handshake steps must follow
-	// within this budget or both sides fall back.
-	PageRespTimeoutSlots int
-	// NewConnTimeoutSlots is newconnectionTO: POLL/response must complete
-	// the switch to the channel hopping sequence within this budget.
-	NewConnTimeoutSlots int
 	// TpollSlots is the master's maximum polling interval per slave.
 	TpollSlots int
 	// PageScanWindowSlots is how long the page-scan receiver stays open
@@ -140,22 +160,6 @@ type Config struct {
 	// (spec T_page_scan, default R1 = 1.28 s).
 	PageScanIntervalSlots int
 
-	// CarrierSenseUS is how long an active slave listens at each
-	// master-slot start to see whether the master transmits (the "small
-	// part of time at the beginning of each time slot" of the paper).
-	CarrierSenseUS int
-	// RxLeadUS opens listen windows slightly early (uncertainty window).
-	RxLeadUS int
-	// SniffAttemptSlots is Nsniff-attempt: master slots listened per
-	// sniff anchor.
-	SniffAttemptSlots int
-	// SniffListenUS is the per-attempt-slot listen duration at a sniff
-	// anchor when no packet arrives (resync uncertainty makes it longer
-	// than the active-mode carrier sense).
-	SniffListenUS int
-	// HoldResyncUS is the listen window a slave needs to resynchronise
-	// with the piconet when returning from hold.
-	HoldResyncUS int
 	// SupervisionTimeoutSlots drops a link when nothing is heard from
 	// the peer for this long (spec link supervision timeout, default
 	// 20 s = 32000 slots). Hold periods extend the budget.
@@ -172,18 +176,10 @@ func (c *Config) Normalize() *Config {
 	}
 	def(&c.CorrelatorThreshold, 7)
 	def(&c.NInquiry, 64)
-	def(&c.NPage, 128)
 	def(&c.BackoffMaxSlots, 1023)
-	def(&c.PageRespTimeoutSlots, 8)
-	def(&c.NewConnTimeoutSlots, 32)
 	def(&c.TpollSlots, 50)
 	def(&c.PageScanWindowSlots, 18)
 	def(&c.PageScanIntervalSlots, 2048)
-	def(&c.CarrierSenseUS, 12)
-	def(&c.RxLeadUS, 10)
-	def(&c.SniffAttemptSlots, 2)
-	def(&c.SniffListenUS, 150)
-	def(&c.HoldResyncUS, 3000)
 	def(&c.SupervisionTimeoutSlots, 32000)
 	if c.Seed == 0 {
 		c.Seed = uint64(c.Addr.LAP)<<8 | uint64(c.Addr.UAP) | 1

@@ -80,7 +80,7 @@ func (d *Device) masterSlot() {
 	respAt := now + sim.Time(sim.Slots(slots))
 	d.masterRespAt = respAt
 	d.tMasterOpen.At(respAt - sim.Time(d.leadTicks()))
-	d.tMasterCls.At(respAt + sim.Time(sim.Microseconds(uint64(d.cfg.CarrierSenseUS))))
+	d.tMasterCls.At(respAt + sim.Time(sim.Microseconds(carrierSenseUS)))
 	d.scheduleMasterSlot(respAt + sim.Time(sim.Slots(1)))
 }
 
@@ -393,9 +393,9 @@ func (d *Device) slaveListenSlot() {
 	// The window opened leadTicks early; the slot boundary is next.
 	slotStart := d.nextCLKSlot(d.now())
 	d.rxOn(d.chanFreq(l.sel, d.Clock.CLK(slotStart)))
-	window := sim.Microseconds(uint64(d.cfg.CarrierSenseUS))
+	window := sim.Microseconds(carrierSenseUS)
 	if l.mode == ModeSniff {
-		window = sim.Microseconds(uint64(d.cfg.SniffListenUS))
+		window = sim.Microseconds(sniffListenUS)
 	}
 	d.tSlaveCls.At(slotStart + sim.Time(window))
 	d.scheduleSlaveListen(slotStart + sim.Time(sim.Slots(2)) - sim.Time(d.leadTicks()))

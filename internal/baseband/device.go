@@ -252,9 +252,6 @@ func (d *Device) Name() string { return d.name }
 // Addr returns the device address.
 func (d *Device) Addr() BDAddr { return d.cfg.Addr }
 
-// Config returns the normalized configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // State returns the current link-controller state.
 func (d *Device) State() State { return d.state }
 
@@ -545,7 +542,7 @@ func handUp(payload []byte) []byte { return append([]byte(nil), payload...) }
 
 // leadTicks converts the RX lead to kernel ticks.
 func (d *Device) leadTicks() sim.Duration {
-	return sim.Microseconds(uint64(d.cfg.RxLeadUS))
+	return sim.Microseconds(rxLeadUS)
 }
 
 // nextCLKSlot returns the next master transmit-slot boundary — piconet

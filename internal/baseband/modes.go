@@ -106,7 +106,7 @@ func (d *Device) slaveHoldResync() {
 	if l == nil || d.state != StateConnection {
 		return
 	}
-	l.resyncUntil = d.now() + sim.Time(sim.Microseconds(uint64(d.cfg.HoldResyncUS)))
+	l.resyncUntil = d.now() + sim.Time(sim.Microseconds(holdResyncUS))
 	d.holdResyncStep()
 }
 
@@ -140,7 +140,7 @@ func (d *Device) holdResyncStep() {
 // resyncSlots is the resync listen window rounded up to whole slots;
 // both ends use it to advance the hold anchor deterministically.
 func (d *Device) resyncSlots() uint64 {
-	ticks := uint64(sim.Microseconds(uint64(d.cfg.HoldResyncUS)))
+	ticks := uint64(sim.Microseconds(holdResyncUS))
 	return (ticks + sim.SlotTicks - 1) / sim.SlotTicks
 }
 

@@ -51,7 +51,7 @@ func (d *Device) StartPage(target BDAddr, est *btclock.EstimatedClock, timeoutSl
 		id:              newCachedID(target.LAP),
 		est:             est,
 		trainA:          true,
-		nextTrainSwitch: d.now() + sim.Time(sim.Slots(uint64(d.cfg.NPage*16))),
+		nextTrainSwitch: d.now() + sim.Time(sim.Slots(nPage*16)),
 		deadline:        d.now() + sim.Time(sim.Slots(uint64(timeoutSlots))),
 		started:         d.now(),
 		done:            done,
@@ -123,7 +123,7 @@ func (d *Device) pageTxSlot() {
 	now := d.now()
 	if now >= d.pg.nextTrainSwitch {
 		d.pg.trainA = !d.pg.trainA
-		d.pg.nextTrainSwitch = now + sim.Time(sim.Slots(uint64(d.cfg.NPage*16)))
+		d.pg.nextTrainSwitch = now + sim.Time(sim.Slots(nPage*16))
 	}
 	trainA := d.pg.trainA
 	clke := d.pg.est.CLKE(now)
@@ -234,7 +234,7 @@ func (d *Device) masterResponse(x uint32, respStart sim.Time) {
 		d.armNewConnTimeout(l)
 	}
 	// pagerespTO: no ack -> back to trains.
-	d.after(sim.Slots(uint64(d.cfg.PageRespTimeoutSlots)), func() {
+	d.after(sim.Slots(pageRespTimeoutSlots), func() {
 		d.rxOffForce()
 		d.resumePageTrains()
 	})
@@ -243,7 +243,7 @@ func (d *Device) masterResponse(x uint32, respStart sim.Time) {
 // armNewConnTimeout reverts an embryonic connection whose POLL/response
 // exchange does not complete in time.
 func (d *Device) armNewConnTimeout(l *Link) {
-	d.after(sim.Slots(uint64(d.cfg.NewConnTimeoutSlots)), func() {
+	d.after(sim.Slots(newConnTimeoutSlots), func() {
 		if !l.newconnPending {
 			return
 		}
@@ -373,7 +373,7 @@ func (d *Device) slaveResponse(idTx *channel.Transmission) {
 		})
 	}
 	// pagerespTO: no FHS -> back to page scan.
-	d.after(sim.Slots(uint64(d.cfg.PageRespTimeoutSlots)), func() {
+	d.after(sim.Slots(pageRespTimeoutSlots), func() {
 		d.rxOffForce()
 		d.StartPageScan()
 	})
@@ -383,7 +383,7 @@ func (d *Device) slaveResponse(idTx *channel.Transmission) {
 // never arrives.
 func (d *Device) armSlaveNewConnTimeout() {
 	l := d.mlink
-	d.after(sim.Slots(uint64(d.cfg.NewConnTimeoutSlots)), func() {
+	d.after(sim.Slots(newConnTimeoutSlots), func() {
 		if l != nil && l.newconnPending && d.mlink == l {
 			d.mlink = nil
 			d.Clock.DropSync()

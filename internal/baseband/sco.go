@@ -153,7 +153,7 @@ func (d *Device) transmitSCOSlot(sco *SCOLink, now sim.Time) {
 	respAt := now + sim.Time(sim.Slots(1))
 	d.masterRespAt = respAt
 	d.tMasterOpen.At(respAt - sim.Time(d.leadTicks()))
-	d.tMasterCls.At(respAt + sim.Time(sim.Microseconds(uint64(d.cfg.CarrierSenseUS))))
+	d.tMasterCls.At(respAt + sim.Time(sim.Microseconds(carrierSenseUS)))
 	d.scheduleMasterSlot(respAt + sim.Time(sim.Slots(1)))
 }
 

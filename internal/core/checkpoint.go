@@ -17,8 +17,8 @@ import (
 //
 //  1. Quiescence. Snapshot runs only when no transmission is in flight,
 //     every device sits in STANDBY or CONNECTION with nothing mid-air
-//     or mid-handshake, and (via SnapshotConfig.Quiescent) no upper
-//     layer has a transaction open. Everything that remains is plain
+//     or mid-handshake, and (via Snapshot's quiescent predicate) no
+//     upper layer has a transaction open. Everything that remains is plain
 //     state plus pending timers.
 //
 //  2. Re-arm ordering. Every pending event's (at, seq) position is
@@ -50,17 +50,6 @@ type Checkpoint struct {
 	Devices []DeviceEntry
 }
 
-// SnapshotConfig tunes a capture.
-type SnapshotConfig struct {
-	// ExtraLinks lists, per device name, detached links that must ride
-	// the device's capture (a scatternet bridge's suspended
-	// memberships).
-	ExtraLinks map[string][]*baseband.Link
-	// Quiescent, when non-nil, adds an upper-layer quiescence predicate
-	// (e.g. "no LMP transaction open") to the probe.
-	Quiescent func() bool
-}
-
 // maxProbeSlots bounds how far Snapshot may run the world forward
 // looking for a quiescent slot edge.
 const maxProbeSlots = 4096
@@ -70,15 +59,6 @@ type RestoreOptions struct {
 	// ForkSeed perturbs every RNG stream of the restored arm; zero
 	// resumes the captured streams exactly (see sim.ForkState).
 	ForkSeed uint64
-	// Tracer, when non-nil, is attached to the kernel before device
-	// construction, so restored signals declare themselves in creation
-	// order exactly like a straight traced run.
-	Tracer sim.Tracer
-	// Rearm, when non-nil, collects timer re-arms instead of executing
-	// them: upper layers add their own pending events to the shared set
-	// and execute it once, preserving the global captured order. When
-	// nil, Restore executes the core re-arms itself.
-	Rearm *sim.RearmSet
 }
 
 // quiescentBlocker names what blocks a core-level capture right now, or
@@ -99,20 +79,18 @@ func (s *Simulation) quiescentBlocker() string {
 func (s *Simulation) Quiescent() bool { return s.quiescentBlocker() == "" }
 
 // Snapshot captures the world at the nearest quiescent slot edge,
-// probing forward slot by slot if the current instant is busy.
-func (s *Simulation) Snapshot() (*Checkpoint, error) {
-	return s.SnapshotCfg(SnapshotConfig{})
-}
-
-// SnapshotCfg is Snapshot with explicit extra links and an upper-layer
-// quiescence predicate.
-func (s *Simulation) SnapshotCfg(cfg SnapshotConfig) (*Checkpoint, error) {
+// probing forward slot by slot if the current instant is busy. extra
+// lists, per device name, detached links that must ride the device's
+// capture (a scatternet bridge's suspended memberships); quiescent,
+// when non-nil, adds an upper-layer predicate (e.g. "no LMP
+// transaction open") to the probe.
+func (s *Simulation) Snapshot(extra map[string][]*baseband.Link, quiescent func() bool) (*Checkpoint, error) {
 	if s.trace != nil {
 		return nil, fmt.Errorf("core: cannot snapshot a VCD-traced world")
 	}
 	for probed := uint64(0); ; probed++ {
 		blocker := s.quiescentBlocker()
-		if blocker == "" && (cfg.Quiescent == nil || cfg.Quiescent()) {
+		if blocker == "" && (quiescent == nil || quiescent()) {
 			break
 		}
 		if blocker == "" {
@@ -130,7 +108,7 @@ func (s *Simulation) SnapshotCfg(cfg SnapshotConfig) (*Checkpoint, error) {
 		ChanRNG: s.Ch.RNGState(),
 	}
 	for _, name := range s.order {
-		dc, err := s.devices[name].Checkpoint(cfg.ExtraLinks[name])
+		dc, err := s.devices[name].Checkpoint(extra[name])
 		if err != nil {
 			return nil, err
 		}
@@ -143,19 +121,15 @@ func (s *Simulation) SnapshotCfg(cfg SnapshotConfig) (*Checkpoint, error) {
 // spatial world, EnableSpatial and Place must already have run). It
 // returns each device's restored links in capture order, keyed by
 // device name, so upper layers can re-attach their per-link state.
-func (s *Simulation) Restore(ck *Checkpoint, opt RestoreOptions) (map[string][]*baseband.Link, error) {
+// The devices' pending timers are added to set, not armed: upper layers
+// add their own pending events and execute the set once, which replays
+// every re-arm in the global captured order.
+func (s *Simulation) Restore(ck *Checkpoint, opt RestoreOptions, set *sim.RearmSet) (map[string][]*baseband.Link, error) {
 	if len(s.order) != 0 || s.K.Now() != 0 {
 		return nil, fmt.Errorf("core: restore target is not a fresh world")
 	}
 	if s.trace != nil {
 		return nil, fmt.Errorf("core: cannot restore into a VCD-traced world")
-	}
-	if opt.Tracer != nil {
-		s.K.AddTracer(opt.Tracer)
-	}
-	set := opt.Rearm
-	if set == nil {
-		set = &sim.RearmSet{}
 	}
 	// Jump the clock first: the kernel queue is empty, so RunUntil lands
 	// exactly on the snapshot instant, and every construction-time trace
@@ -173,8 +147,5 @@ func (s *Simulation) Restore(ck *Checkpoint, opt RestoreOptions) (map[string][]*
 	}
 	s.rng.SetState(sim.ForkState(ck.RootRNG, opt.ForkSeed))
 	s.Ch.SetRNGState(sim.ForkState(ck.ChanRNG, opt.ForkSeed))
-	if opt.Rearm == nil {
-		set.Execute()
-	}
 	return links, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseband"
 	"repro/internal/packet"
+	"repro/internal/sim"
 )
 
 // fingerprint folds the observable state of every device into a string:
@@ -57,7 +58,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 
 			forked := buildWorld()
 			forked.RunSlots(settle)
-			ck, err := forked.Snapshot()
+			ck, err := forked.Snapshot(nil, nil)
 			if err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
@@ -67,7 +68,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 			}
 
 			restored := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
-			if _, err := restored.Restore(ck, RestoreOptions{}); err != nil {
+			if err := restore(restored, ck, RestoreOptions{}); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
 			if got, want := restored.K.Now(), ck.At; got != want {
@@ -87,7 +88,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 
 			// A second fork from the same bytes stays byte-equal...
 			again := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
-			if _, err := again.Restore(ck, RestoreOptions{}); err != nil {
+			if err := restore(again, ck, RestoreOptions{}); err != nil {
 				t.Fatalf("Restore twice: %v", err)
 			}
 			resetAll(again)
@@ -98,7 +99,7 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 
 			// ...while a different fork seed diverges under nonzero BER.
 			other := NewSimulation(Options{Seed: 7, BER: 1.0 / 600})
-			if _, err := other.Restore(ck, RestoreOptions{ForkSeed: 99}); err != nil {
+			if err := restore(other, ck, RestoreOptions{ForkSeed: 99}); err != nil {
 				t.Fatalf("Restore forked: %v", err)
 			}
 			resetAll(other)
@@ -110,6 +111,16 @@ func TestCheckpointForkEquivalence(t *testing.T) {
 	}
 }
 
+// restore imposes ck on the fresh world s and arms its captured timers.
+func restore(s *Simulation, ck *Checkpoint, opt RestoreOptions) error {
+	set := &sim.RearmSet{}
+	if _, err := s.Restore(ck, opt, set); err != nil {
+		return err
+	}
+	set.Execute()
+	return nil
+}
+
 func resetAll(s *Simulation) {
 	for _, d := range s.Devices() {
 		ResetMeters(d)
@@ -118,7 +129,7 @@ func resetAll(s *Simulation) {
 
 func TestSnapshotRefusesVCDTrace(t *testing.T) {
 	s := NewSimulation(Options{Seed: 1, TraceTo: discard{}})
-	if _, err := s.Snapshot(); err == nil {
+	if _, err := s.Snapshot(nil, nil); err == nil {
 		t.Fatal("Snapshot of a VCD-traced world should fail")
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/baseband"
 	"repro/internal/channel"
-	"repro/internal/hci"
 	"repro/internal/sim"
 	"repro/internal/vcd"
 )
@@ -83,11 +82,6 @@ func (s *Simulation) addDevice(name string, cfg baseband.Config) *baseband.Devic
 	s.devices[name] = d
 	s.order = append(s.order, name)
 	return d
-}
-
-// AddController is AddDevice plus an HCI front end.
-func (s *Simulation) AddController(name string, cfg baseband.Config) *hci.Controller {
-	return hci.Attach(s.AddDevice(name, cfg))
 }
 
 // Device returns a device by name (nil if absent).

@@ -169,17 +169,3 @@ func TestDuplicateDevicePanics(t *testing.T) {
 	}()
 	dev(s, "x", 0x222222)
 }
-
-func TestAddControllerWorks(t *testing.T) {
-	s := NewSimulation(Options{Seed: 11})
-	c := s.AddController("hcidev", baseband.Config{Addr: baseband.BDAddr{LAP: 0x424242}})
-	if c.Dev().Name() != "hcidev" {
-		t.Fatal("controller device wrong")
-	}
-	if s.Device("hcidev") != c.Dev() {
-		t.Fatal("device registry wrong")
-	}
-	if len(s.Devices()) != 1 {
-		t.Fatal("Devices() wrong")
-	}
-}

@@ -102,9 +102,6 @@ func (c *Controller) Dev() *baseband.Device { return c.dev }
 // Link resolves a handle (nil if unknown).
 func (c *Controller) Link(h ConnHandle) *baseband.Link { return c.handles[h] }
 
-// Handle resolves a link's handle (0 if unknown).
-func (c *Controller) Handle(l *baseband.Link) ConnHandle { return c.byLink[l] }
-
 func (c *Controller) emit(e Event) {
 	if c.Events != nil {
 		c.Events(e)

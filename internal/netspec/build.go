@@ -6,7 +6,6 @@ import (
 	"repro/internal/baseband"
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/hci"
 	"repro/internal/hop"
 	"repro/internal/lmp"
 	"repro/internal/sim"
@@ -76,7 +75,6 @@ type World struct {
 	spec    Spec
 	layout  []piconetLayout // computed positions (nil without Placement)
 	owner   map[string]int  // device name -> piconet index
-	ctrl    map[string]*hci.Controller
 	nodes   map[string]*node
 	names   map[baseband.BDAddr]string
 	pumps   []*pump // registered self-rescheduling loops, in start order
@@ -193,16 +191,6 @@ func (w *World) buildPiconet(i int) *PiconetState {
 		w.owner[sname] = i
 		p.Slaves = append(p.Slaves, sl)
 	}
-	if sp.HCI {
-		if w.ctrl == nil {
-			w.ctrl = make(map[string]*hci.Controller)
-		}
-		w.ctrl[mname] = hci.Attach(p.Master)
-		for _, sl := range p.Slaves {
-			w.ctrl[sl.Name()] = hci.Attach(sl)
-		}
-		return p
-	}
 	if sp.Detached {
 		return p
 	}
@@ -220,10 +208,6 @@ func (w *World) buildPiconet(i int) *PiconetState {
 	}
 	return p
 }
-
-// Controller returns the HCI controller attached to a device of an
-// HCI piconet (nil if the device has none).
-func (w *World) Controller(device string) *hci.Controller { return w.ctrl[device] }
 
 // adoptDevice registers a device created outside the piconet build (a
 // scatternet bridge) as belonging to piconet index for the collision

@@ -171,19 +171,13 @@ func scoIndex(d *baseband.Device, sco *baseband.SCOLink) (int, error) {
 // probe may advance simulated time (the pumps keep running); the
 // returned checkpoint's Core.At is the capture instant.
 func (w *World) Snapshot() (*WorldCheckpoint, error) {
-	if w.ctrl != nil {
-		return nil, fmt.Errorf("netspec: HCI worlds are not checkpointable")
-	}
 	extra := make(map[string][]*baseband.Link)
 	for _, b := range w.Bridges {
 		// The suspended membership's link is detached from the radio;
 		// it must ride the bridge device's capture explicitly.
 		extra[b.Dev.Name()] = []*baseband.Link{b.Members[1-b.active].Link}
 	}
-	cck, err := w.Sim.SnapshotCfg(core.SnapshotConfig{
-		ExtraLinks: extra,
-		Quiescent:  w.upperQuiescent,
-	})
+	cck, err := w.Sim.Snapshot(extra, w.upperQuiescent)
 	if err != nil {
 		return nil, err
 	}
@@ -330,13 +324,8 @@ func RestoreWorld(s *core.Simulation, ck *WorldCheckpoint, opt core.RestoreOptio
 		s.Ch.AddJammer(j.Lo, j.Hi, j.Duty)
 	}
 
-	set := opt.Rearm
-	if set == nil {
-		set = &sim.RearmSet{}
-	}
-	inner := opt
-	inner.Rearm = set
-	links, err := s.Restore(ck.Core, inner)
+	set := &sim.RearmSet{}
+	links, err := s.Restore(ck.Core, opt, set)
 	if err != nil {
 		return nil, err
 	}
@@ -518,9 +507,7 @@ func RestoreWorld(s *core.Simulation, ck *WorldCheckpoint, opt core.RestoreOptio
 	}
 
 	w.started = ck.Started
-	if opt.Rearm == nil {
-		set.Execute()
-	}
+	set.Execute()
 	w.chBase = s.Ch.Stats()
 	w.resetAt = s.Now()
 	return w, nil
@@ -564,11 +551,6 @@ func (ck *WorldCheckpoint) validate() error {
 	}
 	if len(ck.Bridges) != nb {
 		return fmt.Errorf("netspec: checkpoint has %d bridge captures for %d stanzas", len(ck.Bridges), nb)
-	}
-	for i := range ck.Spec.Piconets {
-		if ck.Spec.Piconets[i].HCI {
-			return fmt.Errorf("netspec: HCI worlds are not checkpointable")
-		}
 	}
 	for i := range ck.Bridges {
 		bc := &ck.Bridges[i]

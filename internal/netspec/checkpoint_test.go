@@ -167,17 +167,6 @@ func testForkEquivalence(t *testing.T, spec Spec) {
 	}
 }
 
-func TestSnapshotRefusesHCIWorld(t *testing.T) {
-	s := core.NewSimulation(core.Options{Seed: 1})
-	w, err := Build(s, Spec{Piconets: []Piconet{{Slaves: 1, HCI: true}}})
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if _, err := w.Snapshot(); err == nil {
-		t.Fatal("Snapshot of an HCI world should fail")
-	}
-}
-
 // FuzzCheckpointRoundTrip pins the decode contract: arbitrary bytes
 // either fail with an error or produce a validated checkpoint — never
 // a panic.

@@ -42,15 +42,11 @@ type FlowMetrics struct {
 	Latency stats.Sample `json:"latency"`
 }
 
-// ProbeMetrics is one probe's sampled result.
+// ProbeMetrics is one probe's sampled result: RF-activity fractions
+// over the probe's devices.
 type ProbeMetrics struct {
-	// Tx and Rx sample RF-activity fractions over the probe's devices
-	// (activity probes).
 	Tx stats.Sample `json:"tx"`
 	Rx stats.Sample `json:"rx"`
-	// PerFreq is the window's per-RF-channel stats delta (per-frequency
-	// probes).
-	PerFreq []channel.FreqCount `json:"per_freq,omitempty"`
 }
 
 // Metrics is the unified result surface of a built world: one read
@@ -235,7 +231,7 @@ func (w *World) Metrics() Metrics {
 		m.Probes = make(map[string]ProbeMetrics, len(w.spec.Probes))
 		for i := range w.spec.Probes {
 			p := &w.spec.Probes[i]
-			m.Probes[p.Name] = w.probe(p, m.PerFreq)
+			m.Probes[p.Name] = w.probe(p)
 		}
 	}
 	return m
@@ -258,11 +254,9 @@ func (w *World) perFreqDelta() []channel.FreqCount {
 }
 
 // probe evaluates one probe stanza.
-func (w *World) probe(p *Probe, perFreq []channel.FreqCount) ProbeMetrics {
+func (w *World) probe(p *Probe) ProbeMetrics {
 	var pm ProbeMetrics
 	switch p.Kind {
-	case ProbePerFreq:
-		pm.PerFreq = perFreq
 	case ProbeBridgeActivity:
 		for _, b := range w.Bridges {
 			tx, rx := core.Activity(b.Dev)

@@ -86,12 +86,9 @@ type Piconet struct {
 	// a zero-slave stanza is a validation error, not a default.
 	Slaves int `json:"slaves"`
 	// Detached builds the devices without paging them together: no
-	// links, no LMP, no traffic. Inquiry/page procedures (or an HCI
-	// host) drive connection establishment instead.
+	// links, no LMP, no traffic. Inquiry/page procedures drive
+	// connection establishment instead.
 	Detached bool `json:"detached,omitempty"`
-	// HCI attaches an hci.Controller to every device of the piconet so
-	// a host drives it through commands and events. Implies Detached.
-	HCI bool `json:"hci,omitempty"`
 	// TpollSlots is the master's maximum polling interval. Zero takes
 	// the baseband default (50 slots) in bridge-free worlds and 64 when
 	// the spec has bridges, whose mostly idle links must stay
@@ -300,9 +297,6 @@ const (
 	ProbeMasterActivity
 	// ProbeBridgeActivity samples every bridge's activity.
 	ProbeBridgeActivity
-	// ProbePerFreq snapshots the per-RF-channel stats delta of the
-	// measurement window (also available world-wide via Metrics.PerFreq).
-	ProbePerFreq
 )
 
 // Probe names one metric selection; World.Metrics reports it under
@@ -391,9 +385,6 @@ func (s Spec) withDefaults() Spec {
 		p := &out.Piconets[i]
 		if p.Name == "" {
 			p.Name = fmt.Sprintf("p%d", i)
-		}
-		if p.HCI {
-			p.Detached = true
 		}
 		if p.TpollSlots == 0 && len(s.Bridges) > 0 {
 			p.TpollSlots = 64
@@ -629,7 +620,7 @@ func (s Spec) validate() error {
 	seen := make(map[string]bool)
 	for i := range s.Probes {
 		p := &s.Probes[i]
-		if p.Kind < ProbeSlaveActivity || p.Kind > ProbePerFreq {
+		if p.Kind < ProbeSlaveActivity || p.Kind > ProbeBridgeActivity {
 			return stanzaErr("probe", i, p.Name, "unknown probe kind %d", int(p.Kind))
 		}
 		if seen[p.Name] {

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseband"
 	"repro/internal/core"
-	"repro/internal/hci"
 	"repro/internal/packet"
 )
 
@@ -315,71 +313,6 @@ func TestDetachedPiconetBuildsUnconnected(t *testing.T) {
 	}
 	if w.Sim.Now() != 0 {
 		t.Fatalf("detached build advanced time to slot %d", w.Sim.Now())
-	}
-}
-
-// TestHCIRoundTrip drives a spec-built HCI world through the host
-// command path: inquiry discovers the slave, CreateConnection pages
-// it, SendData arrives as a DataEvent on the far controller.
-func TestHCIRoundTrip(t *testing.T) {
-	w := world(t, 9, Spec{
-		Piconets: []Piconet{{Slaves: 1, HCI: true}},
-	})
-	mc := w.Controller(MasterName(0))
-	sc := w.Controller(SlaveName(0, 1))
-	if mc == nil || sc == nil {
-		t.Fatal("controllers missing on HCI piconet")
-	}
-
-	var found *baseband.InquiryResult
-	var handle hci.ConnHandle
-	connected := false
-	mc.Events = func(e hci.Event) {
-		switch ev := e.(type) {
-		case hci.InquiryResultEvent:
-			r := ev.Result
-			found = &r
-		case hci.ConnectionCompleteEvent:
-			if !ev.OK {
-				t.Fatal("connection failed")
-			}
-			handle = ev.Handle
-			connected = true
-		}
-	}
-	var got []byte
-	sc.Events = func(e hci.Event) {
-		if d, ok := e.(hci.DataEvent); ok {
-			got = append([]byte(nil), d.Payload...)
-		}
-	}
-
-	sc.WriteScanEnable(true, false) // inquiry scan
-	mc.Inquiry(2048, 1)
-	w.Sim.RunSlots(2500)
-	if found == nil {
-		t.Fatal("inquiry found nothing")
-	}
-
-	sc.WriteScanEnable(false, true) // page scan
-	if err := mc.CreateConnection(found.Addr, 2048); err != nil {
-		t.Fatalf("CreateConnection: %v", err)
-	}
-	for i := 0; i < 64 && !connected; i++ {
-		w.Sim.RunSlots(64)
-	}
-	if !connected {
-		t.Fatal("page never completed")
-	}
-
-	if err := mc.SendData(handle, []byte("netspec ping")); err != nil {
-		t.Fatalf("SendData: %v", err)
-	}
-	for i := 0; i < 64 && got == nil; i++ {
-		w.Sim.RunSlots(16)
-	}
-	if string(got) != "netspec ping" {
-		t.Fatalf("round trip delivered %q", got)
 	}
 }
 

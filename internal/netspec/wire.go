@@ -92,7 +92,6 @@ var probeNames = map[int]string{
 	int(ProbeSlaveActivity):  "slave_activity",
 	int(ProbeMasterActivity): "master_activity",
 	int(ProbeBridgeActivity): "bridge_activity",
-	int(ProbePerFreq):        "per_freq",
 }
 
 // MarshalText encodes the probe kind as a stable snake_case name.

@@ -47,7 +47,6 @@ func roundTripCases() map[string]Spec {
 			Traffic: []Traffic{{Kind: TrafficBulk, Piconet: AllPiconets}},
 			Jammers: []Jammer{{Lo: 30, Hi: 52, Duty: 0.9}},
 			Probes: []Probe{
-				{Name: "spectrum", Kind: ProbePerFreq},
 				{Name: "masters", Kind: ProbeMasterActivity, Piconet: AllPiconets},
 			},
 		},

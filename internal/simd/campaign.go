@@ -99,13 +99,6 @@ func (r Request) normalized() (Request, error) {
 		if err := r.Points[i].Validate(); err != nil {
 			return r, fmt.Errorf("simd: points[%d]: %w", i, err)
 		}
-		if r.Fork {
-			for j := range r.Points[i].Piconets {
-				if r.Points[i].Piconets[j].HCI {
-					return r, fmt.Errorf("simd: points[%d]: piconets[%d]: HCI worlds cannot be checkpoint-forked (host-side state lives outside the world)", i, j)
-				}
-			}
-		}
 	}
 	return r, nil
 }

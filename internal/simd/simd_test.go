@@ -408,15 +408,6 @@ func TestForkCacheKeyDiffers(t *testing.T) {
 	}
 }
 
-func TestForkRejectsHCIWorlds(t *testing.T) {
-	e := New(Options{MaxJobs: 1, Workers: runner.Serial})
-	defer e.Close()
-	spec := netspec.Spec{Piconets: []netspec.Piconet{{Slaves: 1, HCI: true}}}
-	if _, err := e.Submit(Request{Spec: &spec, Slots: 100, Fork: true}); err == nil {
-		t.Fatal("forked HCI campaign accepted")
-	}
-}
-
 // TestEngineCheckpointCacheReuse pins the checkpoint LRU: two forked
 // campaigns over the same settled world (different measured horizons,
 // so the result cache misses) share one settle.
