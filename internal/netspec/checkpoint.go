@@ -545,6 +545,11 @@ func (ck *WorldCheckpoint) validate() error {
 	if ck.Core == nil {
 		return fmt.Errorf("netspec: checkpoint has no core capture")
 	}
+	// A restored world that was captured before Start runs its spec's
+	// traffic later, which relies on the spec having validated.
+	if err := ck.Spec.validate(); err != nil {
+		return err
+	}
 	np, nb, nf := len(ck.Spec.Piconets), len(ck.Spec.Bridges), len(ck.Flows)
 	if len(ck.Piconets) != np {
 		return fmt.Errorf("netspec: checkpoint has %d piconet captures for %d stanzas", len(ck.Piconets), np)

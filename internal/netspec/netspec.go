@@ -676,6 +676,11 @@ func (s Spec) validateTraffic() error {
 	// double the load.
 	type linkKey struct{ piconet, slave int }
 	pumps := make(map[linkKey]int)
+	// Flow endpoints resolve to their piconets, and piconets to the
+	// bridge-joined group a route can cross (built at the first flow).
+	var owner map[string]int
+	var joined []int
+	flows := 0
 	for i := range s.Traffic {
 		t := &s.Traffic[i]
 		switch t.Kind {
@@ -753,20 +758,38 @@ func (s Spec) validateTraffic() error {
 			if !bridged {
 				return stanzaErr("traffic", i, "", "flow traffic needs at least one bridge")
 			}
-			names := s.deviceNames()
+			if flows++; flows > maxFlows {
+				// The relay header carries the flow index in one byte.
+				return stanzaErr("traffic", i, "", "at most %d flows", maxFlows)
+			}
+			if owner == nil {
+				owner, joined = s.deviceOwners(), s.bridgeGroups()
+			}
 			for _, end := range []string{t.From, t.To} {
-				if !names[end] {
+				if _, ok := owner[end]; !ok {
 					return stanzaErr("traffic", i, "", "flow endpoint %q is not a device of this spec", end)
 				}
 			}
 			if t.From == t.To {
 				return stanzaErr("traffic", i, "", "flow endpoints coincide (%q)", t.From)
 			}
-			for bi := range s.Bridges {
-				if t.From == BridgeName(bi) || t.To == BridgeName(bi) {
+			for _, end := range []string{t.From, t.To} {
+				pi := owner[end]
+				if pi < 0 {
 					return stanzaErr("traffic", i, "",
-						"bridges relay, they neither originate nor terminate flows (%q)", BridgeName(bi))
+						"bridges relay, they neither originate nor terminate flows (%q)", end)
 				}
+				if s.Piconets[pi].Detached {
+					return stanzaErr("traffic", i, "", "flow endpoint %q is on detached piconet %d, which has no relay", end, pi)
+				}
+				if len(end) > 255 {
+					// The relay header carries the destination name's
+					// length in one byte.
+					return stanzaErr("traffic", i, "", "flow endpoint name is %d bytes, over 255", len(end))
+				}
+			}
+			if from, to := owner[t.From], owner[t.To]; joined[from] != joined[to] {
+				return stanzaErr("traffic", i, "", "no chain of bridges joins piconet %d to piconet %d", from, to)
 			}
 			if t.SDUBytes < 1 || t.PumpDepth < 1 {
 				return stanzaErr("traffic", i, "", "SDU size and pump depth must be >= 1, got %d and %d",
@@ -812,19 +835,43 @@ func gcd(a, b int) int {
 	return a
 }
 
-// deviceNames lists every device name the spec will create, for flow
-// endpoint validation.
-func (s Spec) deviceNames() map[string]bool {
-	out := make(map[string]bool)
+// maxFlows bounds the flow stanzas of one spec: relay frames carry the
+// flow index in one byte.
+const maxFlows = 255
+
+// deviceOwners maps every device name the spec will create to its
+// piconet index (-1 for a bridge), for flow endpoint validation.
+func (s Spec) deviceOwners() map[string]int {
+	out := make(map[string]int)
 	for i := range s.Piconets {
 		p := &s.Piconets[i]
-		out[p.Name+".master"] = true
+		out[p.Name+".master"] = i
 		for j := 1; j <= p.Slaves; j++ {
-			out[fmt.Sprintf("%s.slave%d", p.Name, j)] = true
+			out[fmt.Sprintf("%s.slave%d", p.Name, j)] = i
 		}
 	}
 	for i := range s.Bridges {
-		out[BridgeName(i)] = true
+		out[BridgeName(i)] = -1
 	}
 	return out
+}
+
+// bridgeGroups labels every piconet with the lowest piconet index that
+// a chain of bridges joins it to: a flow can route only between
+// piconets with the same label.
+func (s Spec) bridgeGroups() []int {
+	label := make([]int, len(s.Piconets))
+	for i := range label {
+		label[i] = i
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, b := range s.Bridges {
+			if lo := min(label[b.A], label[b.B]); label[b.A] != lo || label[b.B] != lo {
+				label[b.A], label[b.B] = lo, lo
+				changed = true
+			}
+		}
+	}
+	return label
 }

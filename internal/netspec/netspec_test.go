@@ -101,6 +101,26 @@ func TestValidationNamesOffendingStanza(t *testing.T) {
 			Bridges:  []Bridge{{A: 0, B: 1}},
 			Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: BridgeName(0)}},
 		}, "traffic", 0, "neither originate nor terminate"},
+		{"flow without route", Spec{
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
+			Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(2, 1)}},
+		}, "traffic", 0, "no chain of bridges joins piconet 0 to piconet 2"},
+		{"flow to detached piconet", Spec{
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}, {Slaves: 1, Detached: true}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
+			Traffic:  []Traffic{{Kind: TrafficFlow, From: SlaveName(2, 1), To: MasterName(0)}},
+		}, "traffic", 0, "detached piconet 2"},
+		{"flow endpoint name too long", Spec{
+			Piconets: []Piconet{{Slaves: 1}, {Name: strings.Repeat("n", 250), Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
+			Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: strings.Repeat("n", 250) + ".slave1"}},
+		}, "traffic", 0, "over 255"},
+		{"too many flows", Spec{
+			Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+			Bridges:  []Bridge{{A: 0, B: 1}},
+			Traffic:  slices.Repeat([]Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(1, 1)}}, 256),
+		}, "traffic", 255, "at most 255 flows"},
 		{"traffic unknown piconet", Spec{
 			Piconets: onePiconet,
 			Traffic:  []Traffic{{Kind: TrafficBulk, Piconet: 3}},

@@ -142,25 +142,10 @@ func (w *World) startPoisson(p *PiconetState, t *Traffic) {
 
 // startFlow arms one origin's SDU stream toward its destination, gated
 // on its first-hop baseband queue so backpressure propagates to the
-// bridges instead of piling up at the source link.
+// bridges instead of piling up at the source link. Spec validation
+// guarantees a bridged world, relay-node endpoints joined by a route
+// and at most maxFlows flows.
 func (w *World) startFlow(spec FlowSpec, sduBytes, pumpDepth int) {
-	if w.nodes == nil {
-		panic("netspec: flows need a bridged world")
-	}
-	src, ok := w.nodes[spec.From]
-	if !ok {
-		panic("netspec: unknown flow origin " + spec.From)
-	}
-	dst, ok := w.nodes[spec.To]
-	if !ok {
-		panic("netspec: unknown flow destination " + spec.To)
-	}
-	if src.bridge != nil || dst.bridge != nil {
-		panic("netspec: bridges relay, they neither originate nor terminate flows")
-	}
-	if len(w.Flows) >= 255 {
-		panic("netspec: at most 255 flows")
-	}
 	idx := len(w.Flows)
 	w.Flows = append(w.Flows, &Flow{FlowSpec: spec})
 	w.flowPump(idx, sduBytes, pumpDepth).start()

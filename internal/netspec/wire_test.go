@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -178,12 +179,15 @@ func TestSpecUnknownEnumRefusesToMarshal(t *testing.T) {
 // Marshal→Unmarshal→Build reproduces the original world's metrics byte
 // for byte. Nothing panics.
 func FuzzSpecJSONRoundTrip(f *testing.F) {
-	for _, spec := range roundTripCases() {
+	addSpec := func(spec Spec) {
 		enc, err := json.Marshal(spec)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(enc)
+	}
+	for _, spec := range roundTripCases() {
+		addSpec(spec)
 	}
 	// Invalid shapes: no piconets, too many members, bad enum, bad
 	// band, duplicate names.
@@ -192,6 +196,32 @@ func FuzzSpecJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"piconets":[{"slaves":1}],"traffic":[{"kind":"warp"}]}`))
 	f.Add([]byte(`{"piconets":[{"slaves":1}],"jammers":[{"lo":70,"hi":200,"duty":0.5}]}`))
 	f.Add([]byte(`{"piconets":[{"name":"a","slaves":1},{"name":"a","slaves":1}]}`))
+	// Flow stanzas that must fail validation rather than panic in
+	// World.Start: no bridge chain between the endpoints' piconets, an
+	// endpoint on a detached piconet, a destination name too long for
+	// the relay header, and a 256th flow.
+	pair := []Bridge{{A: 0, B: 1}}
+	addSpec(Spec{
+		Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}, {Slaves: 1}},
+		Bridges:  pair,
+		Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(2, 1)}},
+	})
+	addSpec(Spec{
+		Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}, {Slaves: 1, Detached: true}},
+		Bridges:  pair,
+		Traffic:  []Traffic{{Kind: TrafficFlow, From: SlaveName(2, 1), To: MasterName(0)}},
+	})
+	long := strings.Repeat("n", 250)
+	addSpec(Spec{
+		Piconets: []Piconet{{Slaves: 1}, {Name: long, Slaves: 1}},
+		Bridges:  pair,
+		Traffic:  []Traffic{{Kind: TrafficFlow, From: MasterName(0), To: long + ".slave1"}},
+	})
+	addSpec(Spec{
+		Piconets: []Piconet{{Slaves: 1}, {Slaves: 1}},
+		Bridges:  pair,
+		Traffic:  slices.Repeat([]Traffic{{Kind: TrafficFlow, From: MasterName(0), To: SlaveName(1, 1)}}, 256),
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec Spec
