@@ -165,8 +165,8 @@ func main() {
 			rows := experiments.MultiPiconet([]int{1, 2, 3, 4}, 20000, *seed, runCfg)
 			emit(experiments.MultiPiconetTable(rows))
 		case "coex":
-			rows := experiments.CoexSweep([]int{1, 2, 3, 4, 5, 6, 7, 8}, 20000, 4, *seed, runCfg)
-			emit(experiments.CoexTable(rows))
+			rows := experiments.SharedEther.Sweep([]int{1, 2, 3, 4, 5, 6, 7, 8}, 20000, 4, *seed, runCfg)
+			emit(experiments.SharedEther.Table(rows))
 		case "afh-adaptive":
 			rows := experiments.AdaptiveAFH([]int{7, 15, 23, 31, 39}, 0.9, 2000, 20000, *seed, runCfg)
 			emit(experiments.AdaptiveAFHTable(0.9, rows))
@@ -174,8 +174,8 @@ func main() {
 			rows := experiments.ScatternetSweep([]float64{0.2, 0.4, 0.6, 0.8, 1.0}, 20000, 4, *seed, runCfg)
 			emit(experiments.ScatternetTable(rows))
 		case "density":
-			rows := experiments.DensitySweep([]int{1, 2, 4, 8, 16, 32, 48}, 20000, 4, *seed, runCfg)
-			emit(experiments.DensityTable(rows))
+			rows := experiments.OfficeFloor.Sweep([]int{1, 2, 4, 8, 16, 32, 48}, 20000, 4, *seed, runCfg)
+			emit(experiments.OfficeFloor.Table(rows))
 		case "fork":
 			rows := experiments.ForkEnsemble([]int{2, 4}, 20000, 4000, 4, *seed, runCfg)
 			emit(experiments.ForkTable(rows))

@@ -10,9 +10,9 @@ import (
 	"repro/internal/stats"
 )
 
-// CoexRow is one point of the co-located-piconet sweep run through the
-// coexistence engine: per-link goodput, ARQ cost and the attributed
-// collision counts, averaged over the replicas.
+// CoexRow is one point of a co-located-piconet sweep: per-link
+// goodput, ARQ cost and the attributed collision counts, averaged over
+// the replicas.
 type CoexRow struct {
 	Piconets    int
 	PerLinkKbs  float64
@@ -31,10 +31,35 @@ type coexObs struct {
 // measurement starts (lets every pump reach steady state).
 const coexTrialSettleSlots = 64
 
-// CoexSweep measures throughput and retransmissions as 1..N independent
-// piconets share the band — the paper's reference [4] scenario run on
-// the coexistence engine, with collisions attributed to inter- vs
+// CoexWorld is one family of co-located piconet worlds, indexed by
+// piconet count, that Sweep measures.
+type CoexWorld struct {
+	// Name labels the sweep; Title heads its table.
+	Name, Title string
+	// Spec builds the world for one piconet count.
+	Spec func(piconets int) netspec.Spec
+	// seedStride spreads the base seeds of successive counts.
+	seedStride uint64
+}
+
+// SharedEther is the paper's reference [4] scenario on the coexistence
+// engine: 1..N independent single-slave piconets with saturating pumps
+// on the one shared medium, collisions attributed to inter- vs
 // intra-piconet interference.
+var SharedEther = CoexWorld{
+	Name:  "coex",
+	Title: "Coex: per-link goodput and collisions vs co-located piconets (replica means)",
+	Spec: func(piconets int) netspec.Spec {
+		return netspec.Spec{
+			Piconets: slices.Repeat([]netspec.Piconet{{Slaves: 1, TpollSlots: netspec.TpollNever}}, piconets),
+			Traffic:  []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
+		}
+	},
+	seedStride: 101,
+}
+
+// Sweep measures throughput and retransmissions as the world fills
+// with piconets.
 //
 // Each point averages several replicas (fresh clock phases per seed)
 // because the spec's hop kernel makes collision counts between two
@@ -44,19 +69,16 @@ const coexTrialSettleSlots = 64
 // collision-free for tens of thousands of slots. A single replica can
 // therefore legitimately report zero inter-piconet collisions;
 // averaging over clock phases restores the expected ~1/79 picture.
-func CoexSweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg ...runner.Config) []CoexRow {
+func (cw CoexWorld) Sweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg ...runner.Config) []CoexRow {
 	sw := runner.Sweep[int, coexObs]{
-		Name:     "coex",
+		Name:     cw.Name,
 		Points:   counts,
 		Replicas: replicas,
 		Seed: func(point, replica int) uint64 {
-			return seed + uint64(counts[point])*101 + uint64(replica)*7919
+			return seed + uint64(counts[point])*cw.seedStride + uint64(replica)*7919
 		},
 		Trial: func(seed uint64, piconets int) coexObs {
-			w := netspec.MustBuild(core.NewSimulation(core.Options{Seed: seed}), netspec.Spec{
-				Piconets: slices.Repeat([]netspec.Piconet{{Slaves: 1, TpollSlots: netspec.TpollNever}}, piconets),
-				Traffic:  []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
-			})
+			w := netspec.MustBuild(core.NewSimulation(core.Options{Seed: seed}), cw.Spec(piconets))
 			w.Start()
 			w.Sim.RunSlots(coexTrialSettleSlots)
 			w.ResetMetrics()
@@ -82,9 +104,9 @@ func CoexSweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg
 	})
 }
 
-// CoexTable renders the co-located piconet sweep.
-func CoexTable(rows []CoexRow) *stats.Table {
-	t := stats.NewTable("Coex: per-link goodput and collisions vs co-located piconets (replica means)",
+// Table renders a sweep of this world.
+func (cw CoexWorld) Table(rows []CoexRow) *stats.Table {
+	t := stats.NewTable(cw.Title,
 		"piconets", "per_link_kbps", "retransmits", "inter_collisions", "intra_collisions", "n")
 	for _, r := range rows {
 		t.AddRow(r.Piconets, r.PerLinkKbs, r.Retransmits, r.Inter, r.Intra, r.N)

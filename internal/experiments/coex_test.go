@@ -8,7 +8,7 @@ import (
 )
 
 func TestCoexSweepDegradation(t *testing.T) {
-	rows := CoexSweep([]int{1, 4}, 4000, 3, 17)
+	rows := SharedEther.Sweep([]int{1, 4}, 4000, 3, 17)
 	single, quad := rows[0], rows[1]
 	if single.PerLinkKbs <= 0 {
 		t.Fatal("no single-piconet goodput")
@@ -26,7 +26,7 @@ func TestCoexSweepDegradation(t *testing.T) {
 		t.Fatalf("inter-piconet collisions must cost retransmissions: %v vs %v",
 			quad.Retransmits, single.Retransmits)
 	}
-	if !strings.Contains(CoexTable(rows).String(), "inter_collisions") {
+	if !strings.Contains(SharedEther.Table(rows).String(), "inter_collisions") {
 		t.Fatal("table broken")
 	}
 }
@@ -59,9 +59,9 @@ func TestAdaptiveAFHRecoversOracleGoodput(t *testing.T) {
 // byte-identical tables.
 func TestCoexSweepsDeterministicAcrossWorkers(t *testing.T) {
 	render := func(cfg runner.Config) string {
-		cs := CoexSweep([]int{1, 2, 3}, 2000, 2, 29, cfg)
+		cs := SharedEther.Sweep([]int{1, 2, 3}, 2000, 2, 29, cfg)
 		af := AdaptiveAFH([]int{11, 23}, 0.9, 1000, 2000, 31, cfg)
-		return CoexTable(cs).String() + AdaptiveAFHTable(0.9, af).CSV()
+		return SharedEther.Table(cs).String() + AdaptiveAFHTable(0.9, af).CSV()
 	}
 
 	want := render(runner.Config{Workers: runner.Serial})

@@ -53,7 +53,7 @@ func forkDemoOptions(seed uint64) core.Options {
 }
 
 // ForkEnsemble runs the comparison over the office-floor worlds of
-// DensitySweep: per piconet count, `replicas` independent replicas and
+// OfficeFloor: per piconet count, `replicas` independent replicas and
 // `replicas` forks of one settled world, both measured over
 // measureSlots after settleSlots of warm-up.
 func ForkEnsemble(counts []int, measureSlots, settleSlots uint64, replicas int, seed uint64, cfg ...runner.Config) []ForkRow {

@@ -65,10 +65,10 @@ func renderAllFigures(cfg runner.Config) string {
 
 	out.WriteString(CoexistenceTable(Coexistence([]float64{0, 1.0}, 2000, 1, cfg)).String())
 	out.WriteString(MultiPiconetTable(MultiPiconet([]int{1, 3}, 2000, 1, cfg)).String())
-	out.WriteString(CoexTable(CoexSweep([]int{1, 4}, 2000, 2, 1, cfg)).String())
+	out.WriteString(SharedEther.Table(SharedEther.Sweep([]int{1, 4}, 2000, 2, 1, cfg)).String())
 	out.WriteString(AdaptiveAFHTable(0.9, AdaptiveAFH([]int{7, 39}, 0.9, 500, 2000, 1, cfg)).String())
 	out.WriteString(ScatternetTable(ScatternetSweep([]float64{0.2, 1.0}, 2000, 2, 1, cfg)).String())
-	out.WriteString(DensityTable(DensitySweep([]int{1, 8}, 2000, 2, 1, cfg)).String())
+	out.WriteString(OfficeFloor.Table(OfficeFloor.Sweep([]int{1, 8}, 2000, 2, 1, cfg)).String())
 
 	return out.String()
 }
