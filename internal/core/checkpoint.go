@@ -18,8 +18,8 @@ import (
 //  1. Quiescence. Snapshot runs only when no transmission is in flight,
 //     every device sits in STANDBY or CONNECTION with nothing mid-air
 //     or mid-handshake, and (via Snapshot's quiescent predicate) no
-//     upper layer has a transaction open. Everything that remains is plain
-//     state plus pending timers.
+//     upper layer has a transaction open. Everything that remains is
+//     plain state plus pending timers.
 //
 //  2. Re-arm ordering. Every pending event's (at, seq) position is
 //     captured; restore re-arms them through one sim.RearmSet, which

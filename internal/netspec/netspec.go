@@ -759,7 +759,6 @@ func (s Spec) validateTraffic() error {
 				return stanzaErr("traffic", i, "", "flow traffic needs at least one bridge")
 			}
 			if flows++; flows > maxFlows {
-				// The relay header carries the flow index in one byte.
 				return stanzaErr("traffic", i, "", "at most %d flows", maxFlows)
 			}
 			if owner == nil {
@@ -782,11 +781,11 @@ func (s Spec) validateTraffic() error {
 				if s.Piconets[pi].Detached {
 					return stanzaErr("traffic", i, "", "flow endpoint %q is on detached piconet %d, which has no relay", end, pi)
 				}
-				if len(end) > 255 {
-					// The relay header carries the destination name's
-					// length in one byte.
-					return stanzaErr("traffic", i, "", "flow endpoint name is %d bytes, over 255", len(end))
-				}
+			}
+			if len(t.To) > 255 {
+				// The relay header carries the destination name's
+				// length in one byte.
+				return stanzaErr("traffic", i, "", "flow destination name is %d bytes, over 255", len(t.To))
 			}
 			if from, to := owner[t.From], owner[t.To]; joined[from] != joined[to] {
 				return stanzaErr("traffic", i, "", "no chain of bridges joins piconet %d to piconet %d", from, to)
