@@ -32,14 +32,11 @@ type coexObs struct {
 const coexTrialSettleSlots = 64
 
 // CoexWorld is one family of co-located piconet worlds, indexed by
-// piconet count, that Sweep measures.
+// piconet count, that Sweep measures: SharedEther or OfficeFloor.
 type CoexWorld struct {
-	// Name labels the sweep; Title heads its table.
-	Name, Title string
-	// Spec builds the world for one piconet count.
-	Spec func(piconets int) netspec.Spec
-	// seedStride spreads the base seeds of successive counts.
-	seedStride uint64
+	name, title string                          // sweep label, table title
+	spec        func(piconets int) netspec.Spec // the world at one count
+	seedStride  uint64                          // spreads successive counts' seeds
 }
 
 // SharedEther is the paper's reference [4] scenario on the coexistence
@@ -47,9 +44,9 @@ type CoexWorld struct {
 // on the one shared medium, collisions attributed to inter- vs
 // intra-piconet interference.
 var SharedEther = CoexWorld{
-	Name:  "coex",
-	Title: "Coex: per-link goodput and collisions vs co-located piconets (replica means)",
-	Spec: func(piconets int) netspec.Spec {
+	name:  "coex",
+	title: "Coex: per-link goodput and collisions vs co-located piconets (replica means)",
+	spec: func(piconets int) netspec.Spec {
 		return netspec.Spec{
 			Piconets: slices.Repeat([]netspec.Piconet{{Slaves: 1, TpollSlots: netspec.TpollNever}}, piconets),
 			Traffic:  []netspec.Traffic{{Kind: netspec.TrafficBulk, Piconet: netspec.AllPiconets}},
@@ -71,14 +68,14 @@ var SharedEther = CoexWorld{
 // averaging over clock phases restores the expected ~1/79 picture.
 func (cw CoexWorld) Sweep(counts []int, measureSlots uint64, replicas int, seed uint64, cfg ...runner.Config) []CoexRow {
 	sw := runner.Sweep[int, coexObs]{
-		Name:     cw.Name,
+		Name:     cw.name,
 		Points:   counts,
 		Replicas: replicas,
 		Seed: func(point, replica int) uint64 {
 			return seed + uint64(counts[point])*cw.seedStride + uint64(replica)*7919
 		},
 		Trial: func(seed uint64, piconets int) coexObs {
-			w := netspec.MustBuild(core.NewSimulation(core.Options{Seed: seed}), cw.Spec(piconets))
+			w := netspec.MustBuild(core.NewSimulation(core.Options{Seed: seed}), cw.spec(piconets))
 			w.Start()
 			w.Sim.RunSlots(coexTrialSettleSlots)
 			w.ResetMetrics()
@@ -106,7 +103,7 @@ func (cw CoexWorld) Sweep(counts []int, measureSlots uint64, replicas int, seed 
 
 // Table renders a sweep of this world.
 func (cw CoexWorld) Table(rows []CoexRow) *stats.Table {
-	t := stats.NewTable(cw.Title,
+	t := stats.NewTable(cw.title,
 		"piconets", "per_link_kbps", "retransmits", "inter_collisions", "intra_collisions", "n")
 	for _, r := range rows {
 		t.AddRow(r.Piconets, r.PerLinkKbs, r.Retransmits, r.Inter, r.Intra, r.N)

@@ -23,7 +23,7 @@ const (
 // DensitySpec is the office-floor world at one density: SharedEther's
 // `piconets` saturated single-slave piconets, placed on a spatial grid.
 func DensitySpec(piconets int) netspec.Spec {
-	sp := SharedEther.Spec(piconets)
+	sp := SharedEther.spec(piconets)
 	sp.Placement = &netspec.Placement{
 		Kind: netspec.PlaceGrid, RangeM: DensityRangeM, SpacingM: DensitySpacingM,
 		InterferenceM: DensityInterferenceM,
@@ -36,8 +36,8 @@ func DensitySpec(piconets int) netspec.Spec {
 // ceiling: 32+ piconets is the regime where spatial reuse separates
 // from the shared-ether model.
 var OfficeFloor = CoexWorld{
-	Name:       "density",
-	Title:      "Density: per-link goodput and collisions vs piconets on a spatial office grid (replica means)",
-	Spec:       DensitySpec,
+	name:       "density",
+	title:      "Density: per-link goodput and collisions vs piconets on a spatial office grid (replica means)",
+	spec:       DensitySpec,
 	seedStride: 131,
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"repro/internal/baseband"
 	"repro/internal/channel"
@@ -549,6 +550,17 @@ func (ck *WorldCheckpoint) validate() error {
 	// traffic later, which relies on the spec having validated.
 	if err := ck.Spec.validate(); err != nil {
 		return err
+	}
+	// Start runs the spec's flow stanzas in order, so a started capture
+	// holds exactly those flows and an unstarted one none.
+	var flows []FlowSpec
+	for _, t := range ck.Spec.Traffic {
+		if ck.Started && t.Kind == TrafficFlow {
+			flows = append(flows, FlowSpec{From: t.From, To: t.To})
+		}
+	}
+	if !slices.Equal(ck.Flows, flows) {
+		return fmt.Errorf("netspec: checkpoint flows do not match the spec's flow stanzas")
 	}
 	np, nb, nf := len(ck.Spec.Piconets), len(ck.Spec.Bridges), len(ck.Flows)
 	if len(ck.Piconets) != np {

@@ -167,6 +167,26 @@ func testForkEquivalence(t *testing.T, spec Spec) {
 	}
 }
 
+// TestDecodeRejectsForeignFlows pins the decode contract for the flow
+// list: a capture whose flows are not its spec's flow stanzas fails
+// DecodeCheckpoint instead of panicking in RestoreWorld.
+func TestDecodeRejectsForeignFlows(t *testing.T) {
+	w := buildCkWorld(t, ckSpecs()["bridged"])
+	w.Sim.RunSlots(500)
+	ck, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	ck.Flows[0].From = "nobody"
+	b, err := ck.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if _, err := DecodeCheckpoint(b); err == nil {
+		t.Fatal("checkpoint with a flow from an unknown device decoded clean")
+	}
+}
+
 // FuzzCheckpointRoundTrip pins the decode contract: arbitrary bytes
 // either fail with an error or produce a validated checkpoint — never
 // a panic.
