@@ -42,17 +42,16 @@ func BenchmarkFig9SniffWaveform(b *testing.B) {
 	}
 }
 
-func BenchmarkFig10MasterActivity(b *testing.B)      { benchHeadline(b) }
-func BenchmarkFig11SniffActivity(b *testing.B)       { benchHeadline(b) }
-func BenchmarkFig12HoldActivity(b *testing.B)        { benchHeadline(b) }
-func BenchmarkAblationBackoffSpan(b *testing.B)      { benchHeadline(b) }
-func BenchmarkAblationNInquiry(b *testing.B)         { benchHeadline(b) }
-func BenchmarkAblationCorrelator(b *testing.B)       { benchHeadline(b) }
-func BenchmarkAblationPacketTypes(b *testing.B)      { benchHeadline(b) }
-func BenchmarkVoiceQuality(b *testing.B)             { benchHeadline(b) }
-func BenchmarkCoexistenceAFH(b *testing.B)           { benchHeadline(b) }
-func BenchmarkMultiPiconetInterference(b *testing.B) { benchHeadline(b) }
-func BenchmarkScatternetForwarding(b *testing.B)     { benchHeadline(b) }
+func BenchmarkFig10MasterActivity(b *testing.B)  { benchHeadline(b) }
+func BenchmarkFig11SniffActivity(b *testing.B)   { benchHeadline(b) }
+func BenchmarkFig12HoldActivity(b *testing.B)    { benchHeadline(b) }
+func BenchmarkAblationBackoffSpan(b *testing.B)  { benchHeadline(b) }
+func BenchmarkAblationNInquiry(b *testing.B)     { benchHeadline(b) }
+func BenchmarkAblationCorrelator(b *testing.B)   { benchHeadline(b) }
+func BenchmarkAblationPacketTypes(b *testing.B)  { benchHeadline(b) }
+func BenchmarkVoiceQuality(b *testing.B)         { benchHeadline(b) }
+func BenchmarkCoexistenceAFH(b *testing.B)       { benchHeadline(b) }
+func BenchmarkScatternetForwarding(b *testing.B) { benchHeadline(b) }
 
 // runnerSweepBERs and runnerSweepSeeds are the Fig-6-class inquiry sweep
 // (2 BER points × 16 seeds) the runner benchmarks push through the pool.

@@ -36,7 +36,7 @@ func stderrIsTerminal() bool {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5..12, all, ablations, throughput, voice, coexistence, interference, coex, afh-adaptive, scatternet, density, fork")
+	fig := flag.String("fig", "all", "figure to regenerate: 5..12, all, ablations, throughput, voice, coexistence, coex, afh-adaptive, scatternet, density, fork")
 	seeds := flag.Int("seeds", 40, "simulation repetitions per sweep point (Figs 6-8)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	out := flag.String("out", "", "output file for waveform figures (5, 9); default fig<N>.vcd")
@@ -161,9 +161,6 @@ func main() {
 		case "coexistence":
 			rows := experiments.Coexistence([]float64{0, 0.25, 0.5, 0.75, 1.0}, 20000, *seed, runCfg)
 			emit(experiments.CoexistenceTable(rows))
-		case "interference":
-			rows := experiments.MultiPiconet([]int{1, 2, 3, 4}, 20000, *seed, runCfg)
-			emit(experiments.MultiPiconetTable(rows))
 		case "coex":
 			rows := experiments.SharedEther.Sweep([]int{1, 2, 3, 4, 5, 6, 7, 8}, 20000, 4, *seed, runCfg)
 			emit(experiments.SharedEther.Table(rows))

@@ -3,15 +3,13 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the testdata/*.golden files of the goldens run from the current output")
+	"repro/internal/golden"
+)
 
 const scenariosGolden = "testdata/scenarios.golden"
 
@@ -79,19 +77,5 @@ func TestScenarioOutputGolden(t *testing.T) {
 			sb.WriteString(scenarioOutput(set.name, sc.name, set.p))
 		}
 	}
-	got := sb.String()
-	if *update {
-		if err := os.WriteFile(scenariosGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(scenariosGolden)
-	if err != nil {
-		t.Fatalf("reading golden snapshot (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("scenario output diverged from %s (regenerate with -update if intended):\n--- golden ---\n%s\n--- got ---\n%s",
-			scenariosGolden, want, got)
-	}
+	golden.Check(t, scenariosGolden, sb.String())
 }

@@ -3,10 +3,11 @@ package main
 import (
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 const specsGolden = "testdata/specs.golden"
@@ -50,19 +51,5 @@ func TestSpecOutputGolden(t *testing.T) {
 			fmt.Fprintf(&sb, "  json %x\n", sha256.Sum256(out))
 		}
 	}
-	got := sb.String()
-	if *update {
-		if err := os.WriteFile(specsGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(specsGolden)
-	if err != nil {
-		t.Fatalf("reading golden snapshot (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("spec output diverged from %s (regenerate with -update if intended):\n--- golden ---\n%s\n--- got ---\n%s",
-			specsGolden, want, got)
-	}
+	golden.Check(t, specsGolden, sb.String())
 }

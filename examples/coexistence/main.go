@@ -10,10 +10,18 @@
 // The whole world is one netspec.Spec: the piconet, traffic and jammer
 // stanzas below are the entire setup, and the unified Metrics surface
 // replaces hand-collected counters.
+//
+// testdata/stdout.golden pins everything it prints; after an intended
+// change, regenerate it with
+//
+//	go test ./examples/coexistence -update
 package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"slices"
 
 	"repro/internal/core"
@@ -22,6 +30,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// An 802.11 DSSS network occupies 23 channels at 90% duty: any
 	// Bluetooth packet on channels 30-52 is destroyed 9 times out of 10.
 	const jamLo, jamHi, jamDuty = 30, 52, 0.9
@@ -40,9 +54,9 @@ func main() {
 		Jammers: []netspec.Jammer{{Lo: jamLo, Hi: jamHi, Duty: jamDuty}},
 	})
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("built %d piconets on one medium, jammer on channels %d-%d (duty %.0f%%)\n\n",
+	fmt.Fprintf(w, "built %d piconets on one medium, jammer on channels %d-%d (duty %.0f%%)\n\n",
 		len(world.Piconets), jamLo, jamHi, jamDuty*100)
 
 	// Saturating master-to-slave traffic plus the classification loops.
@@ -51,11 +65,11 @@ func main() {
 	// Let every master see two assessment windows and switch maps.
 	warmup := netspec.ConvergenceSlots(1500)
 	sim.RunSlots(warmup)
-	fmt.Printf("after %d warm-up slots:\n", warmup)
+	fmt.Fprintf(w, "after %d warm-up slots:\n", warmup)
 	for _, p := range world.Piconets {
 		cm := p.CurrentMap()
 		if cm == nil {
-			fmt.Printf("  piconet %d: still hopping all %d channels\n", p.Index, hop.NumChannels)
+			fmt.Fprintf(w, "  piconet %d: still hopping all %d channels\n", p.Index, hop.NumChannels)
 			continue
 		}
 		excluded := 0
@@ -64,7 +78,7 @@ func main() {
 				excluded++
 			}
 		}
-		fmt.Printf("  piconet %d: learned map uses %d channels, excludes %d/%d jammed ones (%d update(s))\n",
+		fmt.Fprintf(w, "  piconet %d: learned map uses %d channels, excludes %d/%d jammed ones (%d update(s))\n",
 			p.Index, cm.N(), excluded, jamHi-jamLo+1, p.MapUpdates)
 	}
 
@@ -76,11 +90,11 @@ func main() {
 	world.ResetMetrics()
 	sim.RunSlots(measure)
 	m := world.Metrics()
-	fmt.Printf("\nover a %d-slot measurement window:\n", measure)
+	fmt.Fprintf(w, "\nover a %d-slot measurement window:\n", measure)
 	for i := range world.Piconets {
-		fmt.Printf("  piconet %d: %.1f kbps goodput\n", i, m.PiconetGoodputKbps(i))
+		fmt.Fprintf(w, "  piconet %d: %.1f kbps goodput\n", i, m.PiconetGoodputKbps(i))
 	}
-	fmt.Printf("  collisions: %d inter-piconet, %d intra-piconet; %d retransmissions\n",
+	fmt.Fprintf(w, "  collisions: %d inter-piconet, %d intra-piconet; %d retransmissions\n",
 		m.Inter, m.Intra, m.Retransmits)
 
 	// The metrics carry the window's per-frequency delta; with the
@@ -94,8 +108,9 @@ func main() {
 			outBand += fc.Transmissions
 		}
 	}
-	fmt.Printf("  transmissions this window: %d inside the jammed band, %d outside (%.2f%% in-band;\n"+
+	fmt.Fprintf(w, "  transmissions this window: %d inside the jammed band, %d outside (%.2f%% in-band;\n"+
 		"  a full-band hopper would put ~%.0f%% there)\n",
 		inBand, outBand, float64(inBand)/float64(inBand+outBand)*100,
 		float64(jamHi-jamLo+1)/float64(hop.NumChannels)*100)
+	return nil
 }

@@ -2,10 +2,18 @@
 // case of the paper's stack diagram): connect, open a channel on a PSM,
 // stream SDUs with segmentation/reassembly over the ACL link, and
 // compare packet types under a noisy channel.
+//
+// testdata/stdout.golden pins everything it prints; after an intended
+// change, regenerate it with
+//
+//	go test ./examples/filetransfer -update
 package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"repro/internal/baseband"
 	"repro/internal/core"
@@ -54,9 +62,15 @@ func transfer(ber float64, ptype packet.Type, fileSize int) (slots uint64, ok bo
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const fileSize = 16 * 1024
-	fmt.Printf("transferring a %d kB file over L2CAP\n\n", fileSize/1024)
-	fmt.Printf("%-8s %-10s %12s %12s\n", "type", "BER", "slots", "eff_kbps")
+	fmt.Fprintf(w, "transferring a %d kB file over L2CAP\n\n", fileSize/1024)
+	fmt.Fprintf(w, "%-8s %-10s %12s %12s\n", "type", "BER", "slots", "eff_kbps")
 	for _, c := range []struct {
 		ptype packet.Type
 		ber   float64
@@ -69,13 +83,14 @@ func main() {
 	} {
 		slots, ok := transfer(c.ber, c.ptype, fileSize)
 		if !ok {
-			fmt.Printf("%-8v %-10s %12s %12s\n", c.ptype, c.label, "stalled", "-")
+			fmt.Fprintf(w, "%-8v %-10s %12s %12s\n", c.ptype, c.label, "stalled", "-")
 			continue
 		}
 		kbps := float64(fileSize) * 8 / 1000 / (float64(slots) * 625e-6)
-		fmt.Printf("%-8v %-10s %12d %12.1f\n", c.ptype, c.label, slots, kbps)
+		fmt.Fprintf(w, "%-8v %-10s %12d %12.1f\n", c.ptype, c.label, slots, kbps)
 	}
-	fmt.Println("\nDH5 wins on a clean channel; under noise its 2871-bit packets die")
-	fmt.Println("and the FEC-protected DM types take over — the packet-choice")
-	fmt.Println("trade-off the paper's introduction motivates.")
+	fmt.Fprintln(w, "\nDH5 wins on a clean channel; under noise its 2871-bit packets die")
+	fmt.Fprintln(w, "and the FEC-protected DM types take over — the packet-choice")
+	fmt.Fprintln(w, "trade-off the paper's introduction motivates.")
+	return nil
 }

@@ -4,10 +4,18 @@
 // netspec.Spec: the piconet stanza plus a PowerMode stanza, with an
 // activity probe feeding the measurement — LMP-negotiated transitions
 // remain available at run time through the piconet's LMP manager.
+//
+// testdata/stdout.golden pins everything it prints; after an intended
+// change, regenerate it with
+//
+//	go test ./examples/powermodes -update
 package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/netspec"
@@ -15,20 +23,36 @@ import (
 )
 
 func main() {
-	profile := power.DefaultProfile()
-	fmt.Printf("%-28s %10s %10s %12s\n", "mode", "tx_act", "rx_act", "avg_power_mW")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	measure := func(name string, modes ...netspec.PowerMode) {
+func run(w io.Writer) error {
+	profile := power.DefaultProfile()
+	fmt.Fprintf(w, "%-28s %10s %10s %12s\n", "mode", "tx_act", "rx_act", "avg_power_mW")
+
+	for _, arm := range []struct {
+		name  string
+		modes []netspec.PowerMode
+	}{
+		{"active", nil},
+		{"sniff Tsniff=40", []netspec.PowerMode{{Kind: netspec.SniffMode, TsniffSlots: 40}}},
+		{"sniff Tsniff=100", []netspec.PowerMode{{Kind: netspec.SniffMode, TsniffSlots: 100}}},
+		{"hold Thold=200 (repeating)", []netspec.PowerMode{{Kind: netspec.HoldMode, TholdSlots: 200}}},
+		{"hold Thold=800 (repeating)", []netspec.PowerMode{{Kind: netspec.HoldMode, TholdSlots: 800}}},
+		{"park beacon=64", []netspec.PowerMode{{Kind: netspec.ParkMode, BeaconSlots: 64}}},
+	} {
 		sim := core.NewSimulation(core.Options{Seed: 7})
 		world, err := netspec.Build(sim, netspec.Spec{
 			Piconets: []netspec.Piconet{{Slaves: 1}},
-			Modes:    modes,
+			Modes:    arm.modes,
 			Probes: []netspec.Probe{
 				{Name: "slave", Kind: netspec.ProbeSlaveActivity, Piconet: 0},
 			},
 		})
 		if err != nil {
-			panic(err)
+			return err
 		}
 		// Let the mode entry and a first cycle settle, then measure a
 		// clean 12.5-simulated-second window.
@@ -38,23 +62,12 @@ func main() {
 		m := world.Metrics()
 		act := m.Probes["slave"]
 		slave := world.Piconets[0].Slaves[0]
-		fmt.Printf("%-28s %9.3f%% %9.3f%% %12.3f\n",
-			name, act.Tx.Mean()*100, act.Rx.Mean()*100,
+		fmt.Fprintf(w, "%-28s %9.3f%% %9.3f%% %12.3f\n",
+			arm.name, act.Tx.Mean()*100, act.Rx.Mean()*100,
 			profile.Average(slave.TxMeter, slave.RxMeter))
 	}
 
-	measure("active")
-	measure("sniff Tsniff=40",
-		netspec.PowerMode{Kind: netspec.SniffMode, TsniffSlots: 40})
-	measure("sniff Tsniff=100",
-		netspec.PowerMode{Kind: netspec.SniffMode, TsniffSlots: 100})
-	measure("hold Thold=200 (repeating)",
-		netspec.PowerMode{Kind: netspec.HoldMode, TholdSlots: 200})
-	measure("hold Thold=800 (repeating)",
-		netspec.PowerMode{Kind: netspec.HoldMode, TholdSlots: 800})
-	measure("park beacon=64",
-		netspec.PowerMode{Kind: netspec.ParkMode, BeaconSlots: 64})
-
-	fmt.Println("\nsniff pays off for long Tsniff, hold for long Thold, and park is")
-	fmt.Println("the cheapest way to stay synchronised — matching the paper's Figs 11-12.")
+	fmt.Fprintln(w, "\nsniff pays off for long Tsniff, hold for long Thold, and park is")
+	fmt.Fprintln(w, "the cheapest way to stay synchronised — matching the paper's Figs 11-12.")
+	return nil
 }

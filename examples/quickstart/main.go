@@ -1,10 +1,18 @@
 // Quickstart: build a two-device world, discover, connect and exchange
 // data through the HCI API — the ten-minute tour of the library.
+//
+// testdata/stdout.golden pins everything it prints; after an intended
+// change, regenerate it with
+//
+//	go test ./examples/quickstart -update
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/baseband"
 	"repro/internal/core"
@@ -12,6 +20,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A simulation owns the event kernel and the shared radio channel.
 	// Everything is deterministic given the seed.
 	sim := core.NewSimulation(core.Options{Seed: 42, BER: 0.001})
@@ -26,31 +40,41 @@ func main() {
 	}))
 
 	// Event handlers: the laptop drives the connection, the phone answers.
+	// A handler cannot stop the simulation, so it keeps the first error
+	// for run to return once the world has stopped.
+	var runErr error
+	fail := func(err error) {
+		if runErr == nil {
+			runErr = err
+		}
+	}
 	var handle hci.ConnHandle
 	laptop.Events = func(e hci.Event) {
 		switch ev := e.(type) {
 		case hci.InquiryResultEvent:
-			fmt.Printf("[laptop] discovered %v (clock %d)\n", ev.Result.Addr, ev.Result.CLKN)
+			fmt.Fprintf(w, "[laptop] discovered %v (clock %d)\n", ev.Result.Addr, ev.Result.CLKN)
 		case hci.InquiryCompleteEvent:
 			if !ev.OK {
-				log.Fatal("inquiry failed")
+				fail(errors.New("inquiry failed"))
+				return
 			}
 			// Move the phone from inquiry scan to page scan, then connect.
 			phone.WriteScanEnable(false, true)
 			if err := laptop.CreateConnection(phone.Dev().Addr(), 2048); err != nil {
-				log.Fatal(err)
+				fail(err)
 			}
 		case hci.ConnectionCompleteEvent:
 			if !ev.OK {
-				log.Fatal("connection failed")
+				fail(errors.New("connection failed"))
+				return
 			}
 			handle = ev.Handle
-			fmt.Printf("[laptop] connected to %v, handle %d\n", ev.Peer, ev.Handle)
+			fmt.Fprintf(w, "[laptop] connected to %v, handle %d\n", ev.Peer, ev.Handle)
 			if err := laptop.SendData(handle, []byte("ping from the laptop")); err != nil {
-				log.Fatal(err)
+				fail(err)
 			}
 		case hci.DataEvent:
-			fmt.Printf("[laptop] received %q\n", ev.Payload)
+			fmt.Fprintf(w, "[laptop] received %q\n", ev.Payload)
 		}
 	}
 	replied := false
@@ -59,11 +83,11 @@ func main() {
 		case hci.DataEvent:
 			// Long payloads arrive as DM1-sized chunks; reply to the burst
 			// once.
-			fmt.Printf("[phone ] received chunk %q\n", ev.Payload)
+			fmt.Fprintf(w, "[phone ] received chunk %q\n", ev.Payload)
 			if !replied {
 				replied = true
 				if err := phone.SendData(ev.Handle, []byte("pong!")); err != nil {
-					log.Fatal(err)
+					fail(err)
 				}
 			}
 		}
@@ -75,9 +99,13 @@ func main() {
 
 	// Run the world for four simulated seconds.
 	sim.RunSlots(6400)
+	if runErr != nil {
+		return runErr
+	}
 
 	ltx, lrx := core.Activity(laptop.Dev())
 	ptx, prx := core.Activity(phone.Dev())
-	fmt.Printf("RF activity — laptop: tx %.3f%% rx %.3f%%; phone: tx %.3f%% rx %.3f%%\n",
+	fmt.Fprintf(w, "RF activity — laptop: tx %.3f%% rx %.3f%%; phone: tx %.3f%% rx %.3f%%\n",
 		ltx*100, lrx*100, ptx*100, prx*100)
+	return nil
 }

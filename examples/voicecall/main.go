@@ -3,11 +3,19 @@
 // stream audio frames in reserved slots while an ACL data link keeps
 // running underneath. Under channel noise the HV1/HV2/HV3 choice decides
 // how the audio degrades.
+//
+// testdata/stdout.golden pins everything it prints; after an intended
+// change, regenerate it with
+//
+//	go test ./examples/voicecall -update
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/baseband"
 	"repro/internal/core"
@@ -16,6 +24,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	sim := core.NewSimulation(core.Options{Seed: 9, BER: 1.0 / 400})
 	phone := sim.AddDevice("phone", baseband.Config{Addr: baseband.BDAddr{LAP: 0x12AB34, UAP: 1}})
 	headset := sim.AddDevice("headset", baseband.Config{Addr: baseband.BDAddr{LAP: 0x56CD78, UAP: 2}})
@@ -24,13 +38,13 @@ func main() {
 
 	links := sim.BuildPiconet(phone, headset)
 	acl := links[0]
-	fmt.Println("piconet up: phone (master) + headset (slave)")
+	fmt.Fprintln(w, "piconet up: phone (master) + headset (slave)")
 
 	// The headset learns about the voice channel through LMP and wires
 	// its microphone and speaker.
 	micSample := byte(0)
 	headsetLM.OnSCOEstablished = func(sco *baseband.SCOLink) {
-		fmt.Printf("[headset] SCO established: %v every %d slots\n", sco.Type, sco.TscoSlots)
+		fmt.Fprintf(w, "[headset] SCO established: %v every %d slots\n", sco.Type, sco.TscoSlots)
 		sco.Source = func() []byte {
 			micSample++
 			frame := make([]byte, sco.Type.MaxPayload())
@@ -41,13 +55,17 @@ func main() {
 		}
 	}
 
-	// The phone requests the channel and counts received audio.
+	// The phone requests the channel and counts received audio. The
+	// callback cannot stop the simulation, so a refusal is kept for run
+	// to return once the call has run its course.
 	frames, garbled := 0, 0
+	var refused error
 	phoneLM.RequestSCO(acl, packet.TypeHV3, 6, 0, func(sco *baseband.SCOLink) {
 		if sco == nil {
-			log.Fatal("SCO refused")
+			refused = errors.New("SCO refused")
+			return
 		}
-		fmt.Printf("[phone  ] SCO accepted: %v every %d slots\n", sco.Type, sco.TscoSlots)
+		fmt.Fprintf(w, "[phone  ] SCO accepted: %v every %d slots\n", sco.Type, sco.TscoSlots)
 		sco.Sink = func(frame []byte) {
 			frames++
 			for _, b := range frame[1:] {
@@ -62,10 +80,14 @@ func main() {
 	// 2.5 simulated seconds of call, with a little data on the side.
 	acl.Send([]byte("battery level: 80%"), packet.LLIDL2CAPStart)
 	sim.RunSlots(4000)
+	if refused != nil {
+		return refused
+	}
 
-	fmt.Printf("call stats: %d audio frames received, %d garbled (BER %.4f, HV3 unprotected)\n",
+	fmt.Fprintf(w, "call stats: %d audio frames received, %d garbled (BER %.4f, HV3 unprotected)\n",
 		frames, garbled, 1.0/400)
 	tx, rx := core.Activity(headset)
-	fmt.Printf("headset RF activity: tx %.2f%% rx %.2f%% — voice dominates the radio budget\n",
+	fmt.Fprintf(w, "headset RF activity: tx %.2f%% rx %.2f%% — voice dominates the radio budget\n",
 		tx*100, rx*100)
+	return nil
 }

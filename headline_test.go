@@ -1,18 +1,15 @@
 package repro_test
 
 import (
-	"flag"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/golden"
 	"repro/internal/packet"
 )
-
-var updateHeadline = flag.Bool("update", false, "rewrite testdata/headline.golden from the current output")
 
 // metric is one b.ReportMetric column: a seed-determined figure result,
 // not a timing.
@@ -100,12 +97,6 @@ var headlines = []headline{
 		rows := experiments.Coexistence([]float64{0.9}, 6000, seed)
 		return []metric{{"plain_kbps", rows[0].PlainKbs}, {"afh_kbps", rows[0].AFHKbs}}
 	}},
-	// Per-link goodput with co-located piconets (FHSS collision
-	// resilience).
-	{"MultiPiconetInterference", func(seed uint64) []metric {
-		rows := experiments.MultiPiconet([]int{3}, 6000, seed)
-		return []metric{{"kbps@3piconets", rows[0].PerLinkKbs}}
-	}},
 	// End-to-end goodput through one scatternet bridge at 80% presence
 	// duty: chain build, bridge paging, presence negotiation, the
 	// membership scheduler and the L2CAP store-and-forward relay.
@@ -149,23 +140,5 @@ func TestHeadlineMetricsGolden(t *testing.T) {
 			out.WriteString(h.name + " " + m.unit + " " + strconv.FormatFloat(m.value, 'g', -1, 64) + "\n")
 		}
 	}
-	got := out.String()
-
-	golden := filepath.Join("testdata", "headline.golden")
-	if *updateHeadline {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden snapshot (regenerate with -update): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("headline metrics diverged from %s (regenerate with -update if intended):\n--- golden ---\n%s\n--- got ---\n%s",
-			golden, want, got)
-	}
+	golden.Check(t, filepath.Join("testdata", "headline.golden"), out.String())
 }

@@ -22,6 +22,11 @@ func TestCoexSweepDegradation(t *testing.T) {
 	if quad.PerLinkKbs >= single.PerLinkKbs {
 		t.Fatalf("no degradation: %v vs %v", quad.PerLinkKbs, single.PerLinkKbs)
 	}
+	// FHSS keeps the degradation mild (~1-2 collisions per 79
+	// slot-pairs per foreign piconet).
+	if quad.PerLinkKbs < single.PerLinkKbs*0.7 {
+		t.Fatalf("degradation implausibly harsh: %v vs %v", quad.PerLinkKbs, single.PerLinkKbs)
+	}
 	if quad.Retransmits <= single.Retransmits {
 		t.Fatalf("inter-piconet collisions must cost retransmissions: %v vs %v",
 			quad.Retransmits, single.Retransmits)
@@ -70,5 +75,32 @@ func TestCoexSweepsDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("coex tables diverged at %d workers:\n--- serial ---\n%s\n--- %d workers ---\n%s",
 				workers, want, workers, got)
 		}
+	}
+}
+
+func TestCoexistenceAFHRecoversGoodput(t *testing.T) {
+	rows := Coexistence([]float64{0, 0.9}, 4000, 11)
+	clean, jammed := rows[0], rows[1]
+	if clean.PlainKbs <= 0 {
+		t.Fatal("no baseline goodput")
+	}
+	// Without interference AFH costs nothing (same capacity).
+	if ratio := clean.AFHKbs / clean.PlainKbs; ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("AFH on a clean channel changed goodput by %vx", ratio)
+	}
+	// A 90%-duty jammer over 23/79 channels costs classic hopping a
+	// large fraction of its goodput; AFH avoids the band entirely.
+	if jammed.PlainKbs >= clean.PlainKbs*0.85 {
+		t.Fatalf("jammer had no effect: %v vs clean %v", jammed.PlainKbs, clean.PlainKbs)
+	}
+	if jammed.AFHKbs <= jammed.PlainKbs*1.1 {
+		t.Fatalf("AFH did not help: %v vs plain %v", jammed.AFHKbs, jammed.PlainKbs)
+	}
+	if jammed.AFHKbs < clean.PlainKbs*0.9 {
+		t.Fatalf("AFH should restore nearly full goodput: %v vs clean %v",
+			jammed.AFHKbs, clean.PlainKbs)
+	}
+	if !strings.Contains(CoexistenceTable(rows).String(), "afh_gain") {
+		t.Fatal("table broken")
 	}
 }

@@ -3,17 +3,14 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/packet"
 	"repro/internal/runner"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current output")
 
 // renderAllFigures regenerates every figure in the evaluation section —
 // the eleven tables plus the two VCD waveform figures (hashed) — at
@@ -64,7 +61,6 @@ func renderAllFigures(cfg runner.Config) string {
 		[]packet.Type{packet.TypeDM1, packet.TypeDH5}, bers, 2000, 1, cfg)).String())
 
 	out.WriteString(CoexistenceTable(Coexistence([]float64{0, 1.0}, 2000, 1, cfg)).String())
-	out.WriteString(MultiPiconetTable(MultiPiconet([]int{1, 3}, 2000, 1, cfg)).String())
 	out.WriteString(SharedEther.Table(SharedEther.Sweep([]int{1, 4}, 2000, 2, 1, cfg)).String())
 	out.WriteString(AdaptiveAFHTable(0.9, AdaptiveAFH([]int{7, 39}, 0.9, 500, 2000, 1, cfg)).String())
 	out.WriteString(ScatternetTable(ScatternetSweep([]float64{0.2, 1.0}, 2000, 2, 1, cfg)).String())
@@ -84,23 +80,7 @@ func renderAllFigures(cfg runner.Config) string {
 func TestAllFiguresGolden(t *testing.T) {
 	serial := renderAllFigures(runner.Config{Workers: runner.Serial})
 
-	golden := filepath.Join("testdata", "figures.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(serial), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden snapshot (regenerate with -update): %v", err)
-	}
-	if serial != string(want) {
-		t.Errorf("figures diverged from %s (regenerate with -update if intended):\n--- golden ---\n%s\n--- got ---\n%s",
-			golden, want, serial)
-	}
+	golden.Check(t, filepath.Join("testdata", "figures.golden"), serial)
 
 	if parallel := renderAllFigures(runner.Config{Workers: 4}); parallel != serial {
 		t.Errorf("figures depend on the worker schedule:\n--- serial ---\n%s\n--- 4 workers ---\n%s",
