@@ -310,7 +310,9 @@ func (d *Device) completeConnection(l *Link) {
 	}
 }
 
-// deliverUp routes a received payload to the LMP or host callback.
+// deliverUp routes a received payload to the LMP or host callback. The
+// host's payload is lent for the duration of OnData; RxEnd poisons the
+// codec once the handler returns (see Codec.Poison).
 func (d *Device) deliverUp(l *Link, p *packet.Packet) {
 	if p.LLID == packet.LLIDLMP {
 		if d.OnLMP != nil {
@@ -319,7 +321,7 @@ func (d *Device) deliverUp(l *Link, p *packet.Packet) {
 		return
 	}
 	if d.OnData != nil {
-		d.OnData(l, handUp(p.Payload), p.LLID)
+		d.OnData(l, p.Payload, p.LLID)
 	}
 }
 

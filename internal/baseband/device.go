@@ -148,7 +148,10 @@ type Device struct {
 	OnDisconnected func(l *Link, reason string)
 	// OnLMP receives LLID-3 payloads (the Link Manager's channel).
 	OnLMP func(l *Link, payload []byte)
-	// OnData receives LLID-1/2 payloads (the host's channel).
+	// OnData receives LLID-1/2 payloads (the host's channel). The
+	// payload is lent, not given: it is the device's parse buffer and
+	// is valid only until the callback returns, so a consumer that
+	// keeps the bytes copies them.
 	OnData func(l *Link, payload []byte, llid uint8)
 
 	// Counters for the experiments.
@@ -530,14 +533,15 @@ func (d *Device) Detach() {
 }
 
 // parse decodes rx with the device's correlator threshold into the
-// device's codec: the packet is valid until the next assembly or parse,
-// and its payload is copied only where it is handed up (handUp).
+// device's codec: the packet is valid until the next assembly or parse.
+// Its payload is lent to OnData and copied for OnLMP and SCO sinks
+// (handUp).
 func (d *Device) parse(rx *bits.Vec, lap uint32, uap uint8, clk uint32) (*packet.Packet, *packet.RxInfo, error) {
 	return d.codec.Parse(rx, lap, uap, clk, d.cfg.CorrelatorThreshold)
 }
 
-// handUp copies a parsed payload for a layer above the baseband, which
-// may keep it.
+// handUp copies a parsed payload for a layer above the baseband that
+// may keep it: the Link Manager and SCO sinks.
 func handUp(payload []byte) []byte { return append([]byte(nil), payload...) }
 
 // leadTicks converts the RX lead to kernel ticks.

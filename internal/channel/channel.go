@@ -118,10 +118,11 @@ type Channel struct {
 	cfg Config
 
 	radios      map[Listener]*Radio
-	receivers   []*Radio        // tuned-at-least-once radios in registration order
-	active      []*Transmission // transmissions whose deliverEnd has not run yet
-	txFree      []*Transmission // recycled transmission nodes
-	rxFree      []*bits.Vec     // recycled noisy copies (see corrupt)
+	receivers   []*Radio                 // tuned-at-least-once radios in registration order
+	byFreq      [hop.NumChannels][]int32 // receivers (by seq) per frequency they last tuned to, in no particular order
+	active      []*Transmission          // transmissions whose deliverEnd has not run yet
+	txFree      []*Transmission          // recycled transmission nodes
+	rxFree      []*bits.Vec              // recycled noisy copies (see corrupt)
 	jammers     []Jammer
 	stats       Stats
 	onCollision func(existing, incoming *Transmission)
@@ -132,8 +133,10 @@ type Channel struct {
 // and the entry point for its tunes and transmissions. A device takes
 // it once (Channel.Radio) and tunes through it, so the per-slot
 // receiver on/off never looks the listener up again. The struct
-// persists across Tune/Off cycles (Off only clears `on`), and Transmit
-// scans the stable receivers slice of registered radios.
+// persists across Tune/Off cycles. A registered radio sits in the list
+// of the frequency it last tuned to (Channel.byFreq), on or off, so a
+// transmission scans only the radios tuned to its frequency. Tune moves
+// the radio between lists; Off leaves it where it is.
 type Radio struct {
 	c     *Channel
 	l     Listener
@@ -141,6 +144,7 @@ type Radio struct {
 	seq   int    // registration order, -1 until the first Tune; ties the eligible sort (see sortListeners)
 	on    bool
 	freq  int
+	idx   int // position in c.byFreq[freq] once registered
 	since sim.Time
 	busy  *Transmission // packet currently being received
 	pos   Position      // listener position (spatial medium only)
@@ -224,20 +228,36 @@ func (r *Radio) Tune(freq int) {
 	if freq < 0 || freq >= hop.NumChannels {
 		panic(fmt.Sprintf("channel: freq %d out of range", freq))
 	}
-	if r.seq < 0 {
-		c := r.c
+	c := r.c
+	switch {
+	case r.seq < 0:
 		r.seq = len(c.receivers)
 		c.receivers = append(c.receivers, r)
 		if c.spatial != nil {
 			c.spatial.register(r)
 		}
-	} else if r.on && r.freq == freq && r.busy == nil {
+		r.list(freq)
+	case r.freq != freq: // swap-remove from the old frequency's list
+		ls := &c.byFreq[r.freq]
+		last := (*ls)[len(*ls)-1]
+		(*ls)[r.idx], c.receivers[last].idx = last, r.idx
+		*ls = (*ls)[:len(*ls)-1]
+		r.list(freq)
+	case r.on && r.busy == nil:
 		return // already listening idle there; keep the original since-time
 	}
 	r.on = true
 	r.freq = freq
-	r.since = r.c.k.Now()
+	r.since = c.k.Now()
 	r.busy = nil
+}
+
+// list appends the radio to freq's list. The lists hold seqs, not
+// pointers, so a retune stores no pointer.
+func (r *Radio) list(freq int) {
+	ls := &r.c.byFreq[freq]
+	r.idx = len(*ls)
+	*ls = append(*ls, int32(r.seq))
 }
 
 // Off stops the receiver, abandoning any packet it was locked onto.
@@ -259,7 +279,11 @@ func (r *Radio) Freq() int {
 // RxEnd and before any event those RxEnds schedule: the transmitter's
 // end-of-air bookkeeping without an event of its own.
 func (r *Radio) Transmit(freq int, v *bits.Vec, meta any, done func()) *Transmission {
-	return r.c.transmit(r.name, freq, v, meta, done)
+	pos := r.pos
+	if r.seq < 0 && r.c.spatial != nil {
+		pos = r.c.spatial.txPosition(r.name) // never tuned, so never resolved
+	}
+	return r.c.transmit(r, r.name, pos, freq, v, meta, done)
 }
 
 // Transmit puts v on the air at freq from device `from` (which may also
@@ -277,10 +301,17 @@ func (r *Radio) Transmit(freq int, v *bits.Vec, meta any, done func()) *Transmis
 // the node is recycled afterwards (fields zeroed or reused by a later
 // packet). Read what you need synchronously; do not retain it.
 func (c *Channel) Transmit(from string, freq int, v *bits.Vec, meta any) *Transmission {
-	return c.transmit(from, freq, v, meta, nil)
+	var pos Position
+	if c.spatial != nil {
+		pos = c.spatial.txPosition(from)
+	}
+	return c.transmit(nil, from, pos, freq, v, meta, nil)
 }
 
-func (c *Channel) transmit(from string, freq int, v *bits.Vec, meta any, done func()) *Transmission {
+// transmit puts v on the air from src, at position pos on a spatial
+// medium. A radio never hears itself; a transmitter named only by a
+// string (src nil) is matched by name instead.
+func (c *Channel) transmit(src *Radio, from string, pos Position, freq int, v *bits.Vec, meta any, done func()) *Transmission {
 	if v.Len() == 0 {
 		panic("channel: empty transmission")
 	}
@@ -294,9 +325,7 @@ func (c *Channel) transmit(from string, freq int, v *bits.Vec, meta any, done fu
 	tx.Bits = v
 	tx.Meta = meta
 	tx.done = done
-	if sp != nil {
-		tx.pos = sp.txPosition(from)
-	}
+	tx.pos = pos
 	c.stats.Transmissions++
 	c.stats.PerFreq[freq].Transmissions++
 	if c.jammed(freq) {
@@ -335,9 +364,10 @@ func (c *Channel) transmit(from string, freq int, v *bits.Vec, meta any, done fu
 	// end to actually receive (checked again at delivery). A receiver
 	// already locked onto an earlier packet stays with it — a colliding
 	// newcomer corrupts that packet rather than hijacking the correlator,
-	// and at an exact end/start boundary the turnaround is a miss.
-	for _, r := range c.receivers {
-		if r.on && r.freq == freq && r.since <= now && r.busy == nil && r.name != from &&
+	// and at an exact end/start boundary the turnaround is a miss. Only
+	// the radios last tuned to freq are visited.
+	for _, i := range c.byFreq[freq] {
+		if r := c.receivers[i]; r.on && r.since <= now && r.busy == nil && r != src && (src != nil || r.name != from) &&
 			(sp == nil || dist2(r.pos, tx.pos) <= sp.rangeM2) {
 			tx.eligible = append(tx.eligible, r)
 			r.busy = tx

@@ -28,11 +28,12 @@ import "fmt"
 // spatially reused without damage, which is exactly the effect that
 // caps the old global medium at a handful of piconets.
 //
-// Receivers: Transmit runs one scan over every registered receiver for
-// both media; the spatial medium only adds the delivery-disc distance
-// test as its last term. Per-packet work is linear in the world's
-// radio count: under a hundred on every world the commands build (the
-// 48-piconet density world has 96 radios).
+// Receivers: Transmit scans the radios last tuned to the packet's
+// frequency (see Channel.byFreq) for both media; the spatial medium
+// only adds the delivery-disc distance test as its last term. A
+// transmitting radio's position is its own, resolved at its first Tune
+// and moved by Place; only the name-keyed Channel.Transmit wrapper and
+// a radio that never tuned look the position up by name.
 //
 // Determinism contract: the eligible snapshot is sorted by (name,
 // registration sequence) — see sortListeners — so the delivery fan-out
@@ -146,7 +147,8 @@ func (sp *spatialState) register(st *Radio) {
 	st.pos = p
 }
 
-// txPosition resolves a transmitter's position.
+// txPosition resolves the position of a transmitter that has no
+// registered radio.
 func (sp *spatialState) txPosition(from string) Position {
 	p, ok := sp.pos[from]
 	if !ok {

@@ -50,7 +50,8 @@ type ModeChangeEvent struct {
 	Mode   baseband.Mode
 }
 
-// DataEvent delivers received ACL data to the host.
+// DataEvent delivers received ACL data to the host. Payload is the
+// host's own copy: it stays valid after the event.
 type DataEvent struct {
 	Handle  ConnHandle
 	Payload []byte
@@ -118,7 +119,7 @@ func (c *Controller) onConnected(l *baseband.Link) {
 
 func (c *Controller) onData(l *baseband.Link, payload []byte, llid uint8) {
 	if h, ok := c.byLink[l]; ok {
-		c.emit(DataEvent{Handle: h, Payload: payload})
+		c.emit(DataEvent{Handle: h, Payload: append([]byte(nil), payload...)})
 	}
 }
 

@@ -126,6 +126,58 @@ func TestFullConnectionLifecycle(t *testing.T) {
 	}
 }
 
+// TestDataEventPayloadOutlivesNextPacket: the baseband lends each
+// payload only for the duration of OnData, but a DataEvent goes to a
+// host that may keep it. A host holding every event's Payload must
+// still read each packet's own bytes after later packets have reused
+// the device's receive buffer.
+func TestDataEventPayloadOutlivesNextPacket(t *testing.T) {
+	w := newWorld()
+	a := w.controller("a", 0x511105, 0)
+	b := w.controller("b", 0x622206, 7777)
+	var aConn, bConn *ConnectionCompleteEvent
+	var kept [][]byte
+	a.Events = func(e Event) {
+		switch ev := e.(type) {
+		case ConnectionCompleteEvent:
+			aConn = &ev
+		case DataEvent:
+			kept = append(kept, ev.Payload)
+		}
+	}
+	b.Events = func(e Event) {
+		if ev, ok := e.(ConnectionCompleteEvent); ok {
+			bConn = &ev
+		}
+	}
+	b.WriteScanEnable(true, false)
+	a.Inquiry(4096, 1)
+	w.k.RunUntil(sim.Time(sim.Slots(5000)))
+	b.WriteScanEnable(false, true)
+	if err := a.CreateConnection(b.Dev().Addr(), 2048); err != nil {
+		t.Fatal(err)
+	}
+	w.k.RunUntil(w.k.Now() + sim.Time(sim.Slots(1000)))
+	if aConn == nil || bConn == nil {
+		t.Fatal("connection incomplete")
+	}
+	want := []string{"first packet", "second packet", "third one"}
+	for _, m := range want {
+		if err := b.SendData(bConn.Handle, []byte(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.k.RunUntil(w.k.Now() + sim.Time(sim.Slots(400)))
+	if len(kept) != len(want) {
+		t.Fatalf("%d data events, want %d", len(kept), len(want))
+	}
+	for i, m := range want {
+		if string(kept[i]) != m {
+			t.Errorf("data event %d reads %q after later packets, want %q", i, kept[i], m)
+		}
+	}
+}
+
 func TestCreateConnectionRequiresInquiry(t *testing.T) {
 	w := newWorld()
 	a := w.controller("a", 0x300003, 0)

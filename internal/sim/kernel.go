@@ -11,9 +11,12 @@
 // events hash into per-slot buckets (O(1) schedule/cancel/pop for the
 // slot-aligned traffic that dominates the model) while far-future events —
 // supervision timeouts, long sniff intervals — wait in an overflow binary
-// heap until the calendar window reaches them. Event nodes live in a pool
-// and recycled slots carry a generation tag so stale EventIDs can never
-// touch a reused slot. The scheduler is allocation-free in steady state.
+// heap until the calendar window reaches them. Each bucket's chain is
+// indexed by tick runs, so an insert into a slot where many events
+// share a few ticks walks the distinct ticks, not the events. Event
+// nodes live in a pool and recycled slots carry a generation tag so
+// stale EventIDs can never touch a reused slot. The scheduler is
+// allocation-free in steady state.
 // See ARCHITECTURE.md, "Performance model".
 package sim
 
@@ -99,13 +102,14 @@ const (
 )
 
 type scheduledEvent struct {
-	at    Time
-	seq   uint64 // tie-break: schedule order
-	fn    Event
-	next  int32  // successor in the bucket chain (calendar only), -1 = none
-	gen   uint32 // slot generation, bumped on every release
-	state uint8
-	loc   uint8
+	at     Time
+	seq    uint64 // tie-break: schedule order
+	fn     Event
+	next   int32  // successor in the bucket chain (calendar only), -1 = none
+	runEnd int32  // last node of this node's tick run; read only on a run's first node
+	gen    uint32 // slot generation, bumped on every release
+	state  uint8
+	loc    uint8
 }
 
 func makeID(slot int32, gen uint32) EventID {
@@ -134,14 +138,19 @@ type queue struct {
 
 	// Calendar: one bucket per slot over a power-of-two window of
 	// [curSlot, curSlot+len(bucketHead)) slot indices. Chains are kept
-	// sorted by (at, seq); occ is a bitmap of non-empty buckets.
-	bucketHead []int32
-	bucketTail []int32
-	occ        []uint64
-	bmask      uint64 // len(bucketHead) - 1
-	curSlot    uint64 // slot index of the last fired event (cursor)
-	calLim     Time   // events with at < calLim go in the calendar; clamped at TimeMax
-	calCount   int
+	// sorted by (at, seq); occ is a bitmap of non-empty buckets. A chain
+	// is a sequence of runs, one per distinct tick: the first node of a
+	// run records the run's last node (runEnd), and bucketLastRun is the
+	// first node of the chain's last run. An insert walks run heads, not
+	// events, and appends at its run's end.
+	bucketHead    []int32
+	bucketTail    []int32
+	bucketLastRun []int32
+	occ           []uint64
+	bmask         uint64 // len(bucketHead) - 1
+	curSlot       uint64 // slot index of the last fired event (cursor)
+	calLim        Time   // events with at < calLim go in the calendar; clamped at TimeMax
+	calCount      int
 
 	// Overflow heap: binary min-heap over (at, seq) for events at or
 	// beyond calLim. Cancellation here is lazy (tombstones + compaction).
@@ -175,9 +184,11 @@ func NewKernel() *Kernel {
 func (q *queue) initBuckets(n int) {
 	q.bucketHead = make([]int32, n)
 	q.bucketTail = make([]int32, n)
+	q.bucketLastRun = make([]int32, n)
 	for i := range q.bucketHead {
 		q.bucketHead[i] = -1
 		q.bucketTail[i] = -1
+		q.bucketLastRun[i] = -1
 	}
 	q.occ = make([]uint64, n/64)
 	q.bmask = uint64(n) - 1
@@ -313,35 +324,73 @@ func (q *queue) bucketOf(at Time) uint64 {
 // calInsertRaw chains slot s into its bucket, keeping the chain sorted by
 // (at, seq). Appends at the tail are O(1), which covers the dominant
 // pattern: per-slot callbacks re-armed in monotonically increasing
-// (at, seq) order.
+// (at, seq) order. Any other insert walks the chain's tick runs, not its
+// events: seq is issued by one global counter, so a freshly scheduled
+// event is the newest of its tick and lands at its run's end. Only an
+// older seq (a migrated or rehashed event) walks inside its run.
 func (q *queue) calInsertRaw(s int32) {
 	n := &q.nodes[s]
 	n.loc = locCal
 	b := q.bucketOf(n.at)
-	h := q.bucketHead[b]
+	t := q.bucketTail[b]
 	switch {
-	case h < 0:
-		q.bucketHead[b], q.bucketTail[b] = s, s
-		n.next = -1
+	case t < 0:
+		q.bucketHead[b], q.bucketTail[b], q.bucketLastRun[b] = s, s, s
+		n.next, n.runEnd = -1, s
 		q.occ[b>>6] |= 1 << (b & 63)
-	case q.lessNode(q.bucketTail[b], s):
-		q.nodes[q.bucketTail[b]].next = s
+		return
+	case q.lessNode(t, s):
+		q.nodes[t].next = s
 		n.next = -1
 		q.bucketTail[b] = s
-	case q.lessNode(s, h):
-		n.next = h
-		q.bucketHead[b] = s
-	default:
-		p := h
-		for {
-			nx := q.nodes[p].next
-			if nx < 0 || q.lessNode(s, nx) {
-				break
+		if q.nodes[t].at == n.at {
+			q.nodes[q.bucketLastRun[b]].runEnd = s
+		} else {
+			n.runEnd = s
+			q.bucketLastRun[b] = s
+		}
+		return
+	}
+	// The tail sorts after s, so a run at or past n.at exists: walk run
+	// heads to it. prev is the last node before run r (-1 at the head).
+	prev, r := int32(-1), q.bucketHead[b]
+	for q.nodes[r].at < n.at {
+		prev = q.nodes[r].runEnd
+		r = q.nodes[prev].next
+	}
+	rn := &q.nodes[r]
+	switch {
+	case rn.at > n.at: // s opens a run of its own before r
+		n.next, n.runEnd = r, s
+		q.linkAfter(b, prev, s)
+	case rn.seq > n.seq: // s becomes the first node of r's run
+		n.next, n.runEnd = r, rn.runEnd
+		q.linkAfter(b, prev, s)
+		if q.bucketLastRun[b] == r {
+			q.bucketLastRun[b] = s
+		}
+	default: // inside r's run, after the last node with a smaller seq
+		p := r
+		if e := rn.runEnd; q.nodes[e].seq < n.seq {
+			p = e
+			rn.runEnd = s
+		} else {
+			for q.nodes[q.nodes[p].next].seq < n.seq {
+				p = q.nodes[p].next
 			}
-			p = nx
 		}
 		n.next = q.nodes[p].next
 		q.nodes[p].next = s
+	}
+}
+
+// linkAfter points prev's chain link (the bucket head when prev is -1)
+// at s.
+func (q *queue) linkAfter(b uint64, prev, s int32) {
+	if prev < 0 {
+		q.bucketHead[b] = s
+	} else {
+		q.nodes[prev].next = s
 	}
 }
 
@@ -376,27 +425,62 @@ func (q *queue) growCalendar() {
 }
 
 // calUnlink removes slot s from its bucket chain (eager cancellation —
-// the calendar never carries tombstones).
+// the calendar never carries tombstones). Like an insert, it walks run
+// heads to s's tick and then only that run.
 func (q *queue) calUnlink(s int32) {
 	n := &q.nodes[s]
 	b := q.bucketOf(n.at)
+	q.calCount--
 	if q.bucketHead[b] == s {
-		q.bucketHead[b] = n.next
-		if n.next < 0 {
-			q.bucketTail[b] = -1
-			q.occ[b>>6] &^= 1 << (b & 63)
+		q.unchainHead(b, s)
+		return
+	}
+	prevRun, prev, r := int32(-1), int32(-1), q.bucketHead[b]
+	for q.nodes[r].at != n.at {
+		prevRun, prev = r, q.nodes[r].runEnd
+		r = q.nodes[prev].next
+	}
+	if r == s { // s heads a run after the first
+		q.nodes[prev].next = n.next
+		if n.runEnd != s { // the run continues: its next node heads it
+			q.nodes[n.next].runEnd = n.runEnd
+			if q.bucketLastRun[b] == s {
+				q.bucketLastRun[b] = n.next
+			}
+		} else if q.bucketLastRun[b] == s { // s was the chain's last run
+			q.bucketLastRun[b] = prevRun
+			q.bucketTail[b] = prev
 		}
-	} else {
-		p := q.bucketHead[b]
-		for q.nodes[p].next != s {
-			p = q.nodes[p].next
-		}
-		q.nodes[p].next = n.next
-		if q.bucketTail[b] == s {
-			q.bucketTail[b] = p
+		return
+	}
+	p := r
+	for q.nodes[p].next != s {
+		p = q.nodes[p].next
+	}
+	q.nodes[p].next = n.next
+	if q.nodes[r].runEnd == s {
+		q.nodes[r].runEnd = p
+	}
+	if q.bucketTail[b] == s {
+		q.bucketTail[b] = p
+	}
+}
+
+// unchainHead removes s, the head of bucket b's chain, keeping the run
+// index.
+func (q *queue) unchainHead(b uint64, s int32) {
+	n := &q.nodes[s]
+	q.bucketHead[b] = n.next
+	switch {
+	case n.next < 0:
+		q.bucketTail[b], q.bucketLastRun[b] = -1, -1
+		q.occ[b>>6] &^= 1 << (b & 63)
+	case n.runEnd != s: // the run continues: its next node heads it
+		q.nodes[n.next].runEnd = n.runEnd
+		if q.bucketLastRun[b] == s {
+			q.bucketLastRun[b] = n.next
 		}
 	}
-	q.calCount--
 }
 
 // occScan returns the first non-empty bucket index in [from, to), if any.
@@ -573,12 +657,7 @@ func (q *queue) nextLive() int32 {
 func (q *queue) take(s int32) {
 	n := &q.nodes[s]
 	if n.loc == locCal {
-		b := q.bucketOf(n.at)
-		q.bucketHead[b] = n.next
-		if n.next < 0 {
-			q.bucketTail[b] = -1
-			q.occ[b>>6] &^= 1 << (b & 63)
-		}
+		q.unchainHead(q.bucketOf(n.at), s)
 		q.calCount--
 	} else {
 		q.heapPop()

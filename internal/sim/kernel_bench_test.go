@@ -28,6 +28,33 @@ func BenchmarkKernelSlotGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSameTickStack is the office shape: 16 phase-aligned
+// piconet loops fire on one tick of every slot and each arms four
+// events in the next slot, on ticks the other loops share (slot start,
+// RX lead, half slot, half slot plus lead). Each slot's chain holds
+// four runs of 16 events, and every loop after the first inserts
+// mid-chain, at the end of its tick's run.
+func BenchmarkKernelSameTickStack(b *testing.B) {
+	k := NewKernel()
+	nop := func() {}
+	const loops = 16
+	for i := 0; i < loops; i++ {
+		var fn Event
+		fn = func() {
+			k.Schedule(Slots(1), fn)
+			k.Schedule(Slots(1)+20, nop)
+			k.Schedule(Slots(1)+HalfSlotTicks, nop)
+			k.Schedule(Slots(1)+HalfSlotTicks+20, nop)
+		}
+		k.Schedule(Slots(1), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
 // BenchmarkKernelCancelChurn is the re-armed timer pattern (Tpoll
 // deadlines, response windows): every packet stops a pending timer and
 // schedules a fresh one nearby. In-window cancels unlink eagerly, so the

@@ -14,7 +14,9 @@ import (
 //     equals the reference list's length, and the clocks agree;
 //   - EventInfo reports every freshly scheduled event's (at, seq);
 //   - the window invariant: every overflow-heap entry is at or past the
-//     calendar window's limit, and every calendar entry is before it.
+//     calendar window's limit, and every calendar entry is before it;
+//   - the run index: every tick run's first node records the run's last
+//     node, and every bucket's tail and last-run pointers are right.
 //
 // The script bytes choose delays (same-tick, off-grid, window-edge,
 // far-future heap) and cancel targets, so the corpus explores the
@@ -71,6 +73,9 @@ func FuzzKernel(f *testing.F) {
 				t.Fatalf("%s: clocks diverged: kernel %v, reference %v", ctx, k.Now(), model.now)
 			}
 			if v := k.q.windowViolation(); v != "" {
+				t.Fatalf("%s: %s", ctx, v)
+			}
+			if v := k.q.runIndexViolation(); v != "" {
 				t.Fatalf("%s: %s", ctx, v)
 			}
 		}

@@ -192,3 +192,102 @@ func runReferenceScript(t *testing.T, seed uint64) {
 		t.Fatalf("seed %d drain: %d events still pending", seed, k.Pending())
 	}
 }
+
+// TestStackedTicksMatchReference replays office-shaped scripts against
+// the reference model: bursts of ~20 events stacked on three ticks of
+// one slot, so most inserts land mid-chain, with random cancels of run
+// heads, middles and ends, far-future events that migrate into the
+// stacked slots, and enough load to double the calendar. After every
+// operation the fire order, census and clock must match and the
+// calendar's run index must hold.
+func TestStackedTicksMatchReference(t *testing.T) {
+	offsets := [...]Time{0, 20, HalfSlotTicks}
+	for seed := uint64(1); seed <= 8; seed++ {
+		k := NewKernel()
+		r := NewRand(seed)
+		model := &refModel{}
+		var fired, expect []int
+		firedSet := make(map[int]bool)
+		var live []int
+		ids := make(map[int]EventID)
+		seq := uint64(0)
+		sid := 0
+
+		schedule := func(at Time) {
+			my := sid
+			sid++
+			seq++
+			ids[my] = k.At(at, func() { fired = append(fired, my); firedSet[my] = true })
+			model.insert(refEntry{at: at, seq: seq, sid: my})
+			live = append(live, my)
+		}
+		check := func(ctx string) {
+			t.Helper()
+			if len(fired) != len(expect) {
+				t.Fatalf("seed %d %s: kernel fired %d events, reference %d", seed, ctx, len(fired), len(expect))
+			}
+			for i := range expect {
+				if fired[i] != expect[i] {
+					t.Fatalf("seed %d %s: fire order diverged at %d: kernel sid %d, reference sid %d",
+						seed, ctx, i, fired[i], expect[i])
+				}
+			}
+			if k.Pending() != len(model.list) || k.Now() != model.now {
+				t.Fatalf("seed %d %s: kernel %d pending at %v, reference %d at %v",
+					seed, ctx, k.Pending(), k.Now(), len(model.list), model.now)
+			}
+			if v := k.q.windowViolation() + k.q.runIndexViolation(); v != "" {
+				t.Fatalf("seed %d %s: %s", seed, ctx, v)
+			}
+		}
+
+		for op := 0; op < 2000; op++ {
+			switch x := r.Intn(20); {
+			case x < 8: // a stack of ~20 events over three ticks of one slot
+				slot := k.Now().Slot() + 1 + uint64(r.Intn(40))
+				for n := 16 + r.Intn(9); n > 0; n-- {
+					schedule(Time(slot*SlotTicks) + offsets[r.Intn(len(offsets))])
+				}
+			case x < 9: // far future: joins a stacked slot by migration
+				slot := k.Now().Slot() + 300 + uint64(r.Intn(100))
+				schedule(Time(slot*SlotTicks) + offsets[r.Intn(len(offsets))])
+			case x < 14: // cancel a few held ids, live or already fired
+				for n := 1 + r.Intn(6); n > 0 && len(live) > 0; n-- {
+					i := r.Intn(len(live))
+					my := live[i]
+					live = append(live[:i], live[i+1:]...)
+					if ok := k.Cancel(ids[my]); ok == firedSet[my] {
+						t.Fatalf("seed %d: Cancel(sid %d) = %v after fired = %v", seed, my, ok, firedSet[my])
+					}
+					if !firedSet[my] {
+						model.remove(my)
+					}
+					delete(ids, my)
+				}
+				check("after cancels")
+			case x < 17: // run into the middle of the next slots
+				limit := k.Now() + Time(r.Intn(3*SlotTicks))
+				k.RunUntil(limit)
+				expect = model.runUntil(limit, expect)
+				check("after RunUntil")
+			default: // a few single steps
+				for n := 1 + r.Intn(8); n > 0; n-- {
+					var want bool
+					expect, want = model.step(expect)
+					if got := k.Step(); got != want {
+						t.Fatalf("seed %d: Step = %v, reference %v", seed, got, want)
+					}
+				}
+				check("after Step")
+			}
+		}
+		if len(k.q.bucketHead) <= defaultBuckets {
+			t.Fatalf("seed %d: calendar never grew: %d buckets", seed, len(k.q.bucketHead))
+		}
+		k.Run()
+		for len(model.list) > 0 {
+			expect, _ = model.step(expect)
+		}
+		check("after drain")
+	}
+}

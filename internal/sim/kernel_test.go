@@ -361,6 +361,106 @@ func (q *queue) windowViolation() string {
 	return ""
 }
 
+// runIndexViolation describes the first calendar bucket whose tick-run
+// index disagrees with its chain, or returns "" when the index holds:
+// each chain is sorted by (at, seq) and lives in its own bucket, every
+// run's first node records the run's last node, bucketTail is the
+// chain's last node, bucketLastRun the first node of its last run, and
+// the occupancy bit is set exactly for non-empty buckets.
+func (q *queue) runIndexViolation() string {
+	for b, h := range q.bucketHead {
+		occ := q.occ[b>>6]>>(b&63)&1 == 1
+		if h < 0 {
+			if q.bucketTail[b] != -1 || q.bucketLastRun[b] != -1 || occ {
+				return fmt.Sprintf("empty bucket %d: tail %d, last run %d, occupied %v", b, q.bucketTail[b], q.bucketLastRun[b], occ)
+			}
+			continue
+		}
+		if !occ {
+			return fmt.Sprintf("bucket %d holds events but its occupancy bit is clear", b)
+		}
+		run, last := int32(-1), int32(-1)
+		for s := h; s >= 0; s = q.nodes[s].next {
+			n := &q.nodes[s]
+			if q.bucketOf(n.at) != uint64(b) {
+				return fmt.Sprintf("event at %d chained in bucket %d", n.at, b)
+			}
+			if last >= 0 && !q.lessNode(last, s) {
+				return fmt.Sprintf("bucket %d: chain out of (at, seq) order at %d", b, n.at)
+			}
+			if last < 0 || q.nodes[last].at != n.at {
+				if run >= 0 && q.nodes[run].runEnd != last {
+					return fmt.Sprintf("bucket %d: run at %d ends at node %d, index says %d", b, q.nodes[run].at, last, q.nodes[run].runEnd)
+				}
+				run = s
+			}
+			last = s
+		}
+		if q.nodes[run].runEnd != last {
+			return fmt.Sprintf("bucket %d: last run at %d ends at node %d, index says %d", b, q.nodes[run].at, last, q.nodes[run].runEnd)
+		}
+		if q.bucketTail[b] != last || q.bucketLastRun[b] != run {
+			return fmt.Sprintf("bucket %d: tail %d and last run %d, want %d and %d", b, q.bucketTail[b], q.bucketLastRun[b], last, run)
+		}
+	}
+	return ""
+}
+
+// TestCalendarRunIndexAnyOrder: Schedule always inserts the newest seq
+// of its tick, but the chain must also take an older seq anywhere in a
+// run — at its head, inside it or before it — and unlink any node.
+// Nodes go straight into one bucket in random (at, seq) order; after
+// every insert and unlink the chain must be the sorted set and the run
+// index must hold.
+func TestCalendarRunIndexAnyOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := NewRand(seed)
+		k := NewKernel()
+		q := &k.q
+		perm := make([]int, 60)
+		for i := range perm {
+			perm[i] = i
+		}
+		for i := len(perm) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		var in []int32
+		check := func(ctx string) {
+			t.Helper()
+			if v := q.runIndexViolation(); v != "" {
+				t.Fatalf("seed %d %s: %s", seed, ctx, v)
+			}
+			n := 0
+			for b := range q.bucketHead {
+				for s := q.bucketHead[b]; s >= 0; s = q.nodes[s].next {
+					n++
+				}
+			}
+			if n != len(in) {
+				t.Fatalf("seed %d %s: %d chained nodes, want %d", seed, ctx, n, len(in))
+			}
+		}
+		for _, p := range perm {
+			s := q.alloc()
+			// Four ticks in slot 3, so every node shares one bucket.
+			q.nodes[s].at = Time(3*SlotTicks + p%4)
+			q.nodes[s].seq = uint64(p)
+			q.calInsert(s)
+			in = append(in, s)
+			check("after insert")
+		}
+		for len(in) > 0 {
+			i := r.Intn(len(in))
+			s := in[i]
+			in = append(in[:i], in[i+1:]...)
+			q.calUnlink(s)
+			q.release(s)
+			check("after unlink")
+		}
+	}
+}
+
 // TestGrowMigratesHeapEvents: a doubling widens the window, so it must
 // pull the heap events the wider window now covers into the calendar
 // at once, not at the next cursor advance.
@@ -376,7 +476,7 @@ func TestGrowMigratesHeapEvents(t *testing.T) {
 	if len(k.q.bucketHead) != 2*defaultBuckets {
 		t.Fatalf("calendar has %d buckets after %d in-window events, want %d", len(k.q.bucketHead), n, 2*defaultBuckets)
 	}
-	if v := k.q.windowViolation(); v != "" {
+	if v := k.q.windowViolation() + k.q.runIndexViolation(); v != "" {
 		t.Fatalf("after the doubling: %s", v)
 	}
 	k.Run()
