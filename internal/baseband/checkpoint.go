@@ -57,7 +57,7 @@ type TimerArm struct {
 	Fn    timerFn
 }
 
-// OutMsg mirrors one queued upper-layer payload for serialization.
+// OutMsg mirrors one queued upper-layer payload for the capture.
 type OutMsg struct {
 	Data []byte
 	LLID uint8

@@ -32,7 +32,7 @@ func (m *Membership) AFHMap() *hop.ChannelMap { return m.afhMap }
 
 // RestoreMembership rebuilds a suspended membership from checkpointed
 // parts: the restored slave-side link, the captured clock offset and the
-// AFH map (which checkpoints serialize as an LMP bitmask).
+// AFH map (which checkpoints capture as an LMP bitmask).
 func RestoreMembership(link *Link, clockOffset uint32, afh *hop.ChannelMap) *Membership {
 	return &Membership{Link: link, clockOffset: clockOffset, afhMap: afh}
 }

@@ -1,8 +1,7 @@
 // Package bits provides the bit-level data types shared by the coding,
 // packet and channel layers: bit vectors in on-air (LSB-first) order,
 // packed 64 bits to a word so the codecs above can work a word at a
-// time, and the four-valued logic the paper's channel resolver uses
-// (0, 1, Z for a silent wire, X for a collision).
+// time.
 package bits
 
 import (
@@ -12,46 +11,6 @@ import (
 	"slices"
 	"strings"
 )
-
-// Logic is a four-valued channel symbol.
-type Logic uint8
-
-// The four channel symbol values from the paper's Fig. 2 channel model.
-const (
-	L0 Logic = iota // logic zero
-	L1              // logic one
-	LZ              // high impedance: nobody transmitting
-	LX              // undefined: collision between transmitters
-)
-
-// String renders the symbol the way waveform viewers print it.
-func (l Logic) String() string {
-	switch l {
-	case L0:
-		return "0"
-	case L1:
-		return "1"
-	case LZ:
-		return "Z"
-	case LX:
-		return "X"
-	}
-	return "?"
-}
-
-// Resolve implements the channel resolver: combining what two transmitters
-// drive onto the shared medium. Z is the identity; any two driven values
-// collide to X.
-func Resolve(a, b Logic) Logic {
-	switch {
-	case a == LZ:
-		return b
-	case b == LZ:
-		return a
-	default:
-		return LX
-	}
-}
 
 // Vec is a bit vector in transmission order: bit 0 is the first bit on
 // air. Bluetooth transmits each field LSB first, so AppendUint pushes the
@@ -284,18 +243,6 @@ func (v *Vec) AppendBytesRange(dst []byte, from, to int) []byte {
 		dst = append(dst, byte(v.Uint(from, min(8, to-from))))
 	}
 	return dst
-}
-
-// HammingDistance counts differing bit positions against o over the first
-// min(len) bits plus the length difference.
-func (v *Vec) HammingDistance(o *Vec) int {
-	n := min(v.n, o.n)
-	d := v.n - n + o.n - n
-	full := n / 64
-	for k := 0; k < full; k++ {
-		d += bits.OnesCount64(v.w[k] ^ o.w[k])
-	}
-	return d + bits.OnesCount64((v.w[full]^o.w[full])&(1<<(n%64)-1))
 }
 
 // Equal reports whether v and o hold identical bits.

@@ -10,37 +10,6 @@ import (
 	"testing/quick"
 )
 
-func TestResolveTruthTable(t *testing.T) {
-	cases := []struct {
-		a, b, want Logic
-	}{
-		{LZ, LZ, LZ},
-		{LZ, L0, L0},
-		{LZ, L1, L1},
-		{L0, LZ, L0},
-		{L1, LZ, L1},
-		{L0, L0, LX},
-		{L0, L1, LX},
-		{L1, L1, LX},
-		{LX, LZ, LX},
-		{LX, L1, LX},
-	}
-	for _, c := range cases {
-		if got := Resolve(c.a, c.b); got != c.want {
-			t.Errorf("Resolve(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLogicString(t *testing.T) {
-	if L0.String() != "0" || L1.String() != "1" || LZ.String() != "Z" || LX.String() != "X" {
-		t.Fatal("Logic.String wrong")
-	}
-	if Logic(9).String() != "?" {
-		t.Fatal("invalid logic should print ?")
-	}
-}
-
 func TestAppendUintLSBFirst(t *testing.T) {
 	v := NewVec(8)
 	v.AppendUint(0b1101, 4)
@@ -100,16 +69,9 @@ func TestSliceIsIndependent(t *testing.T) {
 	}
 }
 
-func TestHammingDistance(t *testing.T) {
+func TestEqualClone(t *testing.T) {
 	a := FromBools(true, false, true)
 	b := FromBools(true, true, true)
-	if d := a.HammingDistance(b); d != 1 {
-		t.Fatalf("distance = %d, want 1", d)
-	}
-	c := FromBools(true)
-	if d := a.HammingDistance(c); d != 2 {
-		t.Fatalf("length-mismatch distance = %d, want 2", d)
-	}
 	if !a.Equal(a.Clone()) {
 		t.Fatal("clone not equal")
 	}

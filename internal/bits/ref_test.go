@@ -67,19 +67,8 @@ func (r *refVec) BytesRange(from, to int) []byte {
 	return out
 }
 
-func (r *refVec) HammingDistance(o *refVec) int {
-	n := min(r.Len(), o.Len())
-	d := r.Len() - n + o.Len() - n
-	for i := 0; i < n; i++ {
-		if r.bits[i] != o.bits[i] {
-			d++
-		}
-	}
-	return d
-}
-
 func (r *refVec) Equal(o *refVec) bool {
-	return r.Len() == o.Len() && r.HammingDistance(o) == 0
+	return bytes.Equal(r.bits, o.bits)
 }
 
 func (r *refVec) String() string {
@@ -233,9 +222,6 @@ func runVecScript(t *testing.T, script []byte) {
 				t.Fatalf("step %d: String = %q, reference %q", step, got, want)
 			}
 		case 13:
-			if got, want := v.HammingDistance(vs[o]), r.HammingDistance(rs[o]); got != want {
-				t.Fatalf("step %d: HammingDistance = %d, reference %d", step, got, want)
-			}
 			if got, want := v.Ones(), r.Ones(); got != want {
 				t.Fatalf("step %d: Ones = %d, reference %d", step, got, want)
 			}

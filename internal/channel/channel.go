@@ -161,14 +161,6 @@ func New(k *sim.Kernel, rng *sim.Rand, cfg Config) *Channel {
 // Stats returns a copy of the counters.
 func (c *Channel) Stats() Stats { return c.stats }
 
-// SetBER changes the bit error rate mid-simulation (used by sweeps).
-func (c *Channel) SetBER(ber float64) {
-	if ber < 0 || ber >= 1 {
-		panic(fmt.Sprintf("channel: BER %v out of [0,1)", ber))
-	}
-	c.cfg.BER = ber
-}
-
 // AddJammer installs a static interferer over channels [lo, hi].
 func (c *Channel) AddJammer(lo, hi int, duty float64) {
 	if lo < 0 || hi >= hop.NumChannels || lo > hi {

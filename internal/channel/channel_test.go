@@ -449,7 +449,6 @@ func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad freq":  func() { c.Tune(&fakeRx{name: "x"}, 79) },
 		"empty tx":  func() { c.Transmit("a", 0, bits.NewVec(0), nil) },
-		"bad BER":   func() { c.SetBER(1.5) },
 		"bad BER 2": func() { New(k, sim.NewRand(1), Config{BER: -0.1}) },
 	} {
 		func() {

@@ -1,6 +1,6 @@
 package channel
 
-// Checkpoint accessors. The channel itself is never serialized
+// Checkpoint accessors. The channel itself is never captured
 // wholesale: the quiescent-edge snapshot contract (see core.Snapshot)
 // guarantees no transmission is in flight, tune states are rebuilt by
 // the restored devices re-Tuning, and the spatial index is rebuilt from

@@ -28,7 +28,7 @@ import (
 //     so every relative ordering — among re-armed events and against
 //     anything scheduled later — is preserved (see sim/checkpoint.go).
 //
-//  3. Stream positions. Every RNG's exact position is serialized, and
+//  3. Stream positions. Every RNG's exact position is captured, and
 //     ForkState either resumes it (ForkSeed 0) or perturbs every stream
 //     of the arm uniformly, making forks diverge by seed.
 

@@ -77,14 +77,14 @@ func ForkEnsemble(counts []int, measureSlots, settleSlots uint64, replicas int, 
 			return perLink(w, piconets)
 		},
 	}
-	forked := runner.ForkSweep[int, float64]{
+	forked := runner.ForkSweep[int, *netspec.WorldCheckpoint, float64]{
 		Name:     "fork-arms",
 		Points:   counts,
 		Replicas: replicas,
 		Seed: func(point, replica int) uint64 {
 			return baseSeed(point) + uint64(replica)*7919
 		},
-		Prepare: func(sd uint64, piconets int) ([]byte, error) {
+		Prepare: func(sd uint64, piconets int) (*netspec.WorldCheckpoint, error) {
 			s := core.NewSimulation(forkDemoOptions(sd))
 			w, err := netspec.Build(s, forkDemoSpec(piconets))
 			if err != nil {
@@ -92,22 +92,14 @@ func ForkEnsemble(counts []int, measureSlots, settleSlots uint64, replicas int, 
 			}
 			w.Start()
 			s.RunSlots(settleSlots)
-			ck, err := w.Snapshot()
-			if err != nil {
-				return nil, err
-			}
-			return ck.Encode()
+			return w.Snapshot()
 		},
-		Trial: func(ckb []byte, forkSeed uint64, piconets int) float64 {
-			// Decode/restore failures on bytes Prepare just produced are
-			// programmer errors; panic like MustBuild does.
-			ck, err := netspec.DecodeCheckpoint(ckb)
-			if err != nil {
-				panic(err)
-			}
+		Trial: func(ck *netspec.WorldCheckpoint, forkSeed uint64, piconets int) float64 {
 			// The restore target rebuilds under the capture seed but must
 			// repeat the channel config itself: BER is world configuration,
-			// not checkpointed state.
+			// not checkpointed state. A restore failure on a capture
+			// Prepare just produced is a programmer error; panic like
+			// MustBuild does.
 			s := core.NewSimulation(forkDemoOptions(ck.Core.Seed))
 			w, err := netspec.RestoreWorld(s, ck, core.RestoreOptions{ForkSeed: forkSeed})
 			if err != nil {

@@ -12,7 +12,7 @@ import (
 // callbacks (OnSDU, OnClose, PSM acceptors) are the application's and
 // are re-wired by whatever layer owns them after restore. A channel
 // still waiting for its connection response holds a completion closure
-// that cannot be serialized, so the quiescent-edge contract excludes
+// that cannot be captured, so the quiescent-edge contract excludes
 // mid-handshake muxes from capture.
 
 // ChannelCheckpoint is one open channel's identity.

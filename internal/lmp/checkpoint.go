@@ -11,7 +11,7 @@ import (
 // last slot offset each peer announced. Everything else is
 // transactional — a pending-accept callback or a scheduled mode-change
 // closure — and the quiescent-edge snapshot contract excludes it
-// (Quiescent must hold before capture), so it is never serialized.
+// (Quiescent must hold before capture), so it is never captured.
 
 // LinkSetup is the captured LMP state of one link, keyed by peer.
 type LinkSetup struct {

@@ -17,16 +17,16 @@ import (
 
 // Checkpoint/restore for a built world. A campaign settles one world
 // through paging, LMP negotiation and traffic warm-up, snapshots it
-// once, and forks every replica and what-if arm from the bytes —
-// skipping the settle phase entirely. The capture wraps the core
-// checkpoint (kernel clock, RNG streams, devices, pending baseband
-// timers) with everything the netspec layer owns: LMP setup state,
-// L2CAP channel identities and relay wiring, bridge presence grids and
-// store-and-forward queues, classifier verdicts, and the exact pending
-// position of every traffic pump.
+// once, and forks every replica and what-if arm from that one
+// in-memory capture — skipping the settle phase entirely. The capture
+// wraps the core checkpoint (kernel clock, RNG streams, devices,
+// pending baseband timers) with everything the netspec layer owns: LMP
+// setup state, L2CAP channel identities and relay wiring, bridge
+// presence grids and store-and-forward queues, classifier verdicts,
+// and the exact pending position of every traffic pump.
 //
 // The measurement protocol mirrors ResetMetrics: window accumulators
-// (delivered bytes, latency samples, meters) are not serialized — a
+// (delivered bytes, latency samples, meters) are not captured — a
 // forked arm calls ResetMetrics right after restore, and the straight
 // arm calls it at the same instant, so both windows measure only
 // post-fork behaviour. The one lifetime counter Metrics reads
@@ -57,7 +57,7 @@ type MembershipCheckpoint struct {
 	AttemptEvenSlots int
 }
 
-// QueuedFrame is one serialized store-and-forward entry.
+// QueuedFrame is one captured store-and-forward entry.
 type QueuedFrame struct {
 	SDU []byte
 	At  uint64
@@ -291,6 +291,9 @@ func (w *World) Snapshot() (*WorldCheckpoint, error) {
 // pending event is re-armed in its exact captured order. With
 // opt.ForkSeed zero the restored world continues byte-identically to a
 // straight run; a nonzero seed perturbs every RNG stream of the arm.
+// RestoreWorld only reads ck, and the restored world writes nothing it
+// shares with ck (it keeps ck.Spec, read-only), so any number of
+// restores, concurrent ones included, may share one capture.
 func RestoreWorld(s *core.Simulation, ck *WorldCheckpoint, opt core.RestoreOptions) (*World, error) {
 	if err := ck.validate(); err != nil {
 		return nil, err
@@ -620,9 +623,11 @@ func (ck *WorldCheckpoint) validate() error {
 	return nil
 }
 
-// Encode serializes the checkpoint (gob). The bytes are self-contained:
-// DecodeCheckpoint plus RestoreWorld rebuild the world in a different
-// process, which is how the simulation service forks replicas.
+// Encode serializes the checkpoint (gob). No fork path uses it: forks
+// restore from the in-memory capture. It and DecodeCheckpoint remain
+// only because btbench's checkpoint probe times them (its
+// netspec.encode_us and netspec.decode_us metrics); both are to be
+// deleted together with those two metrics.
 func (ck *WorldCheckpoint) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
@@ -631,8 +636,9 @@ func (ck *WorldCheckpoint) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeCheckpoint parses serialized checkpoint bytes. Arbitrary input
-// returns an error, never panics.
+// DecodeCheckpoint parses bytes from Encode; it exists only for the
+// same probe (see Encode). Arbitrary input returns an error, never
+// panics.
 func DecodeCheckpoint(b []byte) (ck *WorldCheckpoint, err error) {
 	defer func() {
 		if r := recover(); r != nil {

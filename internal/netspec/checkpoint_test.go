@@ -1,8 +1,10 @@
 package netspec
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -116,17 +118,7 @@ func testForkEquivalence(t *testing.T, spec Spec) {
 		t.Fatalf("straight arm at %v, capture at %v", got, want)
 	}
 
-	// Round-trip through bytes: the wire format is the product surface.
-	enc, err := ck.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	dck, err := DecodeCheckpoint(enc)
-	if err != nil {
-		t.Fatalf("DecodeCheckpoint: %v", err)
-	}
-
-	restored := restoreCkWorld(t, dck, 0)
+	restored := restoreCkWorld(t, ck, 0)
 	if got, want := restored.Sim.K.Now(), ck.Core.At; got != want {
 		t.Fatalf("restored clock at %v, want %v", got, want)
 	}
@@ -142,28 +134,104 @@ func testForkEquivalence(t *testing.T, spec Spec) {
 		t.Errorf("straight and restored runs diverge:\n--- straight\n%s\n--- restored\n%s", a, b)
 	}
 
-	// A second fork from the same bytes stays byte-equal...
-	dck2, err := DecodeCheckpoint(enc)
+	// A second fork stays byte-equal, here through the wire form: the
+	// capture still restores after the straight arm ran on, and
+	// Encode -> DecodeCheckpoint loses nothing a restore reads...
+	enc, err := ck.Encode()
 	if err != nil {
-		t.Fatalf("DecodeCheckpoint (second): %v", err)
+		t.Fatalf("Encode: %v", err)
 	}
-	again := restoreCkWorld(t, dck2, 0)
+	dck, err := DecodeCheckpoint(enc)
+	if err != nil {
+		t.Fatalf("DecodeCheckpoint: %v", err)
+	}
+	again := restoreCkWorld(t, dck, 0)
 	again.ResetMetrics()
 	again.Sim.RunSlots(rest)
 	if c := worldFingerprint(t, again); b != c {
-		t.Errorf("two identical forks diverge:\n--- first\n%s\n--- second\n%s", b, c)
+		t.Errorf("in-memory and decoded forks diverge:\n--- in memory\n%s\n--- decoded\n%s", b, c)
 	}
 
 	// ...while a different fork seed diverges under nonzero BER.
-	dck3, err := DecodeCheckpoint(enc)
-	if err != nil {
-		t.Fatalf("DecodeCheckpoint (third): %v", err)
-	}
-	other := restoreCkWorld(t, dck3, 99)
+	other := restoreCkWorld(t, ck, 99)
 	other.ResetMetrics()
 	other.Sim.RunSlots(rest)
 	if d := worldFingerprint(t, other); b == d {
 		t.Error("fork seed 99 did not diverge from seed 0")
+	}
+}
+
+// TestSharedCaptureRestores pins what lets every fork path hand one
+// *WorldCheckpoint around: restores running concurrently from a single
+// capture, while the source world runs on, each match a restore from a
+// private decoded copy, and the capture encodes to the same bytes
+// afterwards. Runs under -race in CI; cmd/btsim's test of the same
+// name covers the fork matrix's worlds.
+func TestSharedCaptureRestores(t *testing.T) {
+	const rest = 600
+	seeds := []uint64{0, 0, 99, 99}
+	for name, spec := range ckSpecs() {
+		t.Run(name, func(t *testing.T) {
+			w := buildCkWorld(t, spec)
+			w.Sim.RunSlots(400)
+			ck, err := w.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			before, err := ck.Encode()
+			if err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			fork := func(ck *WorldCheckpoint, forkSeed uint64) (*World, error) {
+				fw, err := RestoreWorld(core.NewSimulation(ckOptions(11)), ck, core.RestoreOptions{ForkSeed: forkSeed})
+				if err != nil {
+					return nil, err
+				}
+				fw.ResetMetrics()
+				fw.Sim.RunSlots(rest)
+				return fw, nil
+			}
+
+			forks := make([]*World, len(seeds))
+			errs := make([]error, len(seeds))
+			var wg sync.WaitGroup
+			wg.Add(len(seeds) + 1)
+			go func() {
+				defer wg.Done()
+				w.Sim.RunSlots(rest)
+			}()
+			for i, seed := range seeds {
+				go func() {
+					defer wg.Done()
+					forks[i], errs[i] = fork(ck, seed)
+				}()
+			}
+			wg.Wait()
+
+			for i, seed := range seeds {
+				if errs[i] != nil {
+					t.Fatalf("shared restore %d: %v", i, errs[i])
+				}
+				dck, err := DecodeCheckpoint(before)
+				if err != nil {
+					t.Fatalf("DecodeCheckpoint: %v", err)
+				}
+				private, err := fork(dck, seed)
+				if err != nil {
+					t.Fatalf("private restore: %v", err)
+				}
+				if a, b := worldFingerprint(t, forks[i]), worldFingerprint(t, private); a != b {
+					t.Errorf("shared restore %d (seed %d) diverges from a private copy:\n--- shared\n%s\n--- private\n%s", i, seed, a, b)
+				}
+			}
+			after, err := ck.Encode()
+			if err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Error("restores or the source world changed the shared capture")
+			}
+		})
 	}
 }
 

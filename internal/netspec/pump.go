@@ -13,12 +13,12 @@ import (
 // records its pending event's ID every time it re-arms itself, so a
 // checkpoint can capture the event's exact (at, seq) position via
 // Kernel.EventInfo, and a restored world can rebuild the closure
-// from a small serialized descriptor and re-arm it through the shared
+// from a small captured descriptor and re-arm it through the shared
 // sim.RearmSet alongside the baseband timers.
 
 type pumpKind uint8
 
-// Pump kinds (serialized in checkpoints — append only).
+// Pump kinds (captured in checkpoints — append only).
 const (
 	pumpBulk pumpKind = iota + 1
 	pumpPoisson
@@ -28,7 +28,7 @@ const (
 	pumpDrain
 )
 
-// PumpArm is one pump's serialized descriptor: enough identity and
+// PumpArm is one pump's captured descriptor: enough identity and
 // parameters to rebuild its closure in a restored world, plus the
 // pending event's captured position. Restore never consults the spec's
 // traffic stanzas, so the descriptor is self-contained.

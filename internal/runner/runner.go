@@ -212,11 +212,11 @@ func (s Sweep[P, R]) Run(cfg Config) [][]R {
 // checkpoint instead of each settling its own world. Prepare runs once
 // per point, serially and in point order (it typically builds a world,
 // runs the settle horizon and snapshots it); the replicas then restore
-// from the captured bytes in parallel, each under its own fork seed.
-// Replica 0 forks with seed 0 — byte-identical to the straight
-// continuation of the settled world — and every later replica perturbs
-// the arm's RNG streams with its sweep-derived seed.
-type ForkSweep[P, R any] struct {
+// from that one capture in parallel, each under its own fork seed, so
+// Trial must only read it. Replica 0 forks with seed 0 — byte-identical
+// to the straight continuation of the settled world — and every later
+// replica perturbs the arm's RNG streams with its sweep-derived seed.
+type ForkSweep[P, C, R any] struct {
 	// Name labels the sweep in progress reports.
 	Name string
 	// Points are the parameter axis.
@@ -227,17 +227,18 @@ type ForkSweep[P, R any] struct {
 	// (replicas >= 1) like Sweep.Seed. Nil uses the same default.
 	Seed func(point, replica int) uint64
 	// Prepare settles one world for p under the point's base seed and
-	// returns its serialized checkpoint.
-	Prepare func(seed uint64, p P) ([]byte, error)
-	// Trial restores one replica from the checkpoint bytes under
+	// returns its checkpoint.
+	Prepare func(seed uint64, p P) (C, error)
+	// Trial restores one replica from the point's checkpoint under
 	// forkSeed (0 = resume the captured streams exactly) and measures.
-	Trial func(ck []byte, forkSeed uint64, p P) R
+	Trial func(ck C, forkSeed uint64, p P) R
 }
 
 // Run executes the fork sweep under cfg: every point's Prepare first,
 // then the replica fan-out with the same (point, replica) result
-// layout as Sweep.Run. A Prepare error aborts before any trial runs.
-func (s ForkSweep[P, R]) Run(cfg Config) ([][]R, error) {
+// layout as Sweep.Run. A Prepare error, or a context found canceled
+// before a Prepare, aborts before any trial runs and is returned.
+func (s ForkSweep[P, C, R]) Run(cfg Config) ([][]R, error) {
 	if s.Prepare == nil || s.Trial == nil {
 		panic("runner: ForkSweep needs Prepare and Trial")
 	}
@@ -247,7 +248,7 @@ func (s ForkSweep[P, R]) Run(cfg Config) ([][]R, error) {
 			return uint64(replica)*1_000_003 + uint64(point) + 1
 		}
 	}
-	cks := make([][]byte, len(s.Points))
+	cks := make([]C, len(s.Points))
 	for i, p := range s.Points {
 		if cfg.Context != nil && cfg.Context.Err() != nil {
 			return nil, cfg.Context.Err()

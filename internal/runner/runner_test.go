@@ -256,3 +256,135 @@ func TestReducePoints(t *testing.T) {
 		}
 	}
 }
+
+// fakeCk stands in for a settled checkpoint: what Prepare saw.
+type fakeCk struct {
+	point int
+	seed  uint64
+}
+
+type forkResult struct {
+	ck       *fakeCk
+	forkSeed uint64
+	p        int
+}
+
+func testForkSweep(points, replicas int, prepared *[]int) ForkSweep[int, *fakeCk, forkResult] {
+	pts := make([]int, points)
+	for i := range pts {
+		pts[i] = i * 5
+	}
+	return ForkSweep[int, *fakeCk, forkResult]{
+		Name:     "fork",
+		Points:   pts,
+		Replicas: replicas,
+		Seed:     func(point, replica int) uint64 { return uint64(point)<<16 | uint64(replica) + 1 },
+		Prepare: func(seed uint64, p int) (*fakeCk, error) {
+			*prepared = append(*prepared, p)
+			return &fakeCk{point: p, seed: seed}, nil
+		},
+		Trial: func(ck *fakeCk, forkSeed uint64, p int) forkResult {
+			return forkResult{ck, forkSeed, p}
+		},
+	}
+}
+
+// TestForkSweepPrepareOnceThenFork pins ForkSweep's contract at every
+// pool width: Prepare runs once per point, in point order, under the
+// point's replica-0 seed; every replica of a point gets that point's
+// one capture; replica 0 forks with seed 0 and replica r >= 1 with
+// Seed(point, r). Runs under -race in CI, so the shared capture is
+// also checked for unsynchronized access.
+func TestForkSweepPrepareOnceThenFork(t *testing.T) {
+	for _, workers := range []int{Serial, 1, 4} {
+		var prepared []int
+		fs := testForkSweep(3, 6, &prepared)
+		res, err := fs.Run(Config{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(prepared, fs.Points) {
+			t.Fatalf("workers %d: Prepare ran for %v, want once per point in order %v", workers, prepared, fs.Points)
+		}
+		if len(res) != 3 {
+			t.Fatalf("workers %d: %d result rows", workers, len(res))
+		}
+		for i, row := range res {
+			if len(row) != 6 {
+				t.Fatalf("workers %d: point %d has %d replicas", workers, i, len(row))
+			}
+			for r, got := range row {
+				if got.ck != row[0].ck || got.ck.point != fs.Points[i] || got.ck.seed != fs.Seed(i, 0) {
+					t.Fatalf("workers %d: point %d replica %d forked from %+v", workers, i, r, *got.ck)
+				}
+				want := uint64(0)
+				if r > 0 {
+					want = fs.Seed(i, r)
+				}
+				if got.forkSeed != want || got.p != fs.Points[i] {
+					t.Fatalf("workers %d: point %d replica %d got fork seed %d point %d, want %d and %d",
+						workers, i, r, got.forkSeed, got.p, want, fs.Points[i])
+				}
+			}
+		}
+	}
+}
+
+// TestForkSweepPrepareErrorAborts: the first Prepare error is returned
+// before any trial runs, and no later point is prepared.
+func TestForkSweepPrepareErrorAborts(t *testing.T) {
+	var prepared []int
+	fs := testForkSweep(3, 4, &prepared)
+	boom := errors.New("settle failed")
+	prepare := fs.Prepare
+	fs.Prepare = func(seed uint64, p int) (*fakeCk, error) {
+		if p == fs.Points[1] {
+			return nil, boom
+		}
+		return prepare(seed, p)
+	}
+	var trials atomic.Int64
+	fs.Trial = func(*fakeCk, uint64, int) forkResult { trials.Add(1); return forkResult{} }
+	res, err := fs.Run(Config{Workers: 2})
+	if !errors.Is(err, boom) || res != nil {
+		t.Fatalf("Run = %v, %v; want nil, %v", res, err, boom)
+	}
+	if n := trials.Load(); n != 0 {
+		t.Fatalf("%d trials ran after a Prepare error", n)
+	}
+	if !reflect.DeepEqual(prepared, fs.Points[:1]) {
+		t.Fatalf("prepared %v, want only %v", prepared, fs.Points[:1])
+	}
+}
+
+// TestForkSweepContextCancel: a context canceled before or during the
+// prepare phase returns ctx.Err(), prepares no further point and runs
+// no trial.
+func TestForkSweepContextCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var prepared []int
+	fs := testForkSweep(3, 4, &prepared)
+	var trials atomic.Int64
+	fs.Trial = func(*fakeCk, uint64, int) forkResult { trials.Add(1); return forkResult{} }
+	if _, err := fs.Run(Config{Workers: 2, Context: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled: Run error %v, want %v", err, context.Canceled)
+	}
+	if len(prepared) != 0 || trials.Load() != 0 {
+		t.Fatalf("pre-canceled: %d prepares and %d trials ran", len(prepared), trials.Load())
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	prepare := fs.Prepare
+	fs.Prepare = func(seed uint64, p int) (*fakeCk, error) {
+		cancel()
+		return prepare(seed, p)
+	}
+	if _, err := fs.Run(Config{Workers: 2, Context: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled in Prepare: Run error %v, want %v", err, context.Canceled)
+	}
+	if !reflect.DeepEqual(prepared, fs.Points[:1]) || trials.Load() != 0 {
+		t.Fatalf("canceled in Prepare: prepared %v and ran %d trials, want %v and none", prepared, trials.Load(), fs.Points[:1])
+	}
+}

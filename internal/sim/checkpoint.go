@@ -2,7 +2,7 @@ package sim
 
 import "sort"
 
-// Checkpoint support: the kernel itself is never serialized. A snapshot
+// Checkpoint support: the kernel itself is never captured. A snapshot
 // instead captures, per layer, every pending event's (at, seq) pair via
 // EventInfo/Timer.Pending, and a restore re-schedules the same
 // callbacks on a fresh kernel. Correctness rests on the re-arm

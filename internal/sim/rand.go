@@ -58,7 +58,7 @@ func (r *Rand) Split() *Rand {
 }
 
 // State returns the generator's exact stream position so a checkpoint
-// can serialize it; SetState(State()) resumes the stream bit-for-bit.
+// can capture it; SetState(State()) resumes the stream bit-for-bit.
 func (r *Rand) State() uint64 { return r.state }
 
 // SetState overwrites the stream position with a value previously

@@ -4,10 +4,10 @@ import "container/list"
 
 // lru is a plain LRU keyed by string, shared by the result cache
 // (values are *Result) and the checkpoint cache (values are the
-// serialized settle checkpoints of forked campaigns). Values are
+// settled *netspec.WorldCheckpoint of forked campaigns). Values are
 // immutable once stored — the engine never mutates a *Result after
-// completion and checkpoint bytes are decoded per replica — so hits
-// can hand out the shared value without copying. Not goroutine-safe;
+// completion and RestoreWorld only reads a checkpoint — so hits can
+// hand out the shared value without copying. Not goroutine-safe;
 // callers serialise access under their own mutex.
 type lru[V any] struct {
 	cap     int

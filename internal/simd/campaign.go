@@ -44,11 +44,11 @@ type Request struct {
 	// Fork switches the campaign to the checkpoint-fork discipline:
 	// each point's world is built and settled once under Seeds.First,
 	// snapshotted at the next quiescent slot edge, and every replica
-	// restores from those bytes instead of rebuilding and re-settling
-	// its own world. Replica 0 forks with seed 0 — byte-identical to
-	// the straight continuation of the settled world from the capture
-	// instant — while replica r >= 1 perturbs the restored RNG streams
-	// with fork seed Seeds.First+r.
+	// restores from that one capture instead of rebuilding and
+	// re-settling its own world. Replica 0 forks with seed 0 —
+	// byte-identical to the straight continuation of the settled world
+	// from the capture instant — while replica r >= 1 perturbs the
+	// restored RNG streams with fork seed Seeds.First+r.
 	// Forked and unforked campaigns measure different (both valid)
 	// replica ensembles — perturbed streams over one warm-up versus
 	// independent warm-ups — so Fork participates in the cache key.
@@ -169,60 +169,32 @@ const replicaChunkSlots = 4096
 // chunks; the partial window is returned and the caller is responsible
 // for discarding it (campaign results never include canceled windows).
 func RunReplica(ctx context.Context, spec netspec.Spec, seed, settleSlots, slots uint64) (netspec.Metrics, error) {
-	s := core.NewSimulation(core.Options{Seed: seed})
-	w, err := netspec.Build(s, spec)
+	w, err := settled(spec, seed, settleSlots)
 	if err != nil {
 		return netspec.Metrics{}, err
 	}
-	w.Start()
-	if settleSlots > 0 {
-		s.RunSlots(settleSlots)
-	}
-	w.ResetMetrics()
-	for done := uint64(0); done < slots; {
-		if ctx != nil && ctx.Err() != nil {
-			return w.Metrics(), ctx.Err()
-		}
-		n := min(replicaChunkSlots, slots-done)
-		s.RunSlots(n)
-		done += n
-	}
-	return w.Metrics(), nil
+	return measure(ctx, w, slots)
 }
 
 // SettleCheckpoint builds spec under seed, starts its traffic, runs
 // the settle horizon and captures the world at the next quiescent slot
-// edge, returning the serialized checkpoint. It is the once-per-point
-// Prepare half of a forked campaign; the checkpoint embeds the build
-// seed, so ForkReplica needs nothing but the bytes.
-func SettleCheckpoint(spec netspec.Spec, seed, settleSlots uint64) ([]byte, error) {
-	s := core.NewSimulation(core.Options{Seed: seed})
-	w, err := netspec.Build(s, spec)
+// edge. It is the once-per-point Prepare half of a forked campaign; the
+// checkpoint embeds the build seed, so ForkReplica needs nothing else.
+func SettleCheckpoint(spec netspec.Spec, seed, settleSlots uint64) (*netspec.WorldCheckpoint, error) {
+	w, err := settled(spec, seed, settleSlots)
 	if err != nil {
 		return nil, err
 	}
-	w.Start()
-	if settleSlots > 0 {
-		s.RunSlots(settleSlots)
-	}
-	ck, err := w.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return ck.Encode()
+	return w.Snapshot()
 }
 
-// ForkReplica restores one replica from serialized checkpoint bytes
-// under forkSeed (0 resumes the captured streams exactly), opens the
-// metrics window at the fork instant and runs the measured horizon.
-// Every caller decodes its own copy of the bytes, so concurrent forks
-// share nothing. Cancellation mirrors RunReplica: a non-nil ctx stops
-// between slot chunks and the partial window must be discarded.
-func ForkReplica(ctx context.Context, ckBytes []byte, forkSeed, slots uint64) (netspec.Metrics, error) {
-	ck, err := netspec.DecodeCheckpoint(ckBytes)
-	if err != nil {
-		return netspec.Metrics{}, err
-	}
+// ForkReplica restores one replica from ck under forkSeed (0 resumes
+// the captured streams exactly), opens the metrics window at the fork
+// instant and runs the measured horizon. RestoreWorld only reads ck,
+// so concurrent forks share one capture. Cancellation mirrors
+// RunReplica: a non-nil ctx stops between slot chunks and the partial
+// window must be discarded.
+func ForkReplica(ctx context.Context, ck *netspec.WorldCheckpoint, forkSeed, slots uint64) (netspec.Metrics, error) {
 	// The target must rebuild under the capture seed: placement layouts
 	// draw from a seed-derived stream, not from checkpointed state.
 	s := core.NewSimulation(core.Options{Seed: ck.Core.Seed})
@@ -230,13 +202,34 @@ func ForkReplica(ctx context.Context, ckBytes []byte, forkSeed, slots uint64) (n
 	if err != nil {
 		return netspec.Metrics{}, err
 	}
+	return measure(ctx, w, slots)
+}
+
+// settled builds spec under seed, starts its traffic and runs the
+// settle horizon: the warm-up every replica discipline shares.
+func settled(spec netspec.Spec, seed, settleSlots uint64) (*netspec.World, error) {
+	s := core.NewSimulation(core.Options{Seed: seed})
+	w, err := netspec.Build(s, spec)
+	if err != nil {
+		return nil, err
+	}
+	w.Start()
+	if settleSlots > 0 {
+		s.RunSlots(settleSlots)
+	}
+	return w, nil
+}
+
+// measure opens w's metrics window and runs slots in chunks of
+// replicaChunkSlots, checking a non-nil ctx between chunks.
+func measure(ctx context.Context, w *netspec.World, slots uint64) (netspec.Metrics, error) {
 	w.ResetMetrics()
 	for done := uint64(0); done < slots; {
 		if ctx != nil && ctx.Err() != nil {
 			return w.Metrics(), ctx.Err()
 		}
 		n := min(replicaChunkSlots, slots-done)
-		s.RunSlots(n)
+		w.Sim.RunSlots(n)
 		done += n
 	}
 	return w.Metrics(), nil
@@ -268,17 +261,17 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 	}
 	var rows [][]rep
 	if n.Fork {
-		fw := runner.ForkSweep[netspec.Spec, rep]{
+		fw := runner.ForkSweep[netspec.Spec, *netspec.WorldCheckpoint, rep]{
 			Name:     "campaign",
 			Points:   n.Points,
 			Replicas: n.Seeds.Count,
 			Seed: func(point, replica int) uint64 {
 				return n.Seeds.First + uint64(replica)
 			},
-			Prepare: func(seed uint64, spec netspec.Spec) ([]byte, error) {
+			Prepare: func(seed uint64, spec netspec.Spec) (*netspec.WorldCheckpoint, error) {
 				return cks.settle(spec, seed, n.SettleSlots)
 			},
-			Trial: func(ck []byte, forkSeed uint64, _ netspec.Spec) rep {
+			Trial: func(ck *netspec.WorldCheckpoint, forkSeed uint64, _ netspec.Spec) rep {
 				m, err := ForkReplica(ctx, ck, forkSeed, n.Slots)
 				return rep{m, err}
 			},
@@ -334,21 +327,20 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 // the expensive settle. A nil store settles every time.
 type ckStore struct {
 	mu     sync.Mutex
-	lru    *lru[[]byte]
+	lru    *lru[*netspec.WorldCheckpoint]
 	hits   uint64
 	misses uint64
 }
 
 func newCkStore(capacity int) *ckStore {
-	return &ckStore{lru: newLRU[[]byte](capacity)}
+	return &ckStore{lru: newLRU[*netspec.WorldCheckpoint](capacity)}
 }
 
-// settle returns the serialized settle checkpoint for (spec, seed,
-// settleSlots), from the cache when possible. The lock is not held
-// across the settle itself; two campaigns racing on the same key both
-// simulate and store byte-identical results, which is wasteful but
-// correct.
-func (c *ckStore) settle(spec netspec.Spec, seed, settleSlots uint64) ([]byte, error) {
+// settle returns the settled checkpoint for (spec, seed, settleSlots),
+// from the cache when possible. The lock is not held across the settle
+// itself; two campaigns racing on the same key both simulate and store
+// equal captures, which is wasteful but correct.
+func (c *ckStore) settle(spec netspec.Spec, seed, settleSlots uint64) (*netspec.WorldCheckpoint, error) {
 	if c == nil {
 		return SettleCheckpoint(spec, seed, settleSlots)
 	}
@@ -357,7 +349,7 @@ func (c *ckStore) settle(spec netspec.Spec, seed, settleSlots uint64) ([]byte, e
 		return nil, err
 	}
 	c.mu.Lock()
-	b, ok := c.lru.get(key)
+	ck, ok := c.lru.get(key)
 	if ok {
 		c.hits++
 	} else {
@@ -365,16 +357,16 @@ func (c *ckStore) settle(spec netspec.Spec, seed, settleSlots uint64) ([]byte, e
 	}
 	c.mu.Unlock()
 	if ok {
-		return b, nil
+		return ck, nil
 	}
-	b, err = SettleCheckpoint(spec, seed, settleSlots)
+	ck, err = SettleCheckpoint(spec, seed, settleSlots)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.lru.put(key, b)
+	c.lru.put(key, ck)
 	c.mu.Unlock()
-	return b, nil
+	return ck, nil
 }
 
 // stats snapshots the store for GET /v1/stats.

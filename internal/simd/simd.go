@@ -25,8 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/netspec"
 	"repro/internal/runner"
 )
 
@@ -43,8 +41,8 @@ type Options struct {
 	CacheSize int
 	// CheckpointCacheSize is the checkpoint-cache capacity in settled
 	// worlds for forked campaigns (default 16; negative disables).
-	// Checkpoints are bigger than results — a serialized world, not a
-	// metrics table — so the default is deliberately smaller.
+	// Checkpoints are bigger than results — a whole captured world,
+	// not a metrics table — so the default is deliberately smaller.
 	CheckpointCacheSize int
 	// Workers is each campaign's runner pool size (0 = GOMAXPROCS,
 	// runner.Serial = in-line).
@@ -341,15 +339,9 @@ func (e *Engine) monitor(ctx context.Context, job *Job) {
 				job.ID, job.Req.Seeds.First, r)
 		}
 	}()
-	spec := job.Req.Points[0]
-	s := core.NewSimulation(core.Options{Seed: job.Req.Seeds.First})
-	w, err := netspec.Build(s, spec)
+	w, err := settled(job.Req.Points[0], job.Req.Seeds.First, job.Req.SettleSlots)
 	if err != nil {
 		return // the campaign will report the same failure
-	}
-	w.Start()
-	if job.Req.SettleSlots > 0 {
-		s.RunSlots(job.Req.SettleSlots)
 	}
 	w.ResetMetrics()
 	for done := uint64(0); done < job.Req.Slots; {
@@ -357,7 +349,7 @@ func (e *Engine) monitor(ctx context.Context, job *Job) {
 			return
 		}
 		n := min(e.opt.SnapshotSlots, job.Req.Slots-done)
-		s.RunSlots(n)
+		w.Sim.RunSlots(n)
 		done += n
 		job.snapshot(w.Metrics())
 		w.ResetMetrics()
