@@ -58,7 +58,7 @@ func main() {
 	cacheSize := flag.Int("cache", 64, "result-cache capacity in campaigns (negative disables)")
 	ckCache := flag.Int("ck-cache", 16, "checkpoint-cache capacity in settled worlds for forked campaigns (negative disables)")
 	workers := flag.Int("workers", 0, "worker pool size per campaign (0 = GOMAXPROCS, -1 = serial)")
-	snapshot := flag.Uint64("snapshot-slots", 2000, "live-metrics snapshot period in slots for SSE streams (0 disables)")
+	snapshot := flag.Uint64("snapshot-slots", 2000, "period in slots of SSE snapshot frames, each the running metrics window of the campaign's first replica (0 disables)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget: SIGTERM stops intake and lets running campaigns finish for up to this long before they are canceled")
 	flag.Parse()
 

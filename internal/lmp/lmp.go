@@ -133,7 +133,7 @@ func getU16(b []byte) uint16 { return binary.LittleEndian.Uint16(b) }
 // device's OnLMP callback and exposes request APIs whose acceptance
 // applies the mode change on both ends of the link.
 type Manager struct {
-	dev *Device2
+	dev *baseband.Device
 
 	// OnSetupComplete fires when both sides finished connection setup.
 	OnSetupComplete func(l *baseband.Link)
@@ -170,9 +170,6 @@ func (m *Manager) deferAfter(slots uint64, fn func()) {
 		fn()
 	})
 }
-
-// Device2 aliases baseband.Device to keep the Manager declaration tidy.
-type Device2 = baseband.Device
 
 // Attach creates a Manager bound to dev's LMP channel.
 func Attach(dev *baseband.Device) *Manager {

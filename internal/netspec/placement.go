@@ -1,6 +1,7 @@
 package netspec
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/channel"
@@ -46,31 +47,7 @@ func (k PlacementKind) String() string {
 	case PlaceDisc:
 		return "disc"
 	}
-	return "PlacementKind(" + itoa(int(k)) + ")"
-}
-
-// itoa avoids pulling strconv into the hot import graph for one
-// diagnostic string.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return fmt.Sprintf("PlacementKind(%d)", int(k))
 }
 
 // Geometry bounds: the simulator models rooms and halls, not planets.

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/netspec"
@@ -160,20 +159,35 @@ type Result struct {
 // chunk size cannot influence results, only cancellation latency.
 const replicaChunkSlots = 4096
 
+// feed is where a campaign's first replica publishes its live metrics:
+// the running window since the replica's measurement opened, once every
+// `every` measured slots and once at the end of the horizon. Reading
+// the window does not close or reset it, so a fed replica reports the
+// same result as an unfed one, and its last frame is that result.
+type feed struct {
+	every   uint64
+	publish func(netspec.Metrics)
+}
+
 // RunReplica runs one replica of one point under the campaign
 // discipline — build from seed, start, settle, open the window, run the
-// horizon — and returns its Metrics window. This exact function is the
-// unit the service executes per (point, seed), and cmd/btsim -spec
-// calls it too, which is why a CLI run and the matching server replica
-// entry are byte-identical JSON. A non-nil ctx cancels between slot
-// chunks; the partial window is returned and the caller is responsible
-// for discarding it (campaign results never include canceled windows).
+// horizon — and returns its Metrics window. The service executes this
+// discipline per (point, seed), and cmd/btsim -spec calls it too, which
+// is why a CLI run and the matching server replica entry are
+// byte-identical JSON. A non-nil ctx cancels between slot chunks; the
+// partial window is returned and the caller is responsible for
+// discarding it (campaign results never include canceled windows).
 func RunReplica(ctx context.Context, spec netspec.Spec, seed, settleSlots, slots uint64) (netspec.Metrics, error) {
+	return runReplica(ctx, spec, seed, settleSlots, slots, nil)
+}
+
+// runReplica is RunReplica with an optional live-metrics feed.
+func runReplica(ctx context.Context, spec netspec.Spec, seed, settleSlots, slots uint64, f *feed) (netspec.Metrics, error) {
 	w, err := settled(spec, seed, settleSlots)
 	if err != nil {
 		return netspec.Metrics{}, err
 	}
-	return measure(ctx, w, slots)
+	return measure(ctx, w, slots, f)
 }
 
 // SettleCheckpoint builds spec under seed, starts its traffic, runs
@@ -195,6 +209,11 @@ func SettleCheckpoint(spec netspec.Spec, seed, settleSlots uint64) (*netspec.Wor
 // RunReplica: a non-nil ctx stops between slot chunks and the partial
 // window must be discarded.
 func ForkReplica(ctx context.Context, ck *netspec.WorldCheckpoint, forkSeed, slots uint64) (netspec.Metrics, error) {
+	return forkReplica(ctx, ck, forkSeed, slots, nil)
+}
+
+// forkReplica is ForkReplica with an optional live-metrics feed.
+func forkReplica(ctx context.Context, ck *netspec.WorldCheckpoint, forkSeed, slots uint64, f *feed) (netspec.Metrics, error) {
 	// The target must rebuild under the capture seed: placement layouts
 	// draw from a seed-derived stream, not from checkpointed state.
 	s := core.NewSimulation(core.Options{Seed: ck.Core.Seed})
@@ -202,7 +221,7 @@ func ForkReplica(ctx context.Context, ck *netspec.WorldCheckpoint, forkSeed, slo
 	if err != nil {
 		return netspec.Metrics{}, err
 	}
-	return measure(ctx, w, slots)
+	return measure(ctx, w, slots, f)
 }
 
 // settled builds spec under seed, starts its traffic and runs the
@@ -220,17 +239,25 @@ func settled(spec netspec.Spec, seed, settleSlots uint64) (*netspec.World, error
 	return w, nil
 }
 
-// measure opens w's metrics window and runs slots in chunks of
-// replicaChunkSlots, checking a non-nil ctx between chunks.
-func measure(ctx context.Context, w *netspec.World, slots uint64) (netspec.Metrics, error) {
+// measure opens w's metrics window and runs slots in chunks of at most
+// replicaChunkSlots, checking a non-nil ctx between chunks. A non-nil
+// f also ends a chunk at every f.every boundary and publishes the
+// window there and at the end of the horizon.
+func measure(ctx context.Context, w *netspec.World, slots uint64, f *feed) (netspec.Metrics, error) {
 	w.ResetMetrics()
 	for done := uint64(0); done < slots; {
 		if ctx != nil && ctx.Err() != nil {
 			return w.Metrics(), ctx.Err()
 		}
 		n := min(replicaChunkSlots, slots-done)
+		if f != nil {
+			n = min(n, f.every-done%f.every)
+		}
 		w.Sim.RunSlots(n)
 		done += n
+		if f != nil && (done%f.every == 0 || done == slots) {
+			f.publish(w.Metrics())
+		}
 	}
 	return w.Metrics(), nil
 }
@@ -243,13 +270,15 @@ func measure(ctx context.Context, w *netspec.World, slots uint64) (netspec.Metri
 // produces byte-identical Result JSON. A canceled context returns
 // ctx.Err() and no result.
 func Run(ctx context.Context, req Request, cfg runner.Config) (*Result, error) {
-	return run(ctx, req, cfg, nil)
+	return run(ctx, req, cfg, nil, nil)
 }
 
-// run is Run with an optional shared checkpoint store: the engine
-// passes its LRU so repeated forked campaigns on the same settled
-// world skip the settle; bare Run settles every time.
-func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Result, error) {
+// run is Run with an optional shared checkpoint cache and live feed.
+// The engine passes its checkpoint LRU, so repeated forked campaigns on
+// the same settled world skip the settle (bare Run settles every time),
+// and, when snapshots are on, a feed that the campaign's first replica —
+// point 0 under its first seed, or fork seed 0 — publishes to.
+func run(ctx context.Context, req Request, cfg runner.Config, cks *lru[*netspec.WorldCheckpoint], live *feed) (*Result, error) {
 	n, err := req.normalized()
 	if err != nil {
 		return nil, err
@@ -259,20 +288,33 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 		m   netspec.Metrics
 		err error
 	}
+	// The sweeps run over point indices so a trial knows whether it is
+	// point 0; the replica shows in its seed.
+	idx := make([]int, len(n.Points))
+	for i := range idx {
+		idx[i] = i
+	}
+	fed := func(point int, first bool) *feed {
+		if point == 0 && first {
+			return live
+		}
+		return nil
+	}
+	seedOf := func(point, replica int) uint64 {
+		return n.Seeds.First + uint64(replica)
+	}
 	var rows [][]rep
 	if n.Fork {
-		fw := runner.ForkSweep[netspec.Spec, *netspec.WorldCheckpoint, rep]{
+		fw := runner.ForkSweep[int, *netspec.WorldCheckpoint, rep]{
 			Name:     "campaign",
-			Points:   n.Points,
+			Points:   idx,
 			Replicas: n.Seeds.Count,
-			Seed: func(point, replica int) uint64 {
-				return n.Seeds.First + uint64(replica)
+			Seed:     seedOf,
+			Prepare: func(seed uint64, p int) (*netspec.WorldCheckpoint, error) {
+				return settleCached(cks, n.Points[p], seed, n.SettleSlots)
 			},
-			Prepare: func(seed uint64, spec netspec.Spec) (*netspec.WorldCheckpoint, error) {
-				return cks.settle(spec, seed, n.SettleSlots)
-			},
-			Trial: func(ck *netspec.WorldCheckpoint, forkSeed uint64, _ netspec.Spec) rep {
-				m, err := ForkReplica(ctx, ck, forkSeed, n.Slots)
+			Trial: func(ck *netspec.WorldCheckpoint, forkSeed uint64, p int) rep {
+				m, err := forkReplica(ctx, ck, forkSeed, n.Slots, fed(p, forkSeed == 0))
 				return rep{m, err}
 			},
 		}
@@ -284,15 +326,13 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 			return nil, fmt.Errorf("simd: settling checkpoint: %w", err)
 		}
 	} else {
-		sw := runner.Sweep[netspec.Spec, rep]{
+		sw := runner.Sweep[int, rep]{
 			Name:     "campaign",
-			Points:   n.Points,
+			Points:   idx,
 			Replicas: n.Seeds.Count,
-			Seed: func(point, replica int) uint64 {
-				return n.Seeds.First + uint64(replica)
-			},
-			Trial: func(seed uint64, spec netspec.Spec) rep {
-				m, err := RunReplica(ctx, spec, seed, n.SettleSlots, n.Slots)
+			Seed:     seedOf,
+			Trial: func(seed uint64, p int) rep {
+				m, err := runReplica(ctx, n.Points[p], seed, n.SettleSlots, n.Slots, fed(p, seed == n.Seeds.First))
 				return rep{m, err}
 			},
 		}
@@ -319,61 +359,32 @@ func run(ctx context.Context, req Request, cfg runner.Config, cks *ckStore) (*Re
 	return res, nil
 }
 
-// ckStore is the checkpoint LRU the engine keeps next to the result
-// cache, plus its lock and hit accounting. The result cache keys whole
-// campaigns; this one keys settled worlds — (canonical spec, build
-// seed, settle horizon) — so a forked what-if sweep that
-// varies only the measured horizon or the replica count still reuses
-// the expensive settle. A nil store settles every time.
-type ckStore struct {
-	mu     sync.Mutex
-	lru    *lru[*netspec.WorldCheckpoint]
-	hits   uint64
-	misses uint64
-}
-
-func newCkStore(capacity int) *ckStore {
-	return &ckStore{lru: newLRU[*netspec.WorldCheckpoint](capacity)}
-}
-
-// settle returns the settled checkpoint for (spec, seed, settleSlots),
-// from the cache when possible. The lock is not held across the settle
-// itself; two campaigns racing on the same key both simulate and store
-// equal captures, which is wasteful but correct.
-func (c *ckStore) settle(spec netspec.Spec, seed, settleSlots uint64) (*netspec.WorldCheckpoint, error) {
-	if c == nil {
+// settleCached returns the settled checkpoint for (spec, seed,
+// settleSlots) from cks, the checkpoint LRU the engine keeps next to
+// the result cache, settling and storing it on a miss; a nil cks
+// settles every time. The result cache keys whole campaigns; this one
+// keys settled worlds — (canonical spec, build seed, settle horizon) —
+// so a forked what-if sweep that varies only the measured horizon or
+// the replica count still reuses the expensive settle. No lock is held
+// across the settle itself; two campaigns racing on the same key both
+// simulate and store equal captures, which is wasteful but correct.
+func settleCached(cks *lru[*netspec.WorldCheckpoint], spec netspec.Spec, seed, settleSlots uint64) (*netspec.WorldCheckpoint, error) {
+	if cks == nil {
 		return SettleCheckpoint(spec, seed, settleSlots)
 	}
 	key, err := ckKey(spec, seed, settleSlots)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	ck, ok := c.lru.get(key)
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	c.mu.Unlock()
-	if ok {
+	if ck, ok := cks.get(key); ok {
 		return ck, nil
 	}
-	ck, err = SettleCheckpoint(spec, seed, settleSlots)
+	ck, err := SettleCheckpoint(spec, seed, settleSlots)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.lru.put(key, ck)
-	c.mu.Unlock()
+	cks.put(key, ck)
 	return ck, nil
-}
-
-// stats snapshots the store for GET /v1/stats.
-func (c *ckStore) stats(capacity int) CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.lru.len(), Capacity: capacity}
 }
 
 // ckKey is the checkpoint cache key: SHA-256 over the canonical spec

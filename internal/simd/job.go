@@ -3,6 +3,8 @@ package simd
 import (
 	"context"
 	"sync"
+
+	"repro/internal/netspec"
 )
 
 // State is a job's lifecycle position. Queued jobs wait in FIFO order
@@ -188,11 +190,12 @@ func (j *Job) setProgress(done, total int) {
 	j.mu.Unlock()
 }
 
-// snapshot publishes a live metrics window from the monitor replica.
-func (j *Job) snapshot(data any) {
+// snapshot publishes the running metrics window of the campaign's
+// first replica.
+func (j *Job) snapshot(m netspec.Metrics) {
 	j.mu.Lock()
 	if !j.state.terminal() {
-		j.publishLocked(Event{Type: "snapshot", Data: data})
+		j.publishLocked(Event{Type: "snapshot", Data: m})
 	}
 	j.mu.Unlock()
 }

@@ -60,8 +60,10 @@ type sseFrame struct {
 }
 
 // streamEvents consumes /v1/jobs/{id}/events until the server closes
-// the stream and returns every frame in order.
-func streamEvents(t *testing.T, ts *httptest.Server, id string) []sseFrame {
+// the stream and returns every frame in order. A non-nil opened runs
+// once the first frame is in; the handler sends it after subscribing,
+// so from then on no frame of the job can be missed.
+func streamEvents(t *testing.T, ts *httptest.Server, id string, opened func()) []sseFrame {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -91,9 +93,49 @@ func streamEvents(t *testing.T, ts *httptest.Server, id string) []sseFrame {
 		case line == "":
 			frames = append(frames, cur)
 			cur = sseFrame{}
+			if len(frames) == 1 && opened != nil {
+				opened()
+			}
 		}
 	}
 	return frames
+}
+
+// servedResult reads a job's result back as compact raw JSON, so no
+// float re-encoding can launder a difference.
+func servedResult(t *testing.T, ts *httptest.Server, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	var served bytes.Buffer
+	if err := json.Compact(&served, raw.Result); err != nil {
+		t.Fatal(err)
+	}
+	return served.Bytes()
+}
+
+// serialResult is the in-process serial reference run of req, with
+// snapshots off, as JSON.
+func serialResult(t *testing.T, req Request) []byte {
+	t.Helper()
+	ref, err := Run(context.Background(), req, runner.Config{Workers: runner.Serial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 func specJSON(t *testing.T) string {
@@ -118,7 +160,7 @@ func TestServerJobRoundTrip(t *testing.T) {
 	}
 
 	// The SSE stream must end with an authoritative terminal frame.
-	frames := streamEvents(t, ts, st.ID)
+	frames := streamEvents(t, ts, st.ID, nil)
 	if len(frames) == 0 {
 		t.Fatal("no SSE frames")
 	}
@@ -354,33 +396,81 @@ func TestServerCampaignDeterminism(t *testing.T) {
 	}
 	waitFor(t, "campaign completion", func() bool { return getStatus(t, ts, st.ID).State == StateDone })
 
-	// Read the result back as raw JSON so no float re-encoding can
-	// launder a difference.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
-	if err != nil {
-		t.Fatal(err)
+	served, want := servedResult(t, ts, st.ID), serialResult(t, req)
+	if !bytes.Equal(served, want) {
+		t.Fatalf("served campaign diverged from the in-process serial reference:\n  served: %s\n  serial: %s", served, want)
 	}
-	defer resp.Body.Close()
-	var raw struct {
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	var served bytes.Buffer
-	if err := json.Compact(&served, raw.Result); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	ref, err := Run(context.Background(), req, runner.Config{Workers: runner.Serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(served.Bytes(), want) {
-		t.Fatalf("served campaign diverged from the in-process serial reference:\n  served: %s\n  serial: %s", served.Bytes(), want)
+// TestServerSnapshotsFromCampaignReplica pins where live snapshots come
+// from: the campaign's own first replica (point 0, first seed; fork
+// seed 0 when forked), publishing its running window once per period.
+// Fresh and forked, the served result stays byte-identical to the
+// serial in-process run with snapshots off, exactly one replica
+// publishes, and over a horizon of whole periods the last snapshot
+// frame is byte-identical to that replica's entry in the result.
+func TestServerSnapshotsFromCampaignReplica(t *testing.T) {
+	const period = 512
+	for _, fork := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fork=%v", fork), func(t *testing.T) {
+			e := New(Options{MaxJobs: 1, Workers: 2, SnapshotSlots: period})
+			defer e.Close()
+			ts := httptest.NewServer(e.Handler())
+			defer ts.Close()
+
+			// Poisson pumps reach the quiescent slot edges a fork
+			// capture needs; a saturating bulk pump may never.
+			wider := forkSpec()
+			wider.Piconets = append(wider.Piconets, netspec.Piconet{Slaves: 2})
+			req := Request{
+				Points:      []netspec.Spec{forkSpec(), wider},
+				Seeds:       SeedRange{First: 3, Count: 3},
+				Slots:       4 * period,
+				SettleSlots: 256,
+				Fork:        fork,
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The blocker holds the only runner slot until the
+			// campaign's event stream is open, so no frame goes unseen.
+			blocker, err := e.Submit(blockerReq())
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, st := postJob(t, ts, string(body))
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: HTTP %d", code)
+			}
+			var snaps [][]byte
+			for _, f := range streamEvents(t, ts, st.ID, blocker.Cancel) {
+				if f.event == "snapshot" {
+					snaps = append(snaps, f.data)
+				}
+			}
+			if got := getStatus(t, ts, st.ID); got.State != StateDone {
+				t.Fatalf("campaign ended %s (%s), want done", got.State, got.Error)
+			}
+			if want := int(req.Slots / period); len(snaps) != want {
+				t.Fatalf("%d snapshot frames, want %d: one per period from one replica", len(snaps), want)
+			}
+
+			served, want := servedResult(t, ts, st.ID), serialResult(t, req)
+			if !bytes.Equal(served, want) {
+				t.Fatalf("served campaign diverged from the serial run without snapshots:\n  served: %s\n  serial: %s", served, want)
+			}
+			var res struct {
+				Points []struct {
+					Replicas []json.RawMessage `json:"replicas"`
+				} `json:"points"`
+			}
+			if err := json.Unmarshal(served, &res); err != nil {
+				t.Fatal(err)
+			}
+			if last, first := snaps[len(snaps)-1], []byte(res.Points[0].Replicas[0]); !bytes.Equal(last, first) {
+				t.Fatalf("last snapshot frame is not the first replica's result:\n  frame:   %s\n  replica: %s", last, first)
+			}
+		})
 	}
 }

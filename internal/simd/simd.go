@@ -10,21 +10,22 @@
 // LRU cache keyed by the canonical request hash, so resubmitting a
 // campaign is a lookup, not a simulation.
 //
-// Live snapshots never touch the campaign replicas: a separate monitor
-// replica (same world, first seed) runs alongside the sweep and has its
-// metrics window read and reset per snapshot period. ResetMetrics on a
-// campaign replica would change its reported window and break the
-// determinism contract; the monitor's windows are observational only.
+// Live snapshots come from the campaign's own first replica (point 0,
+// first seed; fork seed 0 in a forked campaign): it publishes its
+// running metrics window, read without being reset, every snapshot
+// period. Reading a window cannot change it, so a campaign's result is
+// the same with snapshots on or off, and the last frame of a horizon
+// that is a whole number of periods equals that replica's result.
 package simd
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
+	"repro/internal/netspec"
 	"repro/internal/runner"
 )
 
@@ -47,9 +48,11 @@ type Options struct {
 	// Workers is each campaign's runner pool size (0 = GOMAXPROCS,
 	// runner.Serial = in-line).
 	Workers int
-	// SnapshotSlots is the monitor replica's window length: every
-	// SnapshotSlots simulated slots, a live Metrics window is published
-	// to the job's event stream. 0 disables the monitor entirely.
+	// SnapshotSlots is the live-metrics period: every SnapshotSlots
+	// measured slots, and at the end of its horizon, the campaign's
+	// first replica publishes its running Metrics window — the total
+	// since its measurement opened — to the job's event stream. 0
+	// disables snapshots.
 	SnapshotSlots uint64
 }
 
@@ -73,14 +76,13 @@ type Engine struct {
 	jobs   map[string]*Job
 	order  []string // submission order, for stable listings
 	nextID int
-	cache  *lru[*Result]
-	hits   uint64
-	misses uint64
 	closed bool
 
-	// cks is the checkpoint store for forked campaigns; it carries its
-	// own lock because settles run on the job goroutines, not under mu.
-	cks *ckStore
+	// cache holds completed results and cks the settled checkpoints of
+	// forked campaigns. Each LRU carries its own lock and hit
+	// accounting, since settles run on the job goroutines, not under mu.
+	cache *lru[*Result]
+	cks   *lru[*netspec.WorldCheckpoint]
 }
 
 // New starts an engine with MaxJobs runner goroutines.
@@ -105,7 +107,7 @@ func New(opt Options) *Engine {
 		stop:    cancel,
 		jobs:    make(map[string]*Job),
 		cache:   newLRU[*Result](opt.CacheSize),
-		cks:     newCkStore(opt.CheckpointCacheSize),
+		cks:     newLRU[*netspec.WorldCheckpoint](opt.CheckpointCacheSize),
 	}
 	e.wg.Add(opt.MaxJobs)
 	for i := 0; i < opt.MaxJobs; i++ {
@@ -206,7 +208,6 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		total: len(n.Points) * n.Seeds.Count,
 	}
 	if res, ok := e.cache.get(key); ok {
-		e.hits++
 		cancel()
 		job.cached = true
 		job.done = job.total
@@ -216,7 +217,6 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		e.order = append(e.order, job.ID)
 		return job, nil
 	}
-	e.misses++
 	select {
 	case e.queue <- job:
 	default:
@@ -262,13 +262,10 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := Stats{
-		QueueDepth: len(e.queue),
-		Jobs:       make(map[State]int),
-		Cache: CacheStats{
-			Hits: e.hits, Misses: e.misses,
-			Entries: e.cache.len(), Capacity: e.opt.CacheSize,
-		},
-		Checkpoints: e.cks.stats(e.opt.CheckpointCacheSize),
+		QueueDepth:  len(e.queue),
+		Jobs:        make(map[State]int),
+		Cache:       e.cache.stats(),
+		Checkpoints: e.cks.stats(),
 	}
 	for _, id := range e.order {
 		s.Jobs[e.jobs[id].State()]++
@@ -297,8 +294,9 @@ func (e *Engine) runJob(job *Job) {
 		return // canceled while queued
 	}
 	ctx := job.ctx
+	var live *feed
 	if e.opt.SnapshotSlots > 0 {
-		go e.monitor(ctx, job)
+		live = &feed{every: e.opt.SnapshotSlots, publish: job.snapshot}
 	}
 	res, err := func() (res *Result, err error) {
 		defer func() {
@@ -311,7 +309,7 @@ func (e *Engine) runJob(job *Job) {
 			Progress: func(_ string, done, total int) {
 				job.setProgress(done, total)
 			},
-		}, e.cks)
+		}, e.cks, live)
 	}()
 	switch {
 	case err != nil && ctx.Err() != nil:
@@ -319,39 +317,7 @@ func (e *Engine) runJob(job *Job) {
 	case err != nil:
 		job.finish(StateFailed, nil, err.Error())
 	default:
-		e.mu.Lock()
 		e.cache.put(job.Key, res)
-		e.mu.Unlock()
 		job.finish(StateDone, res, "")
-	}
-}
-
-// monitor runs the observational replica: the job's first point under
-// its first seed, with the metrics window read and reset once per
-// SnapshotSlots. Its windows feed the SSE stream only — the campaign
-// replicas never have their windows touched mid-run.
-func (e *Engine) monitor(ctx context.Context, job *Job) {
-	// A monitor crash must not take the job down, but it is logged with
-	// what reproduces it: the monitor runs the first point at the first seed.
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "simd: job %s: monitor replica (seed %d) panicked: %v\n",
-				job.ID, job.Req.Seeds.First, r)
-		}
-	}()
-	w, err := settled(job.Req.Points[0], job.Req.Seeds.First, job.Req.SettleSlots)
-	if err != nil {
-		return // the campaign will report the same failure
-	}
-	w.ResetMetrics()
-	for done := uint64(0); done < job.Req.Slots; {
-		if ctx.Err() != nil {
-			return
-		}
-		n := min(e.opt.SnapshotSlots, job.Req.Slots-done)
-		w.Sim.RunSlots(n)
-		done += n
-		job.snapshot(w.Metrics())
-		w.ResetMetrics()
 	}
 }
