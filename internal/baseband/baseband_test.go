@@ -147,7 +147,7 @@ func TestSniffWindow(t *testing.T) {
 // connectPair builds a two-device piconet directly through page/page
 // scan (no inquiry) with an exact clock estimate, and runs until
 // connected. Returns master, slave and their links.
-func connectPair(t *testing.T, r *rig, m, s *Device) (*Link, *Link) {
+func connectPair(t testing.TB, r *rig, m, s *Device) (*Link, *Link) {
 	t.Helper()
 	var mLink, sLink *Link
 	m.OnConnected = func(l *Link) { mLink = l }
@@ -246,7 +246,7 @@ type airTap struct {
 
 func (a *airTap) Name() string { return a.name }
 func (a *airTap) RxStart(tx *channel.Transmission) {
-	a.bits[tx.From] += tx.Bits.Len()
+	a.bits[tx.From] += int(tx.Duration() / sim.BitTicks)
 	*a.heard++
 }
 func (a *airTap) RxEnd(*channel.Transmission, *bits.Vec, bool) {}

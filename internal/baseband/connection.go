@@ -261,7 +261,7 @@ func (d *Device) masterRx(tx *channel.Transmission, rx *bits.Vec, collided bool)
 		return
 	}
 	clk := d.Clock.CLK(tx.Start)
-	p, _, err := d.parse(rx, d.cfg.Addr.LAP, d.cfg.Addr.UAP, clk)
+	p, _, err := d.parse(tx, rx, d.cfg.Addr.LAP, d.cfg.Addr.UAP, clk)
 	if err != nil {
 		d.Counters.RxErrors++
 		d.observeFreq(tx.Freq, false)
@@ -436,7 +436,7 @@ func (d *Device) slaveRx(tx *channel.Transmission, rx *bits.Vec, collided bool) 
 		return
 	}
 	clk := d.Clock.CLK(tx.Start)
-	p, _, err := d.parse(rx, l.Master.LAP, l.Master.UAP, clk)
+	p, _, err := d.parse(tx, rx, l.Master.LAP, l.Master.UAP, clk)
 	d.rxOff()
 	if err != nil {
 		d.Counters.RxErrors++

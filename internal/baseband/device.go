@@ -105,11 +105,12 @@ type Device struct {
 	idGIAC *cachedID
 
 	// The air path's reusable memory (never checkpointed; see
-	// ARCHITECTURE.md "Performance model"): the codec every assembly and
-	// parse runs through, and the free list of assembled air vectors,
-	// each back from the channel once its packet has left the air.
+	// ARCHITECTURE.md "Performance model"): the codec every parse runs
+	// through, and the free list of air buffers, each back from the
+	// channel once its packet has left the air.
 	codec   packet.Codec
 	airFree []*airBuf
+	chk     *cleanCheck // the poison build's cross-check of Clean; nil otherwise
 
 	// Scratch for the timer callbacks (the state they would otherwise
 	// capture in a closure).
@@ -137,7 +138,7 @@ type Device struct {
 	mlink            *Link                // slave: the link to the master
 	beaconEverySlots int                  // park beacon period (master)
 	scoLinks         []*SCOLink           // reserved voice channels
-	ctlCache         map[ctlKey]*cachedID // assembled NULL/POLL patterns
+	ctlCache         map[ctlKey]*bits.Vec // assembled NULL/POLL patterns
 	afhMap           *hop.ChannelMap      // adaptive hop set (nil = all 79)
 	assess           Assessment           // per-frequency reception tallies
 
@@ -342,19 +343,12 @@ func (d *Device) rxOffForce() {
 	d.SigRxOn.Set(false)
 }
 
-// transmit assembles and sends p at freq, driving the TX meter and
-// signal for the packet's air time. Payload-less control packets (POLL,
-// NULL, the park beacon) dominate idle piconet traffic and assemble to
-// one of a few bit patterns — those come from the device's control
-// cache instead of re-running the whitener and FEC every slot. Other
-// packets assemble into a pooled air vector; l, when the packet belongs
-// to a link, supplies its boxed AirMeta.
+// transmit sends p at freq, driving the TX meter and signal for the
+// packet's air time. p goes on the air as a frame (channel.Frame): a
+// pooled air buffer holds a copy of it until End, and its bits are
+// assembled only if the noise or a receiver needs them. l, when the
+// packet belongs to a link, supplies its boxed AirMeta.
 func (d *Device) transmit(p *packet.Packet, l *Link, uap uint8, clk uint32, freq int) {
-	if h := p.Header; h != nil && (h.Type == packet.TypeNull || h.Type == packet.TypePoll) {
-		c := d.cachedCtl(p, uap, clk)
-		d.transmitVec(c.vec, c.meta, freq, d.fnTxDone)
-		return
-	}
 	var meta any
 	if l != nil {
 		meta = l.airMeta(p)
@@ -366,19 +360,44 @@ func (d *Device) transmit(p *packet.Packet, l *Link, uap uint8, clk uint32, freq
 		meta = m
 	}
 	b := d.takeAir()
-	d.codec.Assemble(&b.v, p, uap, clk)
-	d.transmitVec(&b.v, meta, freq, b.done)
+	b.p, b.uap, b.clk = b.c.Hold(p), uap, clk
+	d.txOn(freq)
+	d.radio.TransmitFrame(freq, b, meta, b.done)
+	d.Counters.TxPackets++
 }
 
-// airBuf is one pooled air vector. Its end-of-air callback is bound
+// airBuf is one pooled transmission, the channel.Frame of its packet:
+// a copy of the packet, held from transmit until End because the link
+// rebuilds its own packet meanwhile, and the air vector its bits are
+// assembled into if anyone reads them. Its end-of-air callback is bound
 // once: the channel runs it after the packet's last RxEnd, and it
-// returns the vector to the device's free list.
+// poisons the buffer and returns it to the device's free list.
 type airBuf struct {
+	d    *Device
+	c    packet.Codec   // holds the copy; its staging space assembles it
+	p    *packet.Packet // the held copy, in c
+	uap  uint8
+	clk  uint32
 	v    bits.Vec
 	done func()
 }
 
-// takeAir returns an empty air vector from the free list, or a new one.
+// AirBits implements channel.Frame.
+func (b *airBuf) AirBits() int { return b.p.AirBits() }
+
+// Code implements channel.Frame. The held packet assembles with the
+// buffer's own staging space, never the device's codec, which may hold
+// a parse lent to OnData. NULL and POLL come from the control cache.
+func (b *airBuf) Code() *bits.Vec {
+	if t := b.p.Type(); t == packet.TypeNull || t == packet.TypePoll {
+		return b.d.cachedCtl(b.p, b.uap, b.clk)
+	}
+	b.c.Assemble(&b.v, b.p, b.uap, b.clk)
+	return &b.v
+}
+
+// takeAir returns an air buffer with an empty vector from the free
+// list, or a new one.
 func (d *Device) takeAir() *airBuf {
 	if n := len(d.airFree); n > 0 {
 		b := d.airFree[n-1]
@@ -386,11 +405,12 @@ func (d *Device) takeAir() *airBuf {
 		b.v.Reset()
 		return b
 	}
-	b := &airBuf{}
+	b := &airBuf{d: d}
 	b.v.Reset()
 	b.done = func() {
 		d.txDone()
 		bits.Poison(&b.v)
+		b.c.Poison()
 		d.airFree = append(d.airFree, b)
 	}
 	return b
@@ -399,8 +419,8 @@ func (d *Device) takeAir() *airBuf {
 // ctlKey identifies one assembled control-packet bit pattern: everything
 // Assemble folds into the air bits of a payload-less packet. The LAP and
 // UAP vary per piconet (a scatternet bridge transmits under several),
-// the whitener seed is CLK6-1, and the header byte packs the remaining
-// on-air header fields.
+// the whitener seed is CLK6-1 (whitenSeed), and the header byte packs
+// the remaining on-air header fields.
 type ctlKey struct {
 	lap  uint32
 	uap  uint8
@@ -408,31 +428,34 @@ type ctlKey struct {
 	hdr  uint16 // AM_ADDR | type<<3 | flow<<7 | arqn<<8 | seqn<<9
 }
 
-// cachedCtl returns the assembled + boxed form of a NULL/POLL packet,
-// assembling on first use. Entries are immutable once stored: the vec
-// rides the channel read-only (the Listener contract), exactly like the
-// pre-assembled ID packets of the page/inquiry trains.
-func (d *Device) cachedCtl(p *packet.Packet, uap uint8, clk uint32) *cachedID {
+// cachedCtl returns the air bits of a NULL/POLL packet, assembling on
+// first use: the materialiser of the control packets that dominate idle
+// piconet traffic, which assemble to one of a few bit patterns. Entries
+// are immutable once stored: the vec rides the channel read-only (the
+// Listener contract), exactly like the pre-assembled ID packets of the
+// page/inquiry trains.
+func (d *Device) cachedCtl(p *packet.Packet, uap uint8, clk uint32) *bits.Vec {
 	h := p.Header
 	key := ctlKey{
 		lap:  p.AccessLAP,
 		uap:  uap,
-		seed: uint8(clk>>1) & 0x3F,
+		seed: whitenSeed(clk),
 		hdr:  uint16(h.AMAddr&7) | uint16(h.Type&0xF)<<3 | boolWord(h.Flow)<<7 | boolWord(h.ARQN)<<8 | boolWord(h.SEQN)<<9,
 	}
-	if c := d.ctlCache[key]; c != nil {
-		return c
+	if v := d.ctlCache[key]; v != nil {
+		return v
 	}
 	if d.ctlCache == nil {
-		d.ctlCache = make(map[ctlKey]*cachedID)
+		d.ctlCache = make(map[ctlKey]*bits.Vec)
 	}
-	c := &cachedID{
-		vec:  p.Assemble(uap, clk),
-		meta: AirMeta{Type: h.Type, LAP: p.AccessLAP, AMAddr: h.AMAddr},
-	}
-	d.ctlCache[key] = c
-	return c
+	v := p.Assemble(uap, clk)
+	d.ctlCache[key] = v
+	return v
 }
+
+// whitenSeed is CLK6-1, the only part of the clock the whitener (and so
+// the air bits) depends on.
+func whitenSeed(clk uint32) uint8 { return uint8(clk>>1) & 0x3F }
 
 func boolWord(b bool) uint16 {
 	if b {
@@ -456,25 +479,21 @@ func newCachedID(lap uint32) *cachedID {
 	}
 }
 
-// transmitID sends a pre-assembled, pre-boxed ID (see idOwnVec /
-// idGIACVec): the steady-state path of the inquiry and page trains,
-// which skips packet assembly and metadata boxing entirely.
+// transmitID sends a pre-assembled, pre-boxed ID (see idOwn / idGIAC):
+// the steady-state path of the inquiry and page trains, which skips
+// packet assembly and metadata boxing entirely.
 func (d *Device) transmitID(id *cachedID, freq int) {
-	d.transmitVec(id.vec, id.meta, freq, d.fnTxDone)
+	d.txOn(freq)
+	d.radio.Transmit(freq, id.vec, id.meta, d.fnTxDone)
+	d.Counters.TxPackets++
 }
 
-// transmitVec puts assembled bits on the air, driving the TX meter and
-// signal for the packet's air time. meta is pre-boxed by the caller so
-// the hot paths can reuse one boxed value per packet identity. done is
-// txDone, or a pooled vector's callback that runs txDone and then
-// releases the vector.
-func (d *Device) transmitVec(v *bits.Vec, meta any, freq int, done func()) {
+// txOn raises the TX meter and signal for a packet going out at freq.
+func (d *Device) txOn(freq int) {
 	d.txCount++
 	d.TxMeter.Set(true)
 	d.SigTxOn.Set(true)
 	d.SigFreq.Set(int64(freq))
-	d.radio.Transmit(freq, v, meta, done)
-	d.Counters.TxPackets++
 }
 
 // txDone lowers the TX meter when the last nested transmission ends.
@@ -532,11 +551,23 @@ func (d *Device) Detach() {
 	d.Clock.DropSync()
 }
 
-// parse decodes rx with the device's correlator threshold into the
-// device's codec: the packet is valid until the next assembly or parse.
-// Its payload is lent to OnData and copied for OnLMP and SCO sinks
-// (handUp).
-func (d *Device) parse(rx *bits.Vec, lap uint32, uap uint8, clk uint32) (*packet.Packet, *packet.RxInfo, error) {
+// parse decodes what tx delivered, with the device's correlator
+// threshold, into the device's codec: the packet is valid until the
+// next parse. Its payload is lent to OnData and copied for OnLMP and SCO
+// sinks (handUp). On clean air (rx nil), a receiver armed with the
+// sender's LAP, UAP and whitening clock takes the held packet as the
+// decoder would rebuild it (Codec.Clean). Any other receiver
+// materialises the bits and decodes them.
+func (d *Device) parse(tx *channel.Transmission, rx *bits.Vec, lap uint32, uap uint8, clk uint32) (*packet.Packet, *packet.RxInfo, error) {
+	if rx == nil {
+		b, ok := tx.Frame.(*airBuf)
+		if ok && b.p.AccessLAP == lap && b.uap == uap && whitenSeed(b.clk) == whitenSeed(clk) {
+			p, info, err := d.codec.Clean(b.p, d.cfg.CorrelatorThreshold)
+			d.checkClean(b, lap, uap, clk, p, info, err)
+			return p, info, err
+		}
+		rx = tx.Materialize()
+	}
 	return d.codec.Parse(rx, lap, uap, clk, d.cfg.CorrelatorThreshold)
 }
 

@@ -124,7 +124,7 @@ func (d *Device) inquiryRx(tx *channel.Transmission, rx *bits.Vec, collided bool
 	if collided {
 		return
 	}
-	p, _, err := d.parse(rx, access.GIAC, 0, 0)
+	p, _, err := d.parse(tx, rx, access.GIAC, 0, 0)
 	if err != nil {
 		d.Counters.RxErrors++
 		return
@@ -206,7 +206,7 @@ func (d *Device) inquiryScanRx(tx *channel.Transmission, rx *bits.Vec, collided 
 	if collided {
 		return // stay listening
 	}
-	p, _, err := d.parse(rx, access.GIAC, 0, 0)
+	p, _, err := d.parse(tx, rx, access.GIAC, 0, 0)
 	if err != nil || !p.IsID() {
 		return // noise or a foreign FHS: keep scanning
 	}

@@ -141,7 +141,7 @@ func (l *Link) hasTraffic() bool { return l.pending != nil || len(l.txq) > 0 }
 
 // scratchPacket resets the link's reusable packet to a header-only
 // packet of type t addressed to this link. It lives only until the
-// transmit path has assembled it onto the air.
+// transmit path has copied it onto the air (Codec.Hold).
 func (l *Link) scratchPacket(lap uint32, t packet.Type) *packet.Packet {
 	l.txh = packet.Header{AMAddr: l.AMAddr, Type: t}
 	l.txp = packet.Packet{AccessLAP: lap, Header: &l.txh}

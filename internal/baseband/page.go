@@ -167,7 +167,7 @@ func (d *Device) pageRx(tx *channel.Transmission, rx *bits.Vec, collided bool) {
 	if collided {
 		return
 	}
-	p, _, err := d.parse(rx, d.pg.target.LAP, 0, 0)
+	p, _, err := d.parse(tx, rx, d.pg.target.LAP, 0, 0)
 	if err != nil || !p.IsID() {
 		if err != nil {
 			d.Counters.RxErrors++
@@ -220,7 +220,7 @@ func (d *Device) masterResponse(x uint32, respStart sim.Time) {
 		if collided {
 			return
 		}
-		p, _, err := d.parse(rx, target.LAP, 0, 0)
+		p, _, err := d.parse(tx, rx, target.LAP, 0, 0)
 		if err != nil || !p.IsID() {
 			return
 		}
@@ -319,7 +319,7 @@ func (d *Device) pageScanRx(tx *channel.Transmission, rx *bits.Vec, collided boo
 	if collided {
 		return
 	}
-	p, _, err := d.parse(rx, d.cfg.Addr.LAP, 0, 0)
+	p, _, err := d.parse(tx, rx, d.cfg.Addr.LAP, 0, 0)
 	if err != nil || !p.IsID() {
 		return
 	}
@@ -343,7 +343,7 @@ func (d *Device) slaveResponse(idTx *channel.Transmission) {
 		if collided {
 			return
 		}
-		p, _, err := d.parse(rx, d.cfg.Addr.LAP, d.cfg.Addr.UAP, 0)
+		p, _, err := d.parse(tx, rx, d.cfg.Addr.LAP, d.cfg.Addr.UAP, 0)
 		if err != nil {
 			d.Counters.RxErrors++
 			return

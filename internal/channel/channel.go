@@ -10,6 +10,16 @@
 // FHSS model: a receiver only hears transmissions on the channel it is
 // tuned to.
 //
+// Bits exist only where they can differ. A transmitter may hand the
+// channel a Frame instead of bits: the logical packet, which knows its
+// air length and assembles its bits on first need. On a noiseless
+// channel a delivery of a frame passes the receiver no bit vector at
+// all (a clean delivery): the receiver reads the frame, or asks for the
+// bits through Transmission.Materialize. Noise needs bits to flip, so
+// at BER > 0 the channel materialises the frame before its first noisy
+// copy. Either way a transmission is assembled at most once, however
+// many receivers read it.
+//
 // The paper's medium is a single shared ether — every tuned radio
 // hears every transmission. EnableSpatial (see spatial.go) optionally
 // adds geometry on top: radios get floor positions, a two-threshold
@@ -33,11 +43,16 @@ import (
 // so steady-state traffic does not allocate. Listeners must not retain
 // the pointer past their RxEnd callback.
 type Transmission struct {
-	From     string   // transmitter name, for logs and stats
-	Freq     int      // RF channel 0..78
-	Start    sim.Time // first bit leaves the antenna
-	End      sim.Time // last bit leaves the air; delivery happens here
-	Bits     *bits.Vec
+	From  string   // transmitter name, for logs and stats
+	Freq  int      // RF channel 0..78
+	Start sim.Time // first bit leaves the antenna
+	End   sim.Time // last bit leaves the air; delivery happens here
+	// Bits are the bits on the air: set from the start when the
+	// transmitter sent bits, nil on a frame until Materialize.
+	Bits *bits.Vec
+	// Frame is the transmitter's lazily coded packet, nil when it sent
+	// bits (see Radio.TransmitFrame).
+	Frame    Frame
 	Meta     any      // opaque annotation (packet type) for stats/logs
 	pos      Position // transmitter position (spatial medium only)
 	collided bool     // set when another transmission overlapped on Freq
@@ -57,12 +72,38 @@ type Transmission struct {
 // Duration returns the on-air time.
 func (t *Transmission) Duration() sim.Duration { return sim.Duration(t.End - t.Start) }
 
+// Materialize returns the transmission's bits, assembling the frame on
+// the first call (counted in Stats.Materialized). The vector is the
+// transmitter's: read-only, and gone after the last RxEnd.
+func (t *Transmission) Materialize() *bits.Vec {
+	if t.Bits == nil {
+		t.Bits = t.Frame.Code()
+		t.ch.stats.Materialized++
+	}
+	return t.Bits
+}
+
+// Frame is a packet whose bits the channel asks for only when someone
+// reads them: on a noisy channel, or when a receiver calls
+// Transmission.Materialize.
+type Frame interface {
+	// AirBits is the on-air length in bits; it sets the air time.
+	AirBits() int
+	// Code assembles the AirBits bits. The channel calls it at most
+	// once per transmission; the vector must stay unchanged until the
+	// transmission's done callback.
+	Code() *bits.Vec
+}
+
 // Listener is a tuned receiver. RxStart fires later in the tick a
 // packet begins on the tuned frequency, letting the baseband keep its
 // RF window open to packet end; RxEnd delivers the (noise-corrupted)
-// bits or reports a collision at the packet's End. The delivered bits
-// may be shared with other receivers (and, on a noiseless channel, with
-// the transmitter): listeners must treat rx as read-only. Like the
+// bits or reports a collision at the packet's End. A clean delivery of
+// a frame (BER 0, tx.Frame set) passes rx nil: no bit can differ from
+// the transmitter's, so the listener reads tx.Frame, or calls
+// tx.Materialize when it needs the bits. The delivered bits may be
+// shared with other receivers (and, on a noiseless channel, with the
+// transmitter): listeners must treat rx as read-only. Like the
 // *Transmission, rx must not be retained past RxEnd: a noisy copy goes
 // back to the channel's free list when RxEnd returns, and the
 // transmitter reuses its own vector once the packet has left the air.
@@ -89,6 +130,11 @@ type Stats struct {
 	Collisions    int // transmissions corrupted by overlap
 	FlippedBits   int // total noise-inverted bits delivered
 	Jammed        int // transmissions destroyed by static interferers
+
+	// CleanDeliveries counts deliveries of a frame that passed no bits
+	// (BER 0); Materialized counts frames whose bits were assembled.
+	CleanDeliveries int
+	Materialized    int
 
 	// PerFreq breaks the counters down by RF channel 0..78.
 	PerFreq [hop.NumChannels]FreqCount
@@ -271,11 +317,23 @@ func (r *Radio) Freq() int {
 // RxEnd and before any event those RxEnds schedule: the transmitter's
 // end-of-air bookkeeping without an event of its own.
 func (r *Radio) Transmit(freq int, v *bits.Vec, meta any, done func()) *Transmission {
-	pos := r.pos
+	return r.c.transmit(r, r.name, r.txPos(), freq, v, nil, v.Len(), meta, done)
+}
+
+// TransmitFrame puts f on the air like Transmit, for f.AirBits() bits
+// of air time, without assembling it: its bits are coded at most once,
+// when a noisy delivery or a receiver first needs them (see Frame).
+func (r *Radio) TransmitFrame(freq int, f Frame, meta any, done func()) *Transmission {
+	return r.c.transmit(r, r.name, r.txPos(), freq, nil, f, f.AirBits(), meta, done)
+}
+
+// txPos is where the radio transmits from: its own position, resolved
+// here on a spatial medium if it never tuned.
+func (r *Radio) txPos() Position {
 	if r.seq < 0 && r.c.spatial != nil {
-		pos = r.c.spatial.txPosition(r.name) // never tuned, so never resolved
+		return r.c.spatial.txPosition(r.name)
 	}
-	return r.c.transmit(r, r.name, pos, freq, v, meta, done)
+	return r.pos
 }
 
 // Transmit puts v on the air at freq from device `from` (which may also
@@ -297,14 +355,15 @@ func (c *Channel) Transmit(from string, freq int, v *bits.Vec, meta any) *Transm
 	if c.spatial != nil {
 		pos = c.spatial.txPosition(from)
 	}
-	return c.transmit(nil, from, pos, freq, v, meta, nil)
+	return c.transmit(nil, from, pos, freq, v, nil, v.Len(), meta, nil)
 }
 
-// transmit puts v on the air from src, at position pos on a spatial
-// medium. A radio never hears itself; a transmitter named only by a
-// string (src nil) is matched by name instead.
-func (c *Channel) transmit(src *Radio, from string, pos Position, freq int, v *bits.Vec, meta any, done func()) *Transmission {
-	if v.Len() == 0 {
+// transmit puts n air bits on the air from src, at position pos on a
+// spatial medium: the bits v, or the frame f. A radio never hears
+// itself; a transmitter named only by a string (src nil) is matched by
+// name instead.
+func (c *Channel) transmit(src *Radio, from string, pos Position, freq int, v *bits.Vec, f Frame, n int, meta any, done func()) *Transmission {
+	if n == 0 {
 		panic("channel: empty transmission")
 	}
 	now := c.k.Now()
@@ -313,8 +372,9 @@ func (c *Channel) transmit(src *Radio, from string, pos Position, freq int, v *b
 	tx.From = from
 	tx.Freq = freq
 	tx.Start = now
-	tx.End = now + sim.Time(v.Len()*sim.BitTicks)
+	tx.End = now + sim.Time(n*sim.BitTicks)
 	tx.Bits = v
+	tx.Frame = f
 	tx.Meta = meta
 	tx.done = done
 	tx.pos = pos
@@ -415,7 +475,12 @@ func (tx *Transmission) deliverEnd() {
 		}
 		c.stats.Deliveries++
 		c.stats.PerFreq[tx.Freq].Deliveries++
-		rx := c.corrupt(tx.Bits)
+		if tx.Frame != nil && c.cfg.BER == 0 {
+			c.stats.CleanDeliveries++
+			r.l.RxEnd(tx, nil, false)
+			continue
+		}
+		rx := c.corrupt(tx.Materialize())
 		r.l.RxEnd(tx, rx, false)
 		if rx != tx.Bits {
 			bits.Poison(rx)
@@ -431,6 +496,7 @@ func (tx *Transmission) deliverEnd() {
 	c.active = c.active[:n]
 	done := tx.done
 	tx.Bits = nil
+	tx.Frame = nil
 	tx.Meta = nil
 	tx.done = nil
 	tx.collided = false
@@ -443,8 +509,11 @@ func (tx *Transmission) deliverEnd() {
 
 // corrupt applies the BER to a copy of the transmitted bits, taken from
 // the channel's free list: deliverEnd returns it there once RxEnd is
-// done with it. A noiseless channel hands receivers the transmitted
-// vector itself: the per-receiver copy exists only to carry independent
+// done with it. Its caller materialises a frame first, so the noise
+// draws follow the same stream whether the transmitter sent bits or a
+// frame (assembly draws nothing). A noiseless channel hands receivers
+// the transmitted vector itself (and a frame no vector at all, see
+// Listener): the per-receiver copy exists only to carry independent
 // noise, and the whole receive chain (correlation, FEC, dewhitening,
 // payload extraction) reads rx without mutating it — receivers must
 // treat delivered bits as shared and read-only, per the Listener

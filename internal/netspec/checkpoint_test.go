@@ -63,7 +63,8 @@ func buildCkWorld(t testing.TB, spec Spec) *World {
 
 // worldFingerprint folds every observable surface into one string:
 // per-device counters and meter activity, per-link queue and data
-// totals, and the full Metrics JSON.
+// totals, the channel's clean-delivery and materialisation counts over
+// the window, and the full Metrics JSON.
 func worldFingerprint(t testing.TB, w *World) string {
 	t.Helper()
 	out := ""
@@ -80,6 +81,9 @@ func worldFingerprint(t testing.TB, w *World) string {
 			out += fmt.Sprintf("  mlink %v q=%d tx=%d rx=%d\n", l.Peer, l.QueueLen(), l.TxData, l.RxData)
 		}
 	}
+	st := w.Sim.Ch.Stats()
+	out += fmt.Sprintf("channel clean=%d materialized=%d\n",
+		st.CleanDeliveries-w.chBase.CleanDeliveries, st.Materialized-w.chBase.Materialized)
 	m, err := json.Marshal(w.Metrics())
 	if err != nil {
 		t.Fatalf("Metrics marshal: %v", err)

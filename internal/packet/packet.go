@@ -279,10 +279,11 @@ type RxInfo struct {
 
 // Codec is the reusable working memory of one transmitter's and
 // receiver's packet chains: the payload staged between whitening and
-// FEC, the decoded packet, header, FHS fields and quality report, and
-// the unpacked payload bytes. A device holds one, so its steady-state
-// traffic assembles and parses without allocating. The zero Codec is
-// ready for use; its buffers grow to the largest packet seen and stay.
+// FEC, the decoded (or held) packet, header, FHS fields and quality
+// report, and the unpacked payload bytes. A device holds one, so its
+// steady-state traffic assembles and parses without allocating. The
+// zero Codec is ready for use; its buffers grow to the largest packet
+// seen and stay.
 type Codec struct {
 	pl      bits.Vec // payload before FEC (Assemble) or after it (Parse)
 	pkt     Packet
@@ -303,6 +304,7 @@ func (p *Packet) Assemble(uap uint8, clk uint32) *bits.Vec {
 }
 
 // Assemble appends the on-air bits of p to out (see Packet.Assemble).
+// It writes only c's staging space, so p may be c's held packet.
 func (c *Codec) Assemble(out *bits.Vec, p *Packet, uap uint8, clk uint32) {
 	out.Grow(p.AirBits())
 	if p.IsID() {
@@ -349,16 +351,10 @@ func (p *Packet) appendPayload(v *bits.Vec, uap uint8) {
 		p.appendFHS(v, uap)
 		return
 	}
+	p.checkPayload()
 	if t.IsSCO() {
-		if len(p.Payload) != t.MaxPayload() {
-			panic(fmt.Sprintf("packet: %v voice frame must be exactly %d bytes, got %d",
-				t, t.MaxPayload(), len(p.Payload)))
-		}
 		v.AppendBytes(p.Payload)
 		return
-	}
-	if len(p.Payload) > t.MaxPayload() {
-		panic(fmt.Sprintf("packet: %v payload %d exceeds max %d", t, len(p.Payload), t.MaxPayload()))
 	}
 	start := v.Len()
 	ph := uint64(p.LLID&0x3) | uint64(boolBit(p.PFlow))<<2
@@ -370,6 +366,22 @@ func (p *Packet) appendPayload(v *bits.Vec, uap uint8) {
 	v.AppendBytes(p.Payload)
 	if t.hasCRC() {
 		v.AppendUint(uint64(coding.CRC16Range(v, start, v.Len(), uap)), 16)
+	}
+}
+
+// checkPayload panics on a payload length the type cannot carry: a
+// voice frame must fill its type exactly, data must fit its maximum.
+func (p *Packet) checkPayload() {
+	t := p.Header.Type
+	if t.IsSCO() {
+		if len(p.Payload) != t.MaxPayload() {
+			panic(fmt.Sprintf("packet: %v voice frame must be exactly %d bytes, got %d",
+				t, t.MaxPayload(), len(p.Payload)))
+		}
+		return
+	}
+	if len(p.Payload) > t.MaxPayload() {
+		panic(fmt.Sprintf("packet: %v payload %d exceeds max %d", t, len(p.Payload), t.MaxPayload()))
 	}
 }
 
@@ -567,10 +579,98 @@ func (c *Codec) parseFHS(uap uint8) error {
 	return nil
 }
 
-// Poison overwrites everything a parse left in c (see bits.Poison): a
-// receiver poisons its codec once it has handed the packet on, so a
-// reader that kept the packet past that point reads garbage. It does
-// nothing unless the module is built with the poison tag.
+// Hold copies p into c (header, FHS fields and payload bytes) and
+// returns the copy, valid until c's next Hold, Clean or Parse. A
+// transmitter that assembles its bits later, and maybe never, holds
+// the packet so that the original may change in the meantime; c's own
+// Assemble may then code the copy. Hold panics where Assemble would, on
+// a payload the type cannot carry, and on a header type wider than its
+// four bits: a bad packet fails where it is sent, bits or no bits.
+func (c *Codec) Hold(p *Packet) *Packet {
+	q := &c.pkt
+	*q = *p
+	if h := p.Header; h != nil {
+		if h.Type > 0xF {
+			panic(fmt.Sprintf("packet: header type %v does not fit 4 bits", h.Type))
+		}
+		if t := h.Type; t != TypeNull && t != TypePoll && t != TypeFHS {
+			p.checkPayload()
+		}
+		c.hdr = *h
+		q.Header = &c.hdr
+	}
+	if p.FHS != nil {
+		c.fhs = *p.FHS
+		q.FHS = &c.fhs
+	}
+	c.payload = append(c.payload[:0], p.Payload...) // poisoning covers this packet's bytes only
+	if p.Payload != nil {
+		q.Payload = c.payload
+	}
+	return q
+}
+
+// Clean returns what c.Parse(Assemble(p, uap, clk), p.AccessLAP, uap,
+// clk, threshold) returns, for any uap and clk, without coding a bit:
+// on noiseless air a receiver armed with the transmitter's LAP, UAP and
+// whitening clock gets back exactly the fields the air format carries.
+// Those are the header fields and LLID cut to their widths, the payload
+// (nil when empty), and the FHS fields cut to theirs: LAP and class to
+// 24 bits, SR to 2, AM_ADDR to 3, and CLK to its bits 27-2. The quality
+// report is zero. Like Parse it fills c, and p must not live in c. p's
+// header type fits four bits (Hold panics otherwise).
+func (c *Codec) Clean(p *Packet, threshold int) (*Packet, *RxInfo, error) {
+	info := &c.info
+	*info = RxInfo{}
+	if threshold < 0 {
+		return nil, info, ErrAccessCode // no budget admits even a clean sync word
+	}
+	q := &c.pkt
+	*q = Packet{AccessLAP: p.AccessLAP}
+	h := p.Header
+	if h == nil {
+		return q, info, nil
+	}
+	c.hdr = Header{AMAddr: h.AMAddr & 0x7, Type: h.Type & 0xF, Flow: h.Flow, ARQN: h.ARQN, SEQN: h.SEQN}
+	q.Header = &c.hdr
+	switch t := c.hdr.Type; {
+	case t == TypeNull || t == TypePoll:
+	case t == TypeFHS:
+		f := p.FHS
+		c.fhs = FHSPayload{
+			LAP:    f.LAP & 0xFFFFFF,
+			SR:     f.SR & 0x3,
+			UAP:    f.UAP,
+			NAP:    f.NAP,
+			Class:  f.Class & 0xFFFFFF,
+			AMAddr: f.AMAddr & 0x7,
+			CLK:    (f.CLK >> 2 & 0x3FFFFFF) << 2,
+		}
+		q.FHS = &c.fhs
+	case t.IsSCO():
+		p.checkPayload()
+		c.payload = append(c.payload[:0], p.Payload...)
+		q.Payload = c.payload
+	case t.payloadHeaderBits() == 0:
+		p.checkPayload() // an undefined type: no payload header to parse
+		return nil, info, ErrMalformed
+	default:
+		p.checkPayload()
+		q.LLID = p.LLID & 0x3
+		q.PFlow = p.PFlow
+		if len(p.Payload) > 0 {
+			c.payload = append(c.payload[:0], p.Payload...)
+			q.Payload = c.payload
+		}
+	}
+	return q, info, nil
+}
+
+// Poison overwrites everything a parse or Hold left in c (see
+// bits.Poison): a receiver poisons its codec once it has handed the
+// packet on, and a transmitter once its held packet has left the air,
+// so a reader that kept the packet past that point reads garbage. It
+// does nothing unless the module is built with the poison tag.
 func (c *Codec) Poison() {
 	if !bits.Poisoning {
 		return
