@@ -57,11 +57,17 @@ func bchDivide(info uint64) uint64 {
 
 // bchTab[k][b] is the parity of byte b at information bits 8k..8k+7.
 // The remainder is linear in the information, so the parity of a
-// 30-bit word is the XOR of its four bytes' entries.
+// 30-bit word is the XOR of its four bytes' entries, and each entry is
+// built the same way from its lowest bit's and the rest's: only the
+// single-bit entries take a division.
 var bchTab = func() (tab [4][256]uint64) {
 	for k := range tab {
-		for b := range tab[k] {
-			tab[k][b] = bchDivide(uint64(b) << (8 * k))
+		for b := 1; b < len(tab[k]); b++ {
+			if low := b & -b; low != b {
+				tab[k][b] = tab[k][b&^low] ^ tab[k][low]
+			} else {
+				tab[k][b] = bchDivide(uint64(b) << (8 * k))
+			}
 		}
 	}
 	return

@@ -55,12 +55,14 @@ func TestBCHParityLinear(t *testing.T) {
 	}
 }
 
-// The table-driven parity is the bitwise division, for every LAP bit
-// and random information words.
+// The table-driven parity is the bitwise division, for every table
+// entry and random information words.
 func TestBCHParityMatchesDivision(t *testing.T) {
-	for i := 0; i < 30; i++ {
-		if got, want := bchParity(1<<i), bchDivide(1<<i); got != want {
-			t.Fatalf("bit %d: parity %#x, division %#x", i, got, want)
+	for k := range bchTab {
+		for b, got := range bchTab[k] {
+			if want := bchDivide(uint64(b) << (8 * k)); got != want {
+				t.Fatalf("byte %d = %#x: table parity %#x, division %#x", k, b, got, want)
+			}
 		}
 	}
 	f := func(x uint32) bool { return bchParity(uint64(x)) == bchDivide(uint64(x)&(1<<30-1)) }

@@ -144,6 +144,47 @@ func TestSniffWindow(t *testing.T) {
 	}
 }
 
+// TestNextSniffAnchorMatchesScan holds the closed-form sniff anchor to
+// the even-slot scan it replaced, for Fig 11's Tsniff values, attempts
+// and offsets at both ends of their ranges, and clocks on both sides of
+// the 28-bit wrap, where the even-slot count restarts mid-period.
+func TestNextSniffAnchorMatchesScan(t *testing.T) {
+	r := newRig(0)
+	d := r.device("slave", 0x123456, 0)
+	l := newLink(d, 1, BDAddr{LAP: 0x654321}, BDAddr{LAP: 0x654321})
+	d.mlink = l
+	scan := func(from sim.Time) sim.Time {
+		t := d.nextCLKSlotAfterLead(from)
+		for i := 0; ; i++ {
+			if l.inSniffWindow(d.Clock.CLK(t) >> 2) {
+				return t - sim.Time(d.leadTicks())
+			}
+			t += sim.Time(sim.Slots(2))
+			if i > l.sniffT {
+				panic("sniff window never opens")
+			}
+		}
+	}
+	for _, tsniff := range []int{20, 30, 40, 60, 80, 100} {
+		wrapIn := uint32(4 * tsniff) // CLK ticks from the sweep's start to the wrap
+		for _, clk0 := range []uint32{0, 3, 1<<28 - wrapIn, 1<<28 - wrapIn - 6, 1<<28 - 2} {
+			d.Clock.SetOffset(clk0)
+			for _, attempt := range []int{1, 2, tsniff / 2} {
+				for _, offset := range []int{0, 1, tsniff/2 - 1} {
+					l.sniffT, l.sniffAttempt, l.sniffOffset = tsniff, attempt, offset
+					for s := uint64(0); s < 3*uint64(tsniff); s++ {
+						from := sim.Time(sim.Slots(s)) + sim.Time(s%3)*sim.Time(sim.Microseconds(200))
+						if got, want := d.nextSniffAnchor(from), scan(from); got != want {
+							t.Fatalf("Tsniff %d attempt %d offset %d CLK0 %#x from %d: anchor %d, scan %d",
+								tsniff, attempt, offset, clk0, from, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // connectPair builds a two-device piconet directly through page/page
 // scan (no inquiry) with an exact clock estimate, and runs until
 // connected. Returns master, slave and their links.

@@ -294,7 +294,7 @@ func (d *Device) Checkpoint(extraLinks []*Link) (*DeviceCheckpoint, error) {
 			RxData:   l.RxData,
 			Attached: attached,
 		}
-		for _, m := range l.txq {
+		for _, m := range l.txq[l.txqHead:] {
 			lc.Txq = append(lc.Txq, OutMsg{Data: append([]byte(nil), m.data...), LLID: m.llid})
 		}
 		if l.pending != nil {

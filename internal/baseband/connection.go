@@ -363,19 +363,11 @@ func (d *Device) scheduleSlaveListen(from sim.Time) {
 }
 
 // nextSniffAnchor returns the start time of the next even slot inside
-// the sniff window at or after `from`.
+// the sniff window at or after `from`, less the listen lead.
 func (d *Device) nextSniffAnchor(from sim.Time) sim.Time {
-	l := d.mlink
 	t := d.nextCLKSlotAfterLead(from)
-	for i := 0; ; i++ {
-		if l.inSniffWindow(d.Clock.CLK(t) >> 2) {
-			return t - sim.Time(d.leadTicks())
-		}
-		t += sim.Time(sim.Slots(2))
-		if i > l.sniffT {
-			panic("baseband: sniff window never opens")
-		}
-	}
+	k := d.mlink.sniffWait(d.Clock.CLK(t) >> 2)
+	return t + sim.Time(sim.Slots(2*uint64(k))) - sim.Time(d.leadTicks())
 }
 
 // slaveListenSlot opens the listen window at a master transmit slot.

@@ -2,6 +2,7 @@ package baseband
 
 import (
 	"repro/internal/bits"
+	"repro/internal/btclock"
 	"repro/internal/hop"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -32,9 +33,12 @@ type Link struct {
 	// packet-type ablation swaps it.
 	PacketType packet.Type
 
-	// ARQ state. The queue pops by copying down, so its backing array
-	// is reused; pending points at cur, never at a fresh message.
+	// ARQ state. txq[txqHead:] waits to be sent. A pop advances
+	// txqHead, and the backlog slides down once the popped prefix is
+	// half the slice, so popping is O(1) amortized and the backing
+	// array is reused. pending points at cur, never at a fresh message.
 	txq         []outMsg
+	txqHead     int
 	pending     *outMsg // sent, awaiting acknowledgement (&cur or nil)
 	cur         outMsg
 	pendingSent bool // pending has been transmitted at least once
@@ -96,7 +100,7 @@ func (l *Link) Mode() Mode { return l.mode }
 
 // QueueLen reports how many upper-layer messages wait for transmission.
 func (l *Link) QueueLen() int {
-	n := len(l.txq)
+	n := len(l.txq) - l.txqHead
 	if l.pending != nil {
 		n++
 	}
@@ -137,7 +141,20 @@ func LLIDContinue(llid uint8) uint8 {
 }
 
 // hasTraffic reports whether a data transmission is wanted.
-func (l *Link) hasTraffic() bool { return l.pending != nil || len(l.txq) > 0 }
+func (l *Link) hasTraffic() bool { return l.pending != nil || l.txqHead < len(l.txq) }
+
+// popTx takes the oldest queued message.
+func (l *Link) popTx() outMsg {
+	m := l.txq[l.txqHead]
+	l.txq[l.txqHead] = outMsg{}
+	l.txqHead++
+	if 2*l.txqHead >= len(l.txq) {
+		n := copy(l.txq, l.txq[l.txqHead:])
+		clear(l.txq[n:])
+		l.txq, l.txqHead = l.txq[:n], 0
+	}
+	return m
+}
 
 // scratchPacket resets the link's reusable packet to a header-only
 // packet of type t addressed to this link. It lives only until the
@@ -153,11 +170,8 @@ func (l *Link) scratchPacket(lap uint32, t packet.Type) *packet.Packet {
 // (POLL for the master, NULL for a slave). The ARQN bit always reflects
 // the last reception.
 func (l *Link) nextPacket(master bool) *packet.Packet {
-	if l.pending == nil && len(l.txq) > 0 {
-		l.cur = l.txq[0]
-		n := copy(l.txq, l.txq[1:])
-		l.txq[n] = outMsg{}
-		l.txq = l.txq[:n]
+	if l.pending == nil && l.hasTraffic() {
+		l.cur = l.popTx()
 		l.pending = &l.cur
 		l.pendingSent = false
 		l.seqnOut = !l.seqnOut
@@ -231,4 +245,31 @@ func (l *Link) inSniffWindow(evenSlotIdx uint32) bool {
 	}
 	pos := (evenSlotIdx - uint32(l.sniffOffset)) % period
 	return pos < uint32(l.sniffAttempt)
+}
+
+// evenSlotIdxMask keeps an even-slot index, CLK>>2, to the 26 bits the
+// 28-bit piconet clock leaves it.
+const evenSlotIdxMask = btclock.Mask >> 2
+
+// sniffWait returns how many even slots after evenSlotIdx the sniff
+// window next opens, 0 if it is open there. Inside a window the
+// position climbs by one per even slot, so the window opens where the
+// position wraps to 0. Two things restart the position earlier: the
+// index wrapping to 0 with the clock, and the index reaching the
+// offset, where idx-offset wraps in uint32. It panics if no window
+// opens within Tsniff+1 even slots.
+func (l *Link) sniffWait(evenSlotIdx uint32) uint32 {
+	period, off := uint32(l.sniffT/2), uint32(l.sniffOffset)
+	idx, k := evenSlotIdx&evenSlotIdxMask, uint32(0)
+	for !l.inSniffWindow(idx) {
+		step := min(period-(idx-off)%period, evenSlotIdxMask+1-idx)
+		if idx < off {
+			step = min(step, off-idx)
+		}
+		idx, k = (idx+step)&evenSlotIdxMask, k+step
+		if k > uint32(l.sniffT)+1 {
+			panic("baseband: sniff window never opens")
+		}
+	}
+	return k
 }

@@ -125,10 +125,16 @@ func fec23Parity(data uint16) uint8 {
 	return uint8(reg & 0x1F)
 }
 
-// fec23ParityTab[d] is fec23Parity(d) for every 10-bit data word.
+// fec23ParityTab[d] is fec23Parity(d) for every 10-bit data word. The
+// code is linear, so a word's parity is its lowest bit's XOR the rest's
+// and only the ten single-bit words take a division.
 var fec23ParityTab = func() (tab [1 << fec23DataLen]uint8) {
-	for d := range tab {
-		tab[d] = fec23Parity(uint16(d))
+	for d := 1; d < len(tab); d++ {
+		if low := d & -d; low != d {
+			tab[d] = tab[d&^low] ^ tab[low]
+		} else {
+			tab[d] = fec23Parity(uint16(d))
+		}
 	}
 	return
 }()

@@ -269,3 +269,13 @@ func TestFEC23RangeMatchesSlice(t *testing.T) {
 		t.Fatal("AppendFEC23 diverges from EncodeFEC23")
 	}
 }
+
+// TestFEC23ParityTableMatchesDivision holds the table, built from its
+// single-bit words, to the long division for every 10-bit data word.
+func TestFEC23ParityTableMatchesDivision(t *testing.T) {
+	for d := range fec23ParityTab {
+		if got, want := fec23ParityTab[d], fec23Parity(uint16(d)); got != want {
+			t.Fatalf("data %#x: table parity %#x, division %#x", d, got, want)
+		}
+	}
+}

@@ -26,59 +26,64 @@ var (
 	perm5Index2 = [14]int{1, 3, 2, 4, 4, 3, 2, 4, 4, 3, 4, 3, 3, 2}
 )
 
-// perm5Butterfly applies the 14-stage butterfly permutation to the
-// 5-bit input z under the packed 14-bit control word. The stages run
-// directly on the packed bits — a conditional exchange of bits a and b
-// is an XOR with (1<<a | 1<<b) when they differ.
-func perm5Butterfly(z, ctl uint32) uint32 {
-	for i := 13; i >= 0; i-- {
-		if ctl>>uint(i)&1 == 1 {
-			a, b := perm5Index1[13-i], perm5Index2[13-i]
-			if (z>>uint(a))&1 != (z>>uint(b))&1 {
-				z ^= 1<<uint(a) | 1<<uint(b)
+// perm5Hi and perm5Lo hold the butterfly factored at its stage
+// boundaries. Stages 0-4 take control bits P13-P9 and stages 5-13 take
+// P8-P0, so the full permutation is perm5Lo[P8-P0] applied to
+// perm5Hi[P13-P9]'s output. Connection-state hop selection runs the
+// kernel on every single tune; the two tables (17 KiB) retire the
+// 14-stage loop from that path and stay in L1.
+var (
+	perm5Hi [32][32]uint8
+	perm5Lo [512][32]uint8
+)
+
+func init() { buildPerm5Tabs(&perm5Hi, &perm5Lo) }
+
+// buildPerm5Tabs fills the two PERM5 tables. perm5Lo is itself stages
+// 10-13 (P3-P0) composed after stages 5-9 (P8-P4).
+func buildPerm5Tabs(hi *[32][32]uint8, lo *[512][32]uint8) {
+	var mid [32][32]uint8
+	var low [16][32]uint8
+	perm5Block(hi[:], 0)
+	perm5Block(mid[:], 5)
+	perm5Block(low[:], 10)
+	for ctl := range lo {
+		m, l := &mid[ctl>>4], &low[ctl&0xF]
+		for z := range lo[ctl] {
+			lo[ctl][z] = l[m[z]&0x1F]
+		}
+	}
+}
+
+// perm5Block fills t with the butterfly stages first, first+1, ... for
+// every setting of their control bits, the first stage's bit highest in
+// the row index. It adds one stage at a time, after the ones before:
+// row c becomes rows 2c (stage off) and 2c+1 (stage on, which
+// exchanges bits a and b by an XOR with both when they differ).
+func perm5Block(t [][32]uint8, first int) {
+	for z := range t[0] {
+		t[0][z] = uint8(z)
+	}
+	for n, s := 1, first; n < len(t); n, s = 2*n, s+1 {
+		a, b := perm5Index1[s], perm5Index2[s]
+		for c := n - 1; c >= 0; c-- {
+			row := t[c]
+			t[2*c] = row
+			for z, v := range row {
+				if (v>>a^v>>b)&1 != 0 {
+					v ^= 1<<a | 1<<b
+				}
+				t[2*c+1][z] = v
 			}
 		}
 	}
-	return z & 0x1F
-}
-
-// perm5Tab caches the butterfly output for every (control, input) pair,
-// indexed ctl<<5 | z. Connection-state hop selection runs the kernel on
-// every single tune, so the 512 KiB table retires the 14-stage loop
-// from the simulator's per-slot path.
-var perm5Tab = buildPerm5Tab()
-
-// buildPerm5Tab fills the PERM5 table by composing the butterfly's two
-// halves. Stages 0-4 take control bits P13-P9 and stages 5-13 take
-// P8-P0, so the full permutation is the low half applied to the high
-// half's output: 17,408 butterfly calls instead of one per entry.
-func buildPerm5Tab() []uint8 {
-	var hi [32][32]uint8
-	var lo [512][32]uint8
-	for z := uint32(0); z < 32; z++ {
-		for h := range hi {
-			hi[h][z] = uint8(perm5Butterfly(z, uint32(h)<<9))
-		}
-		for l := range lo {
-			lo[l][z] = uint8(perm5Butterfly(z, uint32(l)))
-		}
-	}
-	t := make([]uint8, 1<<19)
-	for ctl := uint32(0); ctl < 1<<14; ctl++ {
-		l, h := &lo[ctl&0x1FF], &hi[ctl>>9]
-		row := t[ctl<<5 : ctl<<5+32]
-		for z := range row {
-			row[z] = l[h[z]]
-		}
-	}
-	return t
 }
 
 // perm5 looks up the butterfly permutation for input z under the 14-bit
 // control word (pHigh 5 bits, pLow 9 bits).
 func perm5(z uint32, pHigh, pLow uint32) uint32 {
-	ctl := pLow&0x1FF | (pHigh&0x1F)<<9 // control bit i at position i
-	return uint32(perm5Tab[ctl<<5|z&0x1F])
+	// The masks keep every index in range, so no bounds check runs.
+	return uint32(perm5Lo[pLow&0x1FF][perm5Hi[pHigh&0x1F][z&0x1F]&0x1F])
 }
 
 // bank maps the kernel's final adder output to an RF channel: even

@@ -1,9 +1,27 @@
 package hop
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
-// TestPerm5TableMatchesButterfly holds the precomputed permutation table
-// to the 14-stage butterfly it replaced, across the full input space.
+// perm5Butterfly is the 14-stage butterfly of spec Figure 2.21 run
+// stage by stage on the packed 14-bit control word: the reference the
+// tables are held to.
+func perm5Butterfly(z, ctl uint32) uint32 {
+	for i := 13; i >= 0; i-- {
+		if ctl>>uint(i)&1 == 1 {
+			a, b := perm5Index1[13-i], perm5Index2[13-i]
+			if (z>>uint(a))&1 != (z>>uint(b))&1 {
+				z ^= 1<<uint(a) | 1<<uint(b)
+			}
+		}
+	}
+	return z & 0x1F
+}
+
+// TestPerm5TableMatchesButterfly holds the precomputed permutation tables
+// to the 14-stage butterfly they replaced, across the full input space.
 func TestPerm5TableMatchesButterfly(t *testing.T) {
 	for ctl := uint32(0); ctl < 1<<14; ctl++ {
 		for z := uint32(0); z < 32; z++ {
@@ -15,11 +33,21 @@ func TestPerm5TableMatchesButterfly(t *testing.T) {
 	}
 }
 
+// TestPerm5TablesFootprint keeps the PERM5 tables small enough to stay
+// in L1 beside the rest of the hot path and cheap to build at init.
+func TestPerm5TablesFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(perm5Hi) + unsafe.Sizeof(perm5Lo); n > 32<<10 {
+		t.Fatalf("PERM5 tables take %d bytes, want at most 32 KiB", n)
+	}
+}
+
 // BenchmarkBuildPerm5Tab prices the package's init-time table build.
 func BenchmarkBuildPerm5Tab(b *testing.B) {
+	var hi [32][32]uint8
+	var lo [512][32]uint8
 	b.ReportAllocs()
 	for b.Loop() {
-		buildPerm5Tab()
+		buildPerm5Tabs(&hi, &lo)
 	}
 }
 

@@ -356,13 +356,13 @@ func (p *Packet) appendPayload(v *bits.Vec, uap uint8) {
 		v.AppendBytes(p.Payload)
 		return
 	}
+	phb := t.payloadHeaderBits()
+	if phb == 0 {
+		return // an undefined type: no payload header, no payload
+	}
 	start := v.Len()
 	ph := uint64(p.LLID&0x3) | uint64(boolBit(p.PFlow))<<2
-	if t.payloadHeaderBits() == 8 {
-		v.AppendUint(ph|uint64(len(p.Payload))<<3, 8)
-	} else {
-		v.AppendUint(ph|uint64(len(p.Payload))<<3, 16) // 4 undefined high bits
-	}
+	v.AppendUint(ph|uint64(len(p.Payload))<<3, phb) // 16 bits: 4 undefined high bits
 	v.AppendBytes(p.Payload)
 	if t.hasCRC() {
 		v.AppendUint(uint64(coding.CRC16Range(v, start, v.Len(), uap)), 16)

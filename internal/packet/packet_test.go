@@ -188,6 +188,37 @@ func TestFHSAirLength(t *testing.T) {
 	}
 }
 
+// TestAssembledLengthMatchesAirBits holds every header type, plus ID,
+// to the air time AirBits charges for it: the bits Assemble emits.
+// Each type carries the payloads it can: FHS its fields, a voice type
+// its exact frame, a data type none, one byte or its maximum, and the
+// control and undefined types nothing.
+func TestAssembledLengthMatchesAirBits(t *testing.T) {
+	check := func(p *Packet) {
+		t.Helper()
+		if got, want := p.Assemble(testUAP, testCLK).Len(), p.AirBits(); got != want {
+			t.Fatalf("%v with %d payload bytes assembles to %d bits, AirBits says %d",
+				p.Type(), len(p.Payload), got, want)
+		}
+	}
+	check(NewID(testLAP))
+	for ty := Type(0); ty < 16; ty++ {
+		lens := []int{0}
+		switch {
+		case ty == TypeFHS:
+			check(&Packet{AccessLAP: testLAP, Header: &Header{Type: ty}, FHS: &FHSPayload{LAP: 1}})
+			continue
+		case ty.IsSCO():
+			lens = []int{ty.MaxPayload()}
+		case ty.MaxPayload() > 0:
+			lens = []int{0, 1, ty.MaxPayload()}
+		}
+		for _, n := range lens {
+			check(mkData(ty, n, uint64(ty)))
+		}
+	}
+}
+
 func TestWrongLAPRejected(t *testing.T) {
 	p := mkData(TypeDH1, 5, 2)
 	v := p.Assemble(testUAP, testCLK)
