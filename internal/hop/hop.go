@@ -39,20 +39,10 @@ var (
 
 func init() { buildPerm5Tabs(&perm5Hi, &perm5Lo) }
 
-// buildPerm5Tabs fills the two PERM5 tables. perm5Lo is itself stages
-// 10-13 (P3-P0) composed after stages 5-9 (P8-P4).
+// buildPerm5Tabs fills the two PERM5 tables.
 func buildPerm5Tabs(hi *[32][32]uint8, lo *[512][32]uint8) {
-	var mid [32][32]uint8
-	var low [16][32]uint8
 	perm5Block(hi[:], 0)
-	perm5Block(mid[:], 5)
-	perm5Block(low[:], 10)
-	for ctl := range lo {
-		m, l := &mid[ctl>>4], &low[ctl&0xF]
-		for z := range lo[ctl] {
-			lo[ctl][z] = l[m[z]&0x1F]
-		}
-	}
+	perm5Block(lo[:], 5)
 }
 
 // perm5Block fills t with the butterfly stages first, first+1, ... for
@@ -65,15 +55,15 @@ func perm5Block(t [][32]uint8, first int) {
 		t[0][z] = uint8(z)
 	}
 	for n, s := 1, first; n < len(t); n, s = 2*n, s+1 {
-		a, b := perm5Index1[s], perm5Index2[s]
+		a, b := uint(perm5Index1[s]), uint(perm5Index2[s])
 		for c := n - 1; c >= 0; c-- {
-			row := t[c]
+			row, on := t[c], &t[2*c+1]
 			t[2*c] = row
 			for z, v := range row {
 				if (v>>a^v>>b)&1 != 0 {
 					v ^= 1<<a | 1<<b
 				}
-				t[2*c+1][z] = v
+				on[z] = v
 			}
 		}
 	}
