@@ -18,7 +18,10 @@ import (
 // multi-piconet world with saturating unprotected bulk (bit errors
 // keep consuming the channel RNG across the snapshot point), poisson
 // bursts, voice and an adaptive classifier; and a bridged scatternet
-// with an end-to-end flow and voice.
+// with an end-to-end flow and voice. A third world pins the low-power
+// timers: sniff and repeating hold slaves under poisson traffic, short
+// enough periods that captures land with listen windows and
+// hold-resync arms pending.
 func ckSpecs() map[string]Spec {
 	return map[string]Spec{
 		"dense": {
@@ -41,6 +44,18 @@ func ckSpecs() map[string]Spec {
 			Traffic: []Traffic{
 				{Kind: TrafficVoice, Piconet: 0, Slave: 2},
 				{Kind: TrafficFlow, From: "p0.master", To: "p1.slave1", SDUBytes: 64, PumpDepth: 2},
+			},
+		},
+		"powermodes": {
+			Piconets: []Piconet{{Slaves: 3}, {Slaves: 3}},
+			Traffic: []Traffic{
+				{Kind: TrafficPoisson, Piconet: AllPiconets, MeanGapSlots: 60, BurstBytes: 64},
+			},
+			Modes: []PowerMode{
+				{Kind: SniffMode, Piconet: 0, Slave: 1, TsniffSlots: 40},
+				{Kind: HoldMode, Piconet: 0, Slave: 2, TholdSlots: 120},
+				{Kind: SniffMode, Piconet: 1, Slave: 1, TsniffSlots: 200},
+				{Kind: HoldMode, Piconet: 1, Slave: 2, TholdSlots: 90},
 			},
 		},
 	}
