@@ -59,11 +59,11 @@ func TestEventInfo(t *testing.T) {
 	if _, _, ok := k.EventInfo(0); ok {
 		t.Fatal("EventInfo must reject the zero ID")
 	}
-	// A far-future event sits in the overflow heap; EventInfo must see
-	// it there as well as in the calendar.
+	// A far-future event sits in the far list; EventInfo must see it
+	// there as well as in the calendar.
 	far := k.Schedule(Slots(defaultBuckets*100), func() {})
 	if at, _, ok := k.EventInfo(far); !ok || at != k.Now()+Time(Slots(defaultBuckets*100)) {
-		t.Fatalf("EventInfo(heap event) = (%v, %v)", at, ok)
+		t.Fatalf("EventInfo(far event) = (%v, %v)", at, ok)
 	}
 }
 

@@ -10,10 +10,10 @@
 // The scheduler is a calendar queue over the 625 µs slot grid: near-future
 // events hash into per-slot buckets (O(1) schedule/cancel/pop for the
 // slot-aligned traffic that dominates the model) while far-future events —
-// supervision timeouts, long sniff intervals — wait in an overflow binary
-// heap until the calendar window reaches them. Each bucket's chain is
-// indexed by tick runs, so an insert into a slot where many events
-// share a few ticks walks the distinct ticks, not the events. Event
+// long sniff and hold intervals, parked-master deadlines — wait in one
+// sorted slice until the calendar window reaches them. Each bucket's
+// chain is indexed by tick runs, so an insert into a slot where many
+// events share a few ticks walks the distinct ticks, not the events. Event
 // nodes live in a pool and recycled slots carry a generation tag so
 // stale EventIDs can never touch a reused slot. The scheduler is
 // allocation-free in steady state.
@@ -23,6 +23,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Time is a simulation timestamp in ticks (0.5 µs units).
@@ -88,19 +89,9 @@ type EventID uint64
 // this model builds; exceeding it panics loudly.
 const maxPoolSlots = 1<<31 - 1
 
-const (
-	evFree      = iota // slot is on the free list
-	evPending          // scheduled, will fire
-	evCancelled        // still in the overflow heap, dropped when popped
-)
-
-// Where a pending event currently lives.
-const (
-	locNone = iota // free / not enqueued
-	locCal         // chained into a calendar bucket
-	locHeap        // in the overflow heap
-)
-
+// scheduledEvent is one pool node. A node holds a pending event exactly
+// while fn is set; where it waits follows from the window invariant (see
+// queue): the calendar when at < calLim, the far list otherwise.
 type scheduledEvent struct {
 	at     Time
 	seq    uint64 // tie-break: schedule order
@@ -108,8 +99,6 @@ type scheduledEvent struct {
 	next   int32  // successor in the bucket chain (calendar only), -1 = none
 	runEnd int32  // last node of this node's tick run; read only on a run's first node
 	gen    uint32 // slot generation, bumped on every release
-	state  uint8
-	loc    uint8
 }
 
 func makeID(slot int32, gen uint32) EventID {
@@ -122,18 +111,18 @@ func decodeID(id EventID) (slot int32, gen uint32) {
 }
 
 // defaultBuckets is the initial calendar width in slots. 256 slots
-// (160 ms) covers Tpoll deadlines, sniff/hold wakeups and parked-master
-// horizons without a detour through the overflow heap; the calendar
-// doubles on its own when occupancy outgrows it.
+// (160 ms) covers Tpoll deadlines, response windows and most sniff/hold
+// wakeups, so only the longer intervals wait in the far list; the
+// calendar doubles on its own when occupancy outgrows it.
 const defaultBuckets = 256
 
 // queue is the kernel's event queue: a calendar over the slot grid plus
-// an overflow heap and a pooled node store. One window invariant holds
+// a sorted far list and a pooled node store. One window invariant holds
 // between any two operations: every calendar event is before calLim and
-// every heap event is at or past it, so the calendar minimum, when there
+// every far event is at or past it, so the calendar minimum, when there
 // is one, is the earliest pending event.
 type queue struct {
-	nodes []scheduledEvent // event pool; calendar chains and heap index into it
+	nodes []scheduledEvent // event pool; calendar chains and far index into it
 	free  []int32          // recycled pool slots
 
 	// Calendar: one bucket per slot over a power-of-two window of
@@ -152,12 +141,10 @@ type queue struct {
 	calLim        Time   // events with at < calLim go in the calendar; clamped at TimeMax
 	calCount      int
 
-	// Overflow heap: binary min-heap over (at, seq) for events at or
-	// beyond calLim. Cancellation here is lazy (tombstones + compaction).
-	heap          []int32
-	heapCancelled int
-
-	live int // pending (not cancelled) events
+	// Far list: the events at or beyond calLim, sorted by descending
+	// (at, seq) so the earliest is last. It stays short (tens of events
+	// in the busiest worlds), so inserts and cancels shift in place.
+	far []int32
 }
 
 // Kernel is the simulation scheduler. The zero value is not usable; create
@@ -166,7 +153,6 @@ type Kernel struct {
 	now     Time
 	nextSeq uint64
 	running bool
-	stopped bool
 	tracers []Tracer
 	q       queue
 }
@@ -198,7 +184,7 @@ func (q *queue) initBuckets(n int) {
 // recalcLim recomputes the calendar window's exclusive upper bound. Near
 // the end of the time axis the window would overflow; calLim is then
 // clamped at TimeMax, so only events at exactly TimeMax wait in the
-// heap. Every earlier slot still fits the window, one bucket each.
+// far list. Every earlier slot still fits the window, one bucket each.
 func (q *queue) recalcLim() {
 	end := q.curSlot + uint64(len(q.bucketHead))
 	if end < q.curSlot || end > ^uint64(0)/SlotTicks {
@@ -212,7 +198,7 @@ func (q *queue) recalcLim() {
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports how many events are scheduled and not yet fired.
-func (k *Kernel) Pending() int { return k.q.live }
+func (k *Kernel) Pending() int { return k.q.calCount + len(k.q.far) }
 
 // alloc takes a pool slot off the free list (or grows the pool).
 func (q *queue) alloc() int32 {
@@ -234,8 +220,6 @@ func (q *queue) release(slot int32) {
 	n := &q.nodes[slot]
 	n.fn = nil // drop the closure reference eagerly
 	n.gen++
-	n.state = evFree
-	n.loc = locNone
 	n.next = -1
 	q.free = append(q.free, slot)
 }
@@ -254,14 +238,12 @@ func (k *Kernel) Schedule(delay Duration, fn Event) EventID {
 	slot := q.alloc()
 	k.nextSeq++
 	n := &q.nodes[slot]
-	n.at, n.seq, n.fn, n.state = at, k.nextSeq, fn, evPending
+	n.at, n.seq, n.fn = at, k.nextSeq, fn
 	if at < q.calLim {
 		q.calInsert(slot)
 	} else {
-		n.loc = locHeap
-		q.heapPush(slot)
+		q.farInsert(slot)
 	}
-	q.live++
 	return makeID(slot, n.gen)
 }
 
@@ -294,13 +276,13 @@ func (q *queue) lookup(id EventID) (slot int32, ok bool) {
 		return 0, false
 	}
 	n := &q.nodes[slot]
-	return slot, n.state == evPending && n.gen == gen
+	return slot, n.fn != nil && n.gen == gen
 }
 
 // lessEvent orders events by (at, seq): earlier time first, then
 // schedule order — the same-tick total order that stands in for SystemC
 // delta cycles. seq is issued by one kernel-global counter, so the order
-// is total across the calendar and the heap.
+// is total across the calendar and the far list.
 func lessEvent(a, b *scheduledEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -330,7 +312,6 @@ func (q *queue) bucketOf(at Time) uint64 {
 // older seq (a migrated or rehashed event) walks inside its run.
 func (q *queue) calInsertRaw(s int32) {
 	n := &q.nodes[s]
-	n.loc = locCal
 	b := q.bucketOf(n.at)
 	t := q.bucketTail[b]
 	switch {
@@ -406,7 +387,7 @@ func (q *queue) calInsert(s int32) {
 }
 
 // growCalendar doubles the bucket count, rehashes every chained event and
-// migrates the heap events the wider window now covers. Relative order
+// migrates the far events the wider window now covers. Relative order
 // is untouched: chains are rebuilt from the same (at, seq) keys.
 func (q *queue) growCalendar() {
 	moved := make([]int32, 0, q.calCount)
@@ -519,148 +500,76 @@ func (q *queue) calMin() int32 {
 	return -1
 }
 
-// --- overflow heap ---
+// --- far list ---
 
-func (q *queue) heapPush(slot int32) {
-	q.heap = append(q.heap, slot)
-	hq := q.heap
-	i := len(hq) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.lessNode(hq[i], hq[parent]) {
-			break
-		}
-		hq[i], hq[parent] = hq[parent], hq[i]
-		i = parent
-	}
-}
-
-func (q *queue) siftDown(i int) {
-	hq := q.heap
-	n := len(hq)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && q.lessNode(hq[right], hq[left]) {
-			smallest = right
-		}
-		if !q.lessNode(hq[smallest], hq[i]) {
-			return
-		}
-		hq[i], hq[smallest] = hq[smallest], hq[i]
-		i = smallest
-	}
-}
-
-// heapPop removes and returns the head of the heap (which must not be
-// empty).
-func (q *queue) heapPop() int32 {
-	hq := q.heap
-	head := hq[0]
-	last := len(hq) - 1
-	hq[0] = hq[last]
-	q.heap = hq[:last]
-	if last > 0 {
-		q.siftDown(0)
-	}
-	return head
-}
-
-// heapPeekLive drops (and recycles) cancelled entries at the head of the
-// heap and returns the pool slot of its next live event without removing
-// it (-1 when empty).
-func (q *queue) heapPeekLive() int32 {
-	for len(q.heap) > 0 {
-		head := q.heap[0]
-		if q.nodes[head].state == evPending {
-			return head
-		}
-		q.heapPop()
-		q.heapCancelled--
-		q.release(head)
-	}
-	return -1
-}
-
-// minCompactLen keeps compaction from churning on tiny heaps, where
-// lazy deletion is cheaper than a rebuild.
-const minCompactLen = 64
-
-// compact rebuilds the overflow heap without the cancelled entries.
-// Ordering is untouched: the heap invariant is re-established over the
-// same (at, seq) keys, so compaction can never change the event schedule.
-func (q *queue) compact() {
-	liveQ := q.heap[:0]
-	for _, slot := range q.heap {
-		if q.nodes[slot].state == evPending {
-			liveQ = append(liveQ, slot)
+// farSearch returns the index at which slot s sorts into the far list:
+// every entry before it is later than s. When s is in the list, that is
+// its own index.
+func (q *queue) farSearch(s int32) int {
+	lo, hi := 0, len(q.far)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if q.lessNode(s, q.far[m]) {
+			lo = m + 1
 		} else {
-			q.release(slot)
+			hi = m
 		}
 	}
-	q.heap = liveQ
-	for i := len(q.heap)/2 - 1; i >= 0; i-- {
-		q.siftDown(i)
-	}
-	q.heapCancelled = 0
+	return lo
+}
+
+// farInsert adds slot s to the far list at its sorted position.
+func (q *queue) farInsert(s int32) {
+	q.far = slices.Insert(q.far, q.farSearch(s), s)
 }
 
 // --- scheduling core ---
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op and reports false.
-//
-// Calendar events unlink eagerly (chains are short, and the bucket is
-// derivable from the timestamp). Heap entries are tombstoned and dropped
-// lazily when they surface; once tombstones outnumber the live entries
-// the heap is compacted so cancel-heavy workloads (supervision timeouts
-// re-armed on every packet) keep it proportional to the live count.
+// already-cancelled event is a no-op and reports false. Both structures
+// drop the event at once: a calendar event is unlinked from its chain
+// (the bucket is derivable from the timestamp), a far event is cut out
+// of the list.
 func (k *Kernel) Cancel(id EventID) bool {
 	q := &k.q
 	slot, ok := q.lookup(id)
 	if !ok {
 		return false
 	}
-	n := &q.nodes[slot]
-	q.live--
-	if n.loc == locCal {
+	if q.nodes[slot].at < q.calLim {
 		q.calUnlink(slot)
-		q.release(slot)
 	} else {
-		n.state = evCancelled
-		n.fn = nil
-		q.heapCancelled++
-		if q.heapCancelled > len(q.heap)/2 && len(q.heap) >= minCompactLen {
-			q.compact()
-		}
+		i := q.farSearch(slot)
+		q.far = slices.Delete(q.far, i, i+1)
 	}
+	q.release(slot)
 	return true
 }
 
 // nextLive returns the pool slot of the earliest pending event without
 // removing it (-1 when none). Under the window invariant every calendar
-// event precedes every heap event, so the heap is read only when the
+// event precedes every far event, so the far list is read only when the
 // calendar is empty.
 func (q *queue) nextLive() int32 {
 	if c := q.calMin(); c >= 0 {
 		return c
 	}
-	return q.heapPeekLive()
+	if n := len(q.far); n > 0 {
+		return q.far[n-1]
+	}
+	return -1
 }
 
 // take removes slot s — which must be the value nextLive just returned —
 // from its structure and advances the calendar cursor to its slot,
-// migrating newly in-window heap events into the calendar.
+// migrating newly in-window far events into the calendar.
 func (q *queue) take(s int32) {
 	n := &q.nodes[s]
-	if n.loc == locCal {
+	if n.at < q.calLim {
 		q.unchainHead(q.bucketOf(n.at), s)
 		q.calCount--
 	} else {
-		q.heapPop()
+		q.far = q.far[:len(q.far)-1]
 	}
 	if ns := uint64(n.at) / SlotTicks; ns > q.curSlot {
 		q.curSlot = ns
@@ -669,19 +578,20 @@ func (q *queue) take(s int32) {
 	}
 }
 
-// migrate moves heap events that now fall inside the calendar window into
+// migrate moves far events that now fall inside the calendar window into
 // their buckets, restoring the window invariant after either window
 // change: a cursor advance or a doubling. Every migrated event's slot is
 // at or beyond the cursor, so the move can never reorder anything
-// already due.
+// already due. The list length is re-read on every pass: a calInsert
+// that doubles the calendar migrates from the list itself.
 func (q *queue) migrate() {
-	for {
-		h := q.heapPeekLive()
-		if h < 0 || q.nodes[h].at >= q.calLim {
+	for len(q.far) > 0 {
+		s := q.far[len(q.far)-1]
+		if q.nodes[s].at >= q.calLim {
 			return
 		}
-		q.heapPop()
-		q.calInsert(h)
+		q.far = q.far[:len(q.far)-1]
+		q.calInsert(s)
 	}
 }
 
@@ -695,19 +605,15 @@ func (k *Kernel) fire(s int32) {
 	n := &q.nodes[s]
 	k.now = n.at
 	fn := n.fn
-	q.live--
 	q.release(s)
 	fn()
 }
 
-// Stop halts Run/RunUntil after the currently executing event returns.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events until the queue drains or Stop is called. It
-// returns the final simulation time.
+// Run executes events until the queue drains. It returns the final
+// simulation time.
 func (k *Kernel) Run() Time { return k.RunUntil(TimeMax) }
 
-// RunUntil executes events with timestamps <= limit (or until Stop). The
+// RunUntil executes events with timestamps <= limit. The
 // simulation clock is left at min(limit, time of last event) so that
 // measurements over a fixed horizon are well defined.
 func (k *Kernel) RunUntil(limit Time) Time {
@@ -715,9 +621,8 @@ func (k *Kernel) RunUntil(limit Time) Time {
 		panic("sim: RunUntil re-entered from within an event")
 	}
 	k.running = true
-	k.stopped = false
 	defer func() { k.running = false }()
-	for !k.stopped {
+	for {
 		s := k.q.nextLive()
 		if s < 0 || k.q.nodes[s].at > limit {
 			break
@@ -730,7 +635,7 @@ func (k *Kernel) RunUntil(limit Time) Time {
 	return k.now
 }
 
-// Step executes exactly one event (skipping cancelled ones) and reports
+// Step executes exactly one event and reports
 // whether an event ran. Running() is true for the duration of the
 // callback, exactly as under RunUntil.
 func (k *Kernel) Step() bool {

@@ -71,10 +71,10 @@ func BenchmarkKernelCancelChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelFarFutureMix interleaves slot-grid traffic with
-// supervision-style far-future timeouts that are re-armed long before
-// they fire — the load that exercises the overflow heap, its lazy
-// cancellation, and window migration at once.
+// BenchmarkKernelFarFutureMix interleaves slot-grid traffic with a
+// far-future timeout that is re-armed long before it fires — the load
+// that exercises the far list's sorted insert, its eager cancel and
+// window migration at once.
 func BenchmarkKernelFarFutureMix(b *testing.B) {
 	k := NewKernel()
 	nop := func() {}

@@ -13,14 +13,16 @@ import (
 //   - exact census: no event is lost or duplicated, Pending always
 //     equals the reference list's length, and the clocks agree;
 //   - EventInfo reports every freshly scheduled event's (at, seq);
-//   - the window invariant: every overflow-heap entry is at or past the
+//   - the window invariant: every far-list entry is at or past the
 //     calendar window's limit, and every calendar entry is before it;
+//     the far list is in strictly descending (at, seq) order, and the
+//     two structures hold exactly the pending events;
 //   - the run index: every tick run's first node records the run's last
 //     node, and every bucket's tail and last-run pointers are right.
 //
 // The script bytes choose delays (same-tick, off-grid, window-edge,
-// far-future heap) and cancel targets, so the corpus explores the
-// calendar/heap boundary, cursor migration and window doubling. CI runs
+// far-future) and cancel targets, so the corpus explores the
+// calendar/far boundary, cursor migration and window doubling. CI runs
 // this as a fuzz smoke alongside FuzzPlacementValidation.
 func FuzzKernel(f *testing.F) {
 	f.Add([]byte{3, 0, 10, 1, 40, 2, 200, 6, 7, 4})
@@ -53,7 +55,7 @@ func FuzzKernel(f *testing.F) {
 			case 2:
 				return Slots(uint64(b) * uint64(defaultBuckets) / 32) // window edge
 			default:
-				return Slots(uint64(1000)*uint64(b) + 1) // overflow heap
+				return Slots(uint64(1000)*uint64(b) + 1) // far list
 			}
 		}
 		check := func(ctx string) {

@@ -9,7 +9,7 @@ import (
 // reference is obviously correct and obviously slow; the kernel must
 // produce the identical fire order and census over randomized scripts of
 // schedule / cancel / step / run-until operations, including same-tick
-// bursts, far-future (overflow-heap) events, off-grid timestamps, and
+// bursts, far-future (far-list) events, off-grid timestamps, and
 // cancels through stale and recycled EventIDs.
 
 type refEntry struct {
@@ -120,7 +120,7 @@ func runReferenceScript(t *testing.T, seed uint64) {
 			case 2:
 				d = Slots(uint64(r.Intn(2 * defaultBuckets))) // slot-aligned, straddles the window edge
 			case 3:
-				d = Slots(uint64(1000+r.Intn(100000))) + Duration(r.Intn(7)) // far future: overflow heap
+				d = Slots(uint64(1000+r.Intn(100000))) + Duration(r.Intn(7)) // far future: far list
 			}
 			for burst := 1 + r.Intn(3); burst > 0; burst-- {
 				my := sid

@@ -86,23 +86,6 @@ func TestRunUntilAdvancesClockToLimit(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		k.Schedule(Duration(i), func() {
-			count++
-			if count == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-}
-
 func TestAtPanicsOnPast(t *testing.T) {
 	k := NewKernel()
 	k.Schedule(10, func() {
@@ -191,8 +174,8 @@ func TestRunUntilReentryPanics(t *testing.T) {
 func TestCancelCompactsQueue(t *testing.T) {
 	k := NewKernel()
 	nop := func() {}
-	// Schedule far-future events and cancel almost all of them, the
-	// supervision-timeout pattern: a timer re-armed on every packet.
+	// Schedule far-future events and cancel almost all of them: a
+	// long-period timer re-armed many times before it fires.
 	const n = 10000
 	ids := make([]EventID, 0, n)
 	for i := 0; i < n; i++ {
@@ -207,15 +190,14 @@ func TestCancelCompactsQueue(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", k.Pending())
 	}
 	// These events are far beyond the calendar window, so they all sit in
-	// the overflow heap; compaction must have dropped the cancelled
-	// entries instead of retaining them until their (distant) due times
-	// are popped.
+	// the far list; each cancel must have cut its entry out at once
+	// instead of retaining it until its (distant) due time.
 	q := &k.q
-	if len(q.heap) > minCompactLen {
-		t.Fatalf("heap holds %d entries for 1 live event", len(q.heap))
+	if last, _ := decodeID(ids[n-1]); len(q.far) != 1 || q.far[0] != last {
+		t.Fatalf("far list holds %v for the 1 live event", q.far)
 	}
-	if q.heapCancelled > len(q.heap) {
-		t.Fatalf("cancelled count %d exceeds heap length %d", q.heapCancelled, len(q.heap))
+	if len(q.free) != n-1 {
+		t.Fatalf("%d pool slots free after %d cancels", len(q.free), n-1)
 	}
 }
 
@@ -225,12 +207,12 @@ func TestCancelCompactionPreservesOrder(t *testing.T) {
 	ids := make([]EventID, 0, 512)
 	for i := 0; i < 512; i++ {
 		i := i
-		// Interleave due times so the heap is well shuffled.
+		// Interleave due times so inserts land all over the structures.
 		ids = append(ids, k.Schedule(Slots(uint64((i*37)%512)), func() {
 			fired = append(fired, i)
 		}))
 	}
-	// Cancel two thirds, forcing at least one compaction.
+	// Cancel two thirds, out of schedule order.
 	for i, id := range ids {
 		if i%3 != 0 {
 			k.Cancel(id)
@@ -255,22 +237,21 @@ func TestCancelHeavyChurnStaysBounded(t *testing.T) {
 	// Continuously re-armed timeout: schedule, cancel, re-schedule.
 	var id EventID
 	id = k.Schedule(Slots(100000), nop)
-	maxLen := 0
 	for i := 0; i < 50000; i++ {
 		k.Cancel(id)
 		id = k.Schedule(Slots(100000+uint64(i)), nop)
-		if len(k.q.heap) > maxLen {
-			maxLen = len(k.q.heap)
+		if len(k.q.far) != 1 {
+			t.Fatalf("far list holds %d entries after re-arm %d, want 1", len(k.q.far), i)
 		}
 	}
-	if maxLen > 4*minCompactLen {
-		t.Fatalf("heap grew to %d entries under cancel churn", maxLen)
+	if len(k.q.nodes) > 4 {
+		t.Fatalf("re-arm churn grew the pool to %d nodes", len(k.q.nodes))
 	}
 }
 
 // TestCancelChurnInCalendarWindowUnlinksEagerly: the same re-arm pattern
-// on near-future (in-window) events must not leave tombstones at all —
-// calendar cancellation is an eager unlink.
+// on near-future (in-window) events must unlink each cancelled event
+// from its chain at once.
 func TestCancelChurnInCalendarWindowUnlinksEagerly(t *testing.T) {
 	k := NewKernel()
 	nop := func() {}
@@ -289,7 +270,7 @@ func TestCancelChurnInCalendarWindowUnlinksEagerly(t *testing.T) {
 }
 
 // TestCalendarWindowMigration: events scheduled beyond the calendar
-// window start in the overflow heap and must migrate into the calendar
+// window start in the far list and must migrate into the calendar
 // as the cursor advances, firing in exact (at, seq) order throughout.
 func TestCalendarWindowMigration(t *testing.T) {
 	k := NewKernel()
@@ -309,8 +290,8 @@ func TestCalendarWindowMigration(t *testing.T) {
 			t.Fatalf("migration broke order: %v", fired)
 		}
 	}
-	if len(k.q.heap) != 0 || k.q.calCount != 0 {
-		t.Fatalf("leftover entries: heap=%d cal=%d", len(k.q.heap), k.q.calCount)
+	if len(k.q.far) != 0 || k.q.calCount != 0 {
+		t.Fatalf("leftover entries: far=%d cal=%d", len(k.q.far), k.q.calCount)
 	}
 }
 
@@ -342,14 +323,31 @@ func TestCalendarGrowsOnSkew(t *testing.T) {
 }
 
 // windowViolation describes the first queued event on the wrong side of
-// the calendar window's limit, or returns "" when the window invariant
-// holds: every overflow-heap entry is at or past calLim, and every
-// calendar entry is before it.
+// the calendar window's limit, or the first break in the far list's
+// order or census, or returns "" when all hold: the far list is sorted
+// by strictly descending (at, seq), every far entry is at or past
+// calLim, every calendar entry is before it, and the two structures
+// together hold exactly Pending() events.
 func (q *queue) windowViolation() string {
-	for _, s := range q.heap {
+	for i, s := range q.far {
 		if at := q.nodes[s].at; at < q.calLim {
-			return fmt.Sprintf("heap entry at %d below calLim %d", at, q.calLim)
+			return fmt.Sprintf("far entry at %d below calLim %d", at, q.calLim)
 		}
+		if i > 0 && !q.lessNode(s, q.far[i-1]) {
+			return fmt.Sprintf("far list out of descending (at, seq) order at index %d", i)
+		}
+	}
+	chained := 0
+	for _, h := range q.bucketHead {
+		for s := h; s >= 0; s = q.nodes[s].next {
+			chained++
+		}
+	}
+	if chained != q.calCount {
+		return fmt.Sprintf("calendar chains hold %d events, census %d", chained, q.calCount)
+	}
+	if free := len(q.nodes) - len(q.free); free != len(q.far)+q.calCount {
+		return fmt.Sprintf("%d pool slots in use, %d far + %d calendar events", free, len(q.far), q.calCount)
 	}
 	for _, h := range q.bucketHead {
 		for s := h; s >= 0; s = q.nodes[s].next {
@@ -461,10 +459,10 @@ func TestCalendarRunIndexAnyOrder(t *testing.T) {
 	}
 }
 
-// TestGrowMigratesHeapEvents: a doubling widens the window, so it must
-// pull the heap events the wider window now covers into the calendar
+// TestGrowMigratesFarEvents: a doubling widens the window, so it must
+// pull the far events the wider window now covers into the calendar
 // at once, not at the next cursor advance.
-func TestGrowMigratesHeapEvents(t *testing.T) {
+func TestGrowMigratesFarEvents(t *testing.T) {
 	k := NewKernel()
 	var fired []uint64
 	k.At(Time(Slots(300)), func() { fired = append(fired, 300) }) // past the 256-slot window

@@ -59,9 +59,9 @@ func TestCancelOfFiredIDWithRecycledSlot(t *testing.T) {
 }
 
 // TestCancelScheduleChurnAcrossCompactBoundary hammers the pool with
-// interleaved Schedule/Cancel waves that repeatedly cross the
-// minCompactLen threshold in both directions, then checks that the
-// survivors fire exactly once, in (at, seq) order.
+// interleaved Schedule/Cancel waves that grow and shrink both the
+// calendar and the far list, then checks that the structures hold
+// exactly the survivors and that each fires once, in (at, seq) order.
 func TestCancelScheduleChurnAcrossCompactBoundary(t *testing.T) {
 	k := NewKernel()
 	r := NewRand(42)
@@ -74,16 +74,20 @@ func TestCancelScheduleChurnAcrossCompactBoundary(t *testing.T) {
 	ids := make(map[EventID]Time)
 	order := 0
 	for wave := 0; wave < 50; wave++ {
-		// Grow: schedule a batch around the compaction threshold.
-		n := 8 + r.Intn(minCompactLen*2)
+		// Grow: schedule a batch, a quarter of it past the calendar
+		// window.
+		n := 8 + r.Intn(128)
 		for i := 0; i < n; i++ {
 			at := k.Now() + Time(1+r.Intn(1000))
+			if r.Intn(4) == 0 {
+				at += Time(Slots(2 * defaultBuckets))
+			}
 			o := order
 			order++
 			id := k.At(at, func() { got = append(got, ev{k.Now(), o}) })
 			ids[id] = at
 		}
-		// Shrink: cancel a random majority so compaction triggers.
+		// Shrink: cancel a random majority.
 		for id := range ids {
 			if r.Intn(3) > 0 {
 				if !k.Cancel(id) {
@@ -99,6 +103,9 @@ func TestCancelScheduleChurnAcrossCompactBoundary(t *testing.T) {
 			if at <= k.Now() {
 				delete(ids, id) // fired by Step
 			}
+		}
+		if v := k.q.windowViolation(); v != "" {
+			t.Fatalf("wave %d: %s", wave, v)
 		}
 	}
 	for _, at := range ids {
@@ -167,20 +174,22 @@ func TestPooledOrderMatchesReference(t *testing.T) {
 
 // TestStepAndRunUntilShareCancelledBookkeeping drives the same
 // cancel-heavy schedule through Step and RunUntil interleaved; the
-// shared nextLive/take path must keep the tombstone counter exact so
-// heap compaction never fires on a wrong census. Far-future due times
-// force every event through the overflow heap, the lazy-cancel side.
+// shared nextLive/take path must keep the far list and the calendar
+// census exact. Far-future due times start every event in the far list.
 func TestStepAndRunUntilShareCancelledBookkeeping(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	var ids []EventID
 	base := Slots(1000000)
-	for i := 0; i < 4*minCompactLen; i++ {
+	for i := 0; i < 256; i++ {
 		ids = append(ids, k.Schedule(base+Duration(1+i), func() { fired++ }))
 	}
-	// Cancel every other event: half the heap is tombstones.
+	// Cancel every other event: the far list must drop each at once.
 	for i := 0; i < len(ids); i += 2 {
 		k.Cancel(ids[i])
+	}
+	if len(k.q.far) != len(ids)/2 {
+		t.Fatalf("far list holds %d entries for %d live events", len(k.q.far), len(ids)/2)
 	}
 	// Alternate single steps with bounded runs.
 	for i := 0; k.Pending() > 0; i++ {
@@ -194,9 +203,9 @@ func TestStepAndRunUntilShareCancelledBookkeeping(t *testing.T) {
 		t.Fatalf("fired = %d, want %d", fired, len(ids)/2)
 	}
 	q := &k.q
-	if q.heapCancelled != 0 || len(q.heap) != 0 || q.calCount != 0 {
-		t.Fatalf("bookkeeping drifted: cancelled=%d heap=%d cal=%d",
-			q.heapCancelled, len(q.heap), q.calCount)
+	if len(q.far) != 0 || q.calCount != 0 || len(q.free) != len(q.nodes) {
+		t.Fatalf("bookkeeping drifted: far=%d cal=%d free=%d of %d",
+			len(q.far), q.calCount, len(q.free), len(q.nodes))
 	}
 }
 
