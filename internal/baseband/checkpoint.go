@@ -21,40 +21,11 @@ import (
 // the only connection-state site is the header-abort, which requires a
 // reception in progress — so they are deliberately not captured.
 
-// timerFn tags which pre-bound callback a shared timer carries, since
-// functions are not comparable at capture time.
-type timerFn uint8
-
-const (
-	fnTagDefault timerFn = iota
-	fnTagListen
-	fnTagHoldResync
-	fnTagACLRespond
-	fnTagSCORespond
-)
-
-// TimerID names the connection-state timers a checkpoint may capture.
-type TimerID uint8
-
-// Connection-state timers (the only ones armable in STANDBY/CONNECTION).
-const (
-	TimMasterSlot TimerID = iota
-	TimMasterOpen
-	TimMasterCls
-	TimSlaveSlot
-	TimSlaveCls
-	TimSlaveResp
-	TimSlaveDone
-	TimHoldStep
-	numCaptureTimers
-)
-
 // TimerArm is one armed timer's position in the global event order.
 type TimerArm struct {
-	Timer TimerID
+	Timer int // index into connTimers
 	At    sim.Time
 	Seq   uint64
-	Fn    timerFn
 }
 
 // OutMsg mirrors one queued upper-layer payload for the capture.
@@ -142,8 +113,6 @@ type DeviceCheckpoint struct {
 
 	MasterRespAt sim.Time
 	SCORespIdx   int // index into SCOs owing the next return frame, -1 = none
-	SlaveSlotFn  timerFn
-	SlaveRespFn  timerFn
 
 	Links []LinkCheckpoint
 	MLink int // index into Links of the slave's master link, -1 = none
@@ -152,54 +121,16 @@ type DeviceCheckpoint struct {
 	Timers []TimerArm
 }
 
-// captureTimer looks up the device's timer for a TimerID.
-func (d *Device) captureTimer(id TimerID) *sim.Timer {
-	switch id {
-	case TimMasterSlot:
-		return d.tMasterSlot
-	case TimMasterOpen:
-		return d.tMasterOpen
-	case TimMasterCls:
-		return d.tMasterCls
-	case TimSlaveSlot:
-		return d.tSlaveSlot
-	case TimSlaveCls:
-		return d.tSlaveCls
-	case TimSlaveResp:
-		return d.tSlaveResp
-	case TimSlaveDone:
-		return d.tSlaveDone
-	case TimHoldStep:
-		return d.tHoldStep
+// connTimers lists the connection-state timers, the only ones armable
+// in STANDBY or CONNECTION. A TimerArm names its timer by index into
+// this list; every timer has one callback, so the index is all a
+// restore needs to re-arm it.
+func (d *Device) connTimers() []*sim.Timer {
+	return []*sim.Timer{
+		d.tMasterSlot, d.tMasterOpen, d.tMasterCls,
+		d.tSlaveSlot, d.tHoldResync, d.tSlaveCls,
+		d.tSlaveResp, d.tScoResp, d.tSlaveDone, d.tHoldStep,
 	}
-	panic(fmt.Sprintf("baseband: unknown timer id %d", id))
-}
-
-// timerCallback resolves the callback a restored timer arm fires.
-func (d *Device) timerCallback(id TimerID, tag timerFn) sim.Event {
-	switch id {
-	case TimMasterSlot:
-		return d.masterSlot
-	case TimMasterOpen:
-		return d.masterRespOpen
-	case TimMasterCls, TimSlaveCls:
-		return d.rxOffIfIdle
-	case TimSlaveSlot:
-		if tag == fnTagHoldResync {
-			return d.fnSlaveHoldResync
-		}
-		return d.fnSlaveListenSlot
-	case TimSlaveResp:
-		if tag == fnTagSCORespond {
-			return d.fnScoRespond
-		}
-		return d.fnSlaveRespond
-	case TimSlaveDone:
-		return d.slaveRespDone
-	case TimHoldStep:
-		return d.holdResyncStep
-	}
-	panic(fmt.Sprintf("baseband: unknown timer id %d", id))
 }
 
 // Quiescent reports whether the device is capturable right now: settled
@@ -255,8 +186,6 @@ func (d *Device) Checkpoint(extraLinks []*Link) (*DeviceCheckpoint, error) {
 		MasterParked: d.masterParked,
 		MasterRespAt: d.masterRespAt,
 		SCORespIdx:   -1,
-		SlaveSlotFn:  d.slaveSlotFn,
-		SlaveRespFn:  d.slaveRespFn,
 		MLink:        -1,
 	}
 	if d.afhMap != nil {
@@ -335,16 +264,9 @@ func (d *Device) Checkpoint(extraLinks []*Link) (*DeviceCheckpoint, error) {
 		}
 	}
 
-	for id := TimerID(0); id < numCaptureTimers; id++ {
-		if at, seq, ok := d.captureTimer(id).Pending(); ok {
-			tag := fnTagDefault
-			switch id {
-			case TimSlaveSlot:
-				tag = d.slaveSlotFn
-			case TimSlaveResp:
-				tag = d.slaveRespFn
-			}
-			ck.Timers = append(ck.Timers, TimerArm{Timer: id, At: at, Seq: seq, Fn: tag})
+	for i, t := range d.connTimers() {
+		if at, seq, ok := t.Pending(); ok {
+			ck.Timers = append(ck.Timers, TimerArm{Timer: i, At: at, Seq: seq})
 		}
 	}
 	// Any timer outside the connection set armed here would mean the
@@ -487,14 +409,14 @@ func (d *Device) RestoreCheckpoint(ck *DeviceCheckpoint, forkSeed uint64, set *s
 	d.masterParked = ck.MasterParked
 
 	d.masterRespAt = ck.MasterRespAt
-	d.slaveSlotFn = ck.SlaveSlotFn
-	d.slaveRespFn = ck.SlaveRespFn
 
+	timers := d.connTimers()
 	for _, arm := range ck.Timers {
-		arm := arm
-		t := d.captureTimer(arm.Timer)
-		fn := d.timerCallback(arm.Timer, arm.Fn)
-		set.Add(arm.At, arm.Seq, func() { t.AtFn(arm.At, fn) })
+		if arm.Timer < 0 || arm.Timer >= len(timers) {
+			return nil, fmt.Errorf("baseband: %s timer index %d out of range", d.name, arm.Timer)
+		}
+		t, at := timers[arm.Timer], arm.At
+		set.Add(arm.At, arm.Seq, func() { t.At(at) })
 	}
 	return links, nil
 }

@@ -337,29 +337,29 @@ func (d *Device) startSlaveLoop() {
 }
 
 // scheduleSlaveListen arms the next listen window: the next master
-// transmit slot in active mode, or the next sniff anchor / hold end.
+// transmit slot in active mode, or the next sniff anchor / beacon slot,
+// or else the hold end. The listen and hold-resync timers are siblings:
+// arming one stops the other, so at most one of them is pending.
 func (d *Device) scheduleSlaveListen(from sim.Time) {
 	l := d.mlink
 	if l == nil {
 		return
 	}
+	var at sim.Time
 	switch l.mode {
 	case ModeHold:
-		d.slaveSlotFn = fnTagHoldResync
-		d.tSlaveSlot.AtFn(maxTime(l.holdUntil, from), d.fnSlaveHoldResync)
+		d.tSlaveSlot.Stop()
+		d.tHoldResync.At(maxTime(l.holdUntil, from))
 		return
 	case ModeSniff:
-		d.slaveSlotFn = fnTagListen
-		d.tSlaveSlot.AtFn(d.nextSniffAnchor(from), d.fnSlaveListenSlot)
-		return
+		at = d.nextSniffAnchor(from)
 	case ModePark:
-		d.slaveSlotFn = fnTagListen
-		d.tSlaveSlot.AtFn(d.nextBeaconSlot(from), d.fnSlaveListenSlot)
-		return
+		at = d.nextBeaconSlot(from)
+	default:
+		at = d.nextCLKSlotAfterLead(from) - sim.Time(d.leadTicks())
 	}
-	t := d.nextCLKSlotAfterLead(from)
-	d.slaveSlotFn = fnTagListen
-	d.tSlaveSlot.AtFn(t-sim.Time(d.leadTicks()), d.fnSlaveListenSlot)
+	d.tHoldResync.Stop()
+	d.tSlaveSlot.At(at)
 }
 
 // nextSniffAnchor returns the start time of the next even slot inside
@@ -464,8 +464,8 @@ func (d *Device) slaveRx(tx *channel.Transmission, rx *bits.Vec, collided bool) 
 	}
 	// Respond in the slot following the master's packet.
 	respAt := tx.Start + sim.Time(sim.Slots(uint64(p.Header.Type.Slots())))
-	d.slaveRespFn = fnTagACLRespond
-	d.tSlaveResp.AtFn(respAt, d.fnSlaveRespond)
+	d.tScoResp.Stop()
+	d.tSlaveResp.At(respAt)
 }
 
 // slaveRespond transmits the slave's response in the slot after the

@@ -80,22 +80,19 @@ type Device struct {
 	tMasterSlot *sim.Timer // master TX-opportunity loop
 	tMasterOpen *sim.Timer // master response-listen open
 	tMasterCls  *sim.Timer // master response-listen close
-	tSlaveSlot  *sim.Timer // slave listen loop (also hold-resync entry)
+	tSlaveSlot  *sim.Timer // slave listen loop
+	tHoldResync *sim.Timer // hold-period end (the listen loop's sibling)
 	tSlaveCls   *sim.Timer // slave listen-window close
-	tSlaveResp  *sim.Timer // slave response transmission
+	tSlaveResp  *sim.Timer // slave ACL response transmission
+	tScoResp    *sim.Timer // slave SCO return frame (tSlaveResp's sibling)
 	tSlaveDone  *sim.Timer // post-response bookkeeping (hold re-entry)
 	tHoldStep   *sim.Timer // hold-resync retune loop
 	tRetune     *sim.Timer // scan-frequency retune (every 1.28 s)
 	stateTimers []*sim.Timer
 
-	// Pre-bound callbacks reused by the timers above and by transmit;
-	// binding them once keeps method-value allocations off the hot path.
-	fnTxDone          func()
-	fnSlaveListenSlot func()
-	fnSlaveHoldResync func()
-	fnHoldResyncStep  func()
-	fnSlaveRespond    func()
-	fnScoRespond      func()
+	// The transmit path's pre-bound end-of-air callback; binding it
+	// once keeps a method-value allocation off the hot path.
+	fnTxDone func()
 
 	// Pre-assembled ID packets: an ID is just the 68-bit access code of
 	// a LAP, so the on-air bits for the device's own LAP and the GIAC
@@ -117,12 +114,6 @@ type Device struct {
 	scanRetuneSel *hop.Selector // selector driving the scan retune loop
 	masterRespAt  sim.Time      // response-slot start of the last master TX
 	scoRespLink   *SCOLink      // voice link owing the next return frame
-
-	// Which pre-bound callback the two shared timers currently carry
-	// (functions are not comparable, so a checkpoint records these tags
-	// instead of inspecting the timer).
-	slaveSlotFn timerFn // tSlaveSlot: listen window vs hold resync
-	slaveRespFn timerFn // tSlaveResp: ACL response vs SCO return frame
 
 	// masterParked marks a master whose TX loop long-skipped to the next
 	// deadline because no member had traffic, a due poll, an SCO
@@ -224,9 +215,11 @@ func New(k *sim.Kernel, ch *channel.Channel, name string, cfg Config) *Device {
 	d.tMasterSlot = k.NewTimer(d.masterSlot)
 	d.tMasterOpen = k.NewTimer(d.masterRespOpen)
 	d.tMasterCls = k.NewTimer(d.rxOffIfIdle)
-	d.tSlaveSlot = k.NewTimer(nil)
+	d.tSlaveSlot = k.NewTimer(d.slaveListenSlot)
+	d.tHoldResync = k.NewTimer(d.slaveHoldResync)
 	d.tSlaveCls = k.NewTimer(d.rxOffIfIdle)
 	d.tSlaveResp = k.NewTimer(d.slaveRespond)
+	d.tScoResp = k.NewTimer(d.scoRespond)
 	d.tSlaveDone = k.NewTimer(d.slaveRespDone)
 	d.tHoldStep = k.NewTimer(d.holdResyncStep)
 	d.tRetune = k.NewTimer(d.scanRetune)
@@ -234,16 +227,11 @@ func New(k *sim.Kernel, ch *channel.Channel, name string, cfg Config) *Device {
 		d.tInqSlot, d.tInqSecond, d.tInqWin1, d.tInqWin2, d.tInqDeadln,
 		d.tPgSlot, d.tPgSecond, d.tPgWin1, d.tPgWin2, d.tPgDeadln,
 		d.tMasterSlot, d.tMasterOpen, d.tMasterCls,
-		d.tSlaveSlot, d.tSlaveCls, d.tSlaveResp, d.tSlaveDone,
-		d.tHoldStep, d.tRetune,
+		d.tSlaveSlot, d.tHoldResync, d.tSlaveCls, d.tSlaveResp, d.tScoResp,
+		d.tSlaveDone, d.tHoldStep, d.tRetune,
 	}
 
 	d.fnTxDone = d.txDone
-	d.fnSlaveListenSlot = d.slaveListenSlot
-	d.fnSlaveHoldResync = d.slaveHoldResync
-	d.fnHoldResyncStep = d.holdResyncStep
-	d.fnSlaveRespond = d.slaveRespond
-	d.fnScoRespond = d.scoRespond
 
 	d.idOwn = newCachedID(d.cfg.Addr.LAP)
 	d.idGIAC = newCachedID(access.GIAC)

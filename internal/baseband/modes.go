@@ -89,7 +89,7 @@ func (d *Device) rescheduleSlaveLoop() {
 		return
 	}
 	d.gen++ // drop previously scheduled closure events
-	for _, t := range []*sim.Timer{d.tSlaveSlot, d.tSlaveCls, d.tSlaveResp, d.tSlaveDone, d.tHoldStep} {
+	for _, t := range []*sim.Timer{d.tSlaveSlot, d.tHoldResync, d.tSlaveCls, d.tSlaveResp, d.tScoResp, d.tSlaveDone, d.tHoldStep} {
 		t.Stop() // and the timer-armed listen/close/response windows
 	}
 	d.rxOff()

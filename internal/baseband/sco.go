@@ -177,13 +177,13 @@ func (d *Device) handleSCORx(p *packet.Packet, rxStart sim.Time) {
 	if d.isMaster {
 		return
 	}
-	// Slave: the return voice frame goes in the next slot. The response
-	// reuses the ACL response timer — the scheduler keeps reserved SCO
-	// slots and ACL response slots disjoint, so at most one response is
-	// pending at a time.
+	// Slave: the return voice frame goes in the next slot. Its timer is
+	// the ACL response timer's sibling: arming one stops the other, so
+	// at most one response is pending at a time (the scheduler keeps
+	// reserved SCO slots and ACL response slots disjoint anyway).
 	d.scoRespLink = sco
-	d.slaveRespFn = fnTagSCORespond
-	d.tSlaveResp.AtFn(rxStart+sim.Time(sim.Slots(1)), d.fnScoRespond)
+	d.tSlaveResp.Stop()
+	d.tScoResp.At(rxStart + sim.Time(sim.Slots(1)))
 }
 
 // scoRespond transmits the slave's return voice frame.

@@ -127,6 +127,28 @@ func resetAll(s *Simulation) {
 	}
 }
 
+// TestRestoreRejectsBadTimerIndex: a captured timer arm names its timer
+// by index; an index outside the device's timer list fails the restore
+// with an error instead of panicking.
+func TestRestoreRejectsBadTimerIndex(t *testing.T) {
+	s := buildWorld()
+	s.RunSlots(200)
+	ck, err := s.Snapshot(nil, nil)
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	arms := ck.Devices[0].State.Timers
+	if len(arms) == 0 {
+		t.Fatal("test premise broken: the master has no armed timer")
+	}
+	for _, bad := range []int{-1, 1 << 20} {
+		arms[0].Timer = bad
+		if err := restore(NewSimulation(Options{Seed: 7, BER: 1.0 / 600}), ck, RestoreOptions{}); err == nil {
+			t.Errorf("restore with timer index %d succeeded", bad)
+		}
+	}
+}
+
 func TestSnapshotRefusesVCDTrace(t *testing.T) {
 	s := NewSimulation(Options{Seed: 1, TraceTo: discard{}})
 	if _, err := s.Snapshot(nil, nil); err == nil {

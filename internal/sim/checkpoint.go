@@ -21,7 +21,7 @@ import "sort"
 
 // Rearm is one captured pending event: its original (At, Seq) position
 // in the global order and an Arm closure that re-schedules it (via
-// Timer.AtFn or Kernel.At).
+// Timer.At or Kernel.At).
 type Rearm struct {
 	At  Time
 	Seq uint64

@@ -67,21 +67,21 @@ func TestEventInfo(t *testing.T) {
 	}
 }
 
-func TestTimerPendingAndAtFn(t *testing.T) {
+func TestTimerPending(t *testing.T) {
 	k := NewKernel()
-	tm := k.NewTimer(nil)
+	fired := false
+	tm := k.NewTimer(func() { fired = true })
 	if _, _, ok := tm.Pending(); ok {
 		t.Fatal("idle timer must not report pending")
 	}
-	fired := false
-	tm.AtFn(Time(Slots(5)), func() { fired = true })
+	tm.At(Time(Slots(5)))
 	at, seq, ok := tm.Pending()
 	if !ok || at != Time(Slots(5)) || seq == 0 {
 		t.Fatalf("Pending = (%v, %d, %v)", at, seq, ok)
 	}
 	k.RunUntil(Time(Slots(6)))
 	if !fired {
-		t.Fatal("AtFn arm did not fire")
+		t.Fatal("timer arm did not fire")
 	}
 	if _, _, ok := tm.Pending(); ok {
 		t.Fatal("fired timer must not report pending")
@@ -144,7 +144,7 @@ func TestRearmSetPreservesOrder(t *testing.T) {
 			if label%2 == 0 {
 				k2.At(at, fn)
 			} else {
-				k2.NewTimer(nil).AtFn(at, fn)
+				k2.NewTimer(fn).At(at)
 			}
 		})
 	}

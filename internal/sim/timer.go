@@ -6,24 +6,26 @@ package sim
 // slot loop) therefore allocates nothing, which is what keeps the
 // per-slot callbacks of the baseband layer off the garbage collector.
 //
-// A timer holds at most one pending event. Arming an armed timer
-// cancels the previous arm first — callers that need two concurrent
-// pending callbacks use two timers.
+// A timer holds at most one pending event and one callback for its
+// whole life. Arming an armed timer cancels the previous arm first —
+// callers that need two concurrent pending callbacks, or two different
+// callbacks, use two timers.
 type Timer struct {
 	k    *Kernel
 	id   EventID // 0 while idle
 	fire Event   // the once-allocated wrapper handed to the kernel
-	fn   Event   // current callback, swapped per arm
 }
 
-// NewTimer creates an idle timer on the kernel. fn is the default
-// callback; AtFn can override it per arm. Pass nil when every
-// arm supplies its own callback.
+// NewTimer creates an idle timer on the kernel that runs fn whenever
+// it fires.
 func (k *Kernel) NewTimer(fn Event) *Timer {
-	t := &Timer{k: k, fn: fn}
+	if fn == nil {
+		panic("sim: NewTimer called with nil callback")
+	}
+	t := &Timer{k: k}
 	t.fire = func() {
 		t.id = 0
-		t.fn()
+		fn()
 	}
 	return t
 }
@@ -54,16 +56,6 @@ func (t *Timer) Schedule(delay Duration) {
 func (t *Timer) At(at Time) {
 	t.Stop()
 	t.id = t.k.At(at, t.fire)
-}
-
-// AtFn replaces the timer's callback — for this arm and every later
-// one until the next AtFn call — and arms it at absolute time at.
-// Passing a pre-bound method value keeps the arm allocation-free.
-// Callers that alternate callbacks on one timer must use AtFn for every
-// arm (plain Schedule/At re-fire whichever callback was installed last).
-func (t *Timer) AtFn(at Time, fn Event) {
-	t.fn = fn
-	t.At(at)
 }
 
 // Pending reports the pending arm's timestamp and global sequence

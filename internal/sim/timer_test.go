@@ -70,21 +70,6 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
-// TestTimerAtFnOverride: per-arm callbacks replace the default and stick
-// for the firing, without disturbing a concurrent timer.
-func TestTimerAtFnOverride(t *testing.T) {
-	k := NewKernel()
-	var order []string
-	a := k.NewTimer(func() { order = append(order, "default") })
-	a.AtFn(10, func() { order = append(order, "override") })
-	b := k.NewTimer(nil)
-	b.AtFn(5, func() { order = append(order, "b") })
-	k.Run()
-	if len(order) != 2 || order[0] != "b" || order[1] != "override" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
 // TestTimerRearmFromOwnCallback: the slot-loop pattern — re-arming from
 // inside the callback — must leave Armed() true for the new arm.
 func TestTimerRearmFromOwnCallback(t *testing.T) {
