@@ -415,8 +415,8 @@ func (d *Device) RestoreCheckpoint(ck *DeviceCheckpoint, forkSeed uint64, set *s
 		if arm.Timer < 0 || arm.Timer >= len(timers) {
 			return nil, fmt.Errorf("baseband: %s timer index %d out of range", d.name, arm.Timer)
 		}
-		t, at := timers[arm.Timer], arm.At
-		set.Add(arm.At, arm.Seq, func() { t.At(at) })
+		t := timers[arm.Timer]
+		set.Add(arm.At, arm.Seq, func() { t.At(arm.At) })
 	}
 	return links, nil
 }

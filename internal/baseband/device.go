@@ -223,13 +223,11 @@ func New(k *sim.Kernel, ch *channel.Channel, name string, cfg Config) *Device {
 	d.tSlaveDone = k.NewTimer(d.slaveRespDone)
 	d.tHoldStep = k.NewTimer(d.holdResyncStep)
 	d.tRetune = k.NewTimer(d.scanRetune)
-	d.stateTimers = []*sim.Timer{
+	d.stateTimers = append([]*sim.Timer{
 		d.tInqSlot, d.tInqSecond, d.tInqWin1, d.tInqWin2, d.tInqDeadln,
 		d.tPgSlot, d.tPgSecond, d.tPgWin1, d.tPgWin2, d.tPgDeadln,
-		d.tMasterSlot, d.tMasterOpen, d.tMasterCls,
-		d.tSlaveSlot, d.tHoldResync, d.tSlaveCls, d.tSlaveResp, d.tScoResp,
-		d.tSlaveDone, d.tHoldStep, d.tRetune,
-	}
+		d.tRetune,
+	}, d.connTimers()...)
 
 	d.fnTxDone = d.txDone
 
